@@ -29,6 +29,7 @@ from .quadrature import (
     darcy_zone_integral,
     forchheimer_zone_integral,
     integrate_adaptive,
+    predarcy_zone_integral,
 )
 from .reference import (
     BASE_ALPHA,
@@ -93,14 +94,17 @@ def check_radius_roundtrip() -> CheckResult:
 
 
 def check_closed_vs_quadrature(n_intervals: int = 100, seed: int = 20240814) -> CheckResult:
-    """Closed-form S_D and S_F match adaptive quadrature on random subintervals."""
+    """Closed-form S_D, S_F and S_pD match adaptive quadrature on random
+    subintervals; S_pD with s drawn per interval from [0, 1], both ends included."""
     scn = _base_scenario("D")
     geo = scn.geometry
     a_flux = flux_density(scn)
     rng = np.random.default_rng(seed)
+    intervals = np.sort(rng.uniform(geo.r_w, geo.r_e, size=(n_intervals, 2)), axis=1)
+    powers = rng.uniform(0.0, 1.0, size=n_intervals)
+    powers[:2] = (0.0, 1.0)
     worst = 0.0
-    for _ in range(n_intervals):
-        r1, r2 = sorted(rng.uniform(geo.r_w, geo.r_e, size=2))
+    for (r1, r2), s in zip(intervals, powers):
         closed_d = darcy_zone_integral(scn, r1, r2)
         quad_d = scn.params.alpha * integrate_adaptive(
             lambda r: ((geo.r_e - r) * (geo.r_e + r)) ** 2 / r, r1, r2, rel_tol=1e-12
@@ -111,6 +115,13 @@ def check_closed_vs_quadrature(n_intervals: int = 100, seed: int = 20240814) -> 
             lambda r: ((geo.r_e - r) * (geo.r_e + r)) ** 3 / r**2, r1, r2, rel_tol=1e-12
         ).value
         worst = max(worst, abs(closed_f - quad_f) / abs(quad_f))
+        scn_p = _base_scenario("DDpD", s=float(s))
+        closed_p = predarcy_zone_integral(scn_p, r1, r2)
+        quad_p = scn_p.params.lambda_ * a_flux ** (-s) * integrate_adaptive(
+            lambda r: ((geo.r_e - r) * (geo.r_e + r)) ** (2.0 - s) * r ** (s - 1.0),
+            r1, r2, rel_tol=1e-12,
+        ).value
+        worst = max(worst, abs(closed_p - quad_p) / abs(quad_p))
     return CheckResult("closed-form-vs-quadrature", worst <= 1e-9, worst, "1e-9")
 
 

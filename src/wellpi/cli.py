@@ -173,12 +173,8 @@ def build_scenario(args: argparse.Namespace) -> Scenario:
             else:
                 zone_laws[key.split(".", 1)[1]] = _parse_zone_law(text, key)
 
-    for flag, field in (
-        ("r_e", "r_e"), ("r_w", "r_w"), ("h", "h"), ("alpha", "alpha"),
-        ("beta", "beta"), ("lambda_", "lambda_"), ("s", "s"), ("gamma", "gamma"),
-        ("v_D", "v_D"), ("v_F", "v_F"), ("q_over_h", "q_over_h"),
-    ):
-        override = getattr(args, flag, None)
+    for field in values:  # each flag's dest is the field it overrides
+        override = getattr(args, field, None)
         if override is not None:
             values[field] = override
 
@@ -241,7 +237,7 @@ def _sweep_row(axis_name: str, axis_value: float, scn: Scenario, pi: PiResult) -
 
 def cmd_pi(args: argparse.Namespace) -> int:
     scn = build_scenario(args)
-    pi = compute_pi(scn, rel_tol=args.rel_tol)
+    pi = compute_pi(scn)
     part = pi.zone_partition
     lines = []
     if args.raw:
@@ -295,7 +291,7 @@ def _scenario_with(scn: Scenario, axis: str, value: float) -> Scenario:
         raise ConfigError(f"axis {axis}={value:g}: {exc}") from None
 
 
-def run_sweep(base: Scenario, spec: SweepSpec, rel_tol: float = 1e-10) -> str:
+def run_sweep(base: Scenario, spec: SweepSpec) -> str:
     """CSV text for the sweep, one row per (axis value, regime), axis-major."""
     try:
         presets = [regime_preset(name) for name in spec.regimes]
@@ -306,7 +302,7 @@ def run_sweep(base: Scenario, spec: SweepSpec, rel_tol: float = 1e-10) -> str:
     for value in spec.values:
         for preset in presets:
             scn = _scenario_with(replace(base, regime=preset), spec.axis, value)
-            pi = compute_pi(scn, rel_tol=rel_tol)
+            pi = compute_pi(scn)
             buf.write(_sweep_row(spec.axis, value, scn, pi) + "\n")
     return buf.getvalue()
 
@@ -318,14 +314,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         spec = SweepSpec(axis=args.axis, values=tuple(_axis_values(args)), regimes=regimes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    _write_text(run_sweep(base, spec, rel_tol=args.rel_tol), args.out)
+    _write_text(run_sweep(base, spec), args.out)
     return EXIT_OK
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    comparisons = compare_table(
-        args.table, rel_tol=args.rel_tol, continuous_predarcy=args.continuous_predarcy
-    )
+    comparisons = compare_table(args.table, continuous_predarcy=args.continuous_predarcy)
     buf = io.StringIO()
     buf.write(",".join(_TABLE_COLUMNS) + "\n")
     flagged = 0
@@ -408,8 +402,6 @@ def _add_scenario_options(sub: argparse.ArgumentParser) -> None:
     grp.add_argument("--regime", help="zone-law preset (D, F, FDD, DDpD, FDpD, FpDpD, pure-preDarcy)")
     grp.add_argument("--continuous-predarcy", action="store_true",
                      help="rescale lambda to alpha*v_D^s so the law is continuous at v_D")
-    sub.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-10,
-                     help="relative tolerance of the adaptive quadrature (default 1e-10)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("table", type=int, choices=(1, 2, 3, 4))
     p_table.add_argument("--continuous-predarcy", action="store_true",
                          help="rescale lambda to alpha*v_D^s before computing")
-    p_table.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-10)
     p_table.add_argument("--out", metavar="PATH", help="CSV output path (default stdout)")
     p_table.set_defaults(func=cmd_table)
 
@@ -469,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureError, StepSizeUnderflow, RuntimeError) as exc:
+    except (QuadratureError, StepSizeUnderflow, RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

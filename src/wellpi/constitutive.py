@@ -49,19 +49,20 @@ class FlowParameters:
     gamma: float = 1e-8
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
-        if not self.lambda_ > 0:
-            raise ValueError(f"lambda_ must be positive, got {self.lambda_}")
+        # positive-form comparisons, so NaN fails every one of them
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be nonnegative and finite, got {self.beta}")
+        if not 0 < self.lambda_ < math.inf:
+            raise ValueError(f"lambda_ must be positive and finite, got {self.lambda_}")
         if not 0.0 <= self.s <= 1.0:
             raise ValueError(f"s must lie in [0, 1], got {self.s}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
-        if self.v_D < 0 or self.v_D > self.v_F:
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
+        if not 0 <= self.v_D <= self.v_F < math.inf:
             raise ValueError(
-                f"critical velocities must satisfy 0 <= v_D <= v_F, "
+                f"critical velocities must satisfy 0 <= v_D <= v_F < inf, "
                 f"got v_D={self.v_D}, v_F={self.v_F}"
             )
 

@@ -34,10 +34,10 @@ class FlowMeasurement:
     grad_p: float
 
     def __post_init__(self):
-        if not self.v > 0:
-            raise ValueError(f"velocity must be positive, got {self.v}")
-        if not self.grad_p > 0:
-            raise ValueError(f"pressure gradient must be positive, got {self.grad_p}")
+        if not 0 < self.v < math.inf:
+            raise ValueError(f"velocity must be positive and finite, got {self.v}")
+        if not 0 < self.grad_p < math.inf:
+            raise ValueError(f"pressure gradient must be positive and finite, got {self.grad_p}")
 
 
 @dataclass(frozen=True)

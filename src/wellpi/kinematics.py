@@ -28,10 +28,12 @@ class Geometry:
     h: float
 
     def __post_init__(self):
-        if not 0 < self.r_w < self.r_e:
-            raise ValueError(f"need 0 < r_w < r_e, got r_w={self.r_w}, r_e={self.r_e}")
-        if not self.h > 0:
-            raise ValueError(f"h must be positive, got {self.h}")
+        if not 0 < self.r_w < self.r_e < math.inf:
+            raise ValueError(
+                f"need 0 < r_w < r_e < inf, got r_w={self.r_w}, r_e={self.r_e}"
+            )
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"h must be positive and finite, got {self.h}")
 
     @property
     def radius_span_sq(self) -> float:
@@ -53,8 +55,8 @@ class Scenario:
     q_over_h: float
 
     def __post_init__(self):
-        if not self.q_over_h > 0:
-            raise ValueError(f"q_over_h must be positive, got {self.q_over_h}")
+        if not 0 < self.q_over_h < math.inf:
+            raise ValueError(f"q_over_h must be positive and finite, got {self.q_over_h}")
 
     @property
     def q(self) -> float:
@@ -129,7 +131,36 @@ def partition_zones(scn: Scenario) -> ZonePartition:
     )
 
 
-def zone_segments(scn: Scenario) -> list[tuple[float, float, ZoneLaw]]:
+#: One velocity zone: (inner radius, outer radius, governing law).
+Zone = tuple[float, float, ZoneLaw]
+
+
+def zone_bounds(scn: Scenario, part: ZonePartition) -> tuple[Zone, Zone, Zone]:
+    """The fast, moderate and slow zones [r_w, r_F], [r_F, r_D], [r_D, r_e]
+    with their laws, empty ones included."""
+    geo = scn.geometry
+    return (
+        (geo.r_w, part.r_F, scn.regime.near_well),
+        (part.r_F, part.r_D, scn.regime.middle),
+        (part.r_D, geo.r_e, scn.regime.near_boundary),
+    )
+
+
+def merge_zones(zones: tuple[Zone, ...]) -> list[tuple[float, float, ZoneLaw, tuple[int, ...]]]:
+    """Nonempty zones with same-law neighbors merged, each segment with the
+    indices of the zones it covers."""
+    merged: list[tuple[float, float, ZoneLaw, tuple[int, ...]]] = []
+    for i, (a0, b0, law) in enumerate(zones):
+        if b0 <= a0:
+            continue
+        if merged and merged[-1][2] is law:
+            merged[-1] = (merged[-1][0], b0, law, merged[-1][3] + (i,))
+        else:
+            merged.append((a0, b0, law, (i,)))
+    return merged
+
+
+def zone_segments(scn: Scenario) -> list[Zone]:
     """Nonempty radial segments with their governing law, same-law neighbors
     merged.
 
@@ -137,19 +168,5 @@ def zone_segments(scn: Scenario) -> list[tuple[float, float, ZoneLaw]]:
     [r_w, r_e] regardless of where the critical radii fall, so its integrals
     do not depend on the flux at all.
     """
-    part = partition_zones(scn)
-    geo = scn.geometry
-    bounds = [
-        (geo.r_w, part.r_F, scn.regime.near_well),
-        (part.r_F, part.r_D, scn.regime.middle),
-        (part.r_D, geo.r_e, scn.regime.near_boundary),
-    ]
-    merged: list[tuple[float, float, ZoneLaw]] = []
-    for a0, b0, law in bounds:
-        if b0 <= a0:
-            continue
-        if merged and merged[-1][2] is law:
-            merged[-1] = (merged[-1][0], b0, law)
-        else:
-            merged.append((a0, b0, law))
-    return merged
+    zones = zone_bounds(scn, partition_zones(scn))
+    return [(a, b, law) for a, b, law, _ in merge_zones(zones)]

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .constitutive import RegimeAssignment
-from .kinematics import Scenario, ZonePartition, partition_zones, zone_segments
+from .kinematics import Scenario, ZonePartition, merge_zones, partition_zones, zone_bounds
 from .quadrature import darcy_zone_integral, zone_integral
 
 
@@ -42,29 +42,38 @@ def dimensionless_factor(scn: Scenario) -> float:
     return scn.params.alpha / (2.0 * math.pi * scn.geometry.h)
 
 
-def compute_pi(scn: Scenario, rel_tol: float = 1e-10) -> PiResult:
+def _zone_sums(scn: Scenario, part: ZonePartition) -> tuple[tuple[float, float, float], float]:
+    """Per-zone S values and the PI denominator, in one pass over the zones.
+
+    Each nonempty zone is integrated once.  A merged same-law segment that
+    covers more than one zone is integrated again as a whole, so an all-Darcy
+    regime always sums the one integral over [r_w, r_e] and its PI does not
+    depend on where the critical radii fall.
+    """
+    zones = zone_bounds(scn, part)
+    contributions = [0.0, 0.0, 0.0]
+    segment_sums = []
+    for a, b, law, members in merge_zones(zones):
+        for i in members:
+            lo, hi, _ = zones[i]
+            contributions[i] = zone_integral(scn, law, lo, hi)
+        if len(members) == 1:
+            segment_sums.append(contributions[members[0]])
+        else:
+            segment_sums.append(zone_integral(scn, law, a, b))
+    return tuple(contributions), math.fsum(segment_sums)
+
+
+def compute_pi(scn: Scenario) -> PiResult:
     """Pseudo-steady-state productivity index for the scenario's regime.
 
     The denominator is accumulated over same-law merged segments, so an
-    all-Darcy regime evaluates one closed-form integral over [r_w, r_e] and
-    is exactly independent of the flux; per-zone contributions are reported
-    unmerged.
+    all-Darcy regime is exactly independent of the flux; per-zone
+    contributions are reported unmerged.
     """
     geo = scn.geometry
     part = partition_zones(scn)
-    total = math.fsum(
-        zone_integral(scn, law, a, b, rel_tol=rel_tol)
-        for a, b, law in zone_segments(scn)
-    )
-    zone_bounds = (
-        (geo.r_w, part.r_F, scn.regime.near_well),
-        (part.r_F, part.r_D, scn.regime.middle),
-        (part.r_D, geo.r_e, scn.regime.near_boundary),
-    )
-    contributions = tuple(
-        zone_integral(scn, law, a, b, rel_tol=rel_tol) if b > a else 0.0
-        for a, b, law in zone_bounds
-    )
+    contributions, total = _zone_sums(scn, part)
     big_l = 2.0 * math.pi * geo.h * geo.radius_span_sq**2
     j_raw = big_l / total
     return PiResult(
@@ -76,15 +85,12 @@ def compute_pi(scn: Scenario, rel_tol: float = 1e-10) -> PiResult:
     )
 
 
-def darcy_ratio(scn: Scenario, rel_tol: float = 1e-10) -> float:
+def darcy_ratio(scn: Scenario) -> float:
     """J_regime / J_Darcy = S_D[r_w, r_e] / sum_zones S_law[zone].
 
     Multiplying the all-Darcy PI by this skin-style ratio reproduces the
     regime's PI.
     """
     geo = scn.geometry
-    denom = math.fsum(
-        zone_integral(scn, law, a, b, rel_tol=rel_tol)
-        for a, b, law in zone_segments(scn)
-    )
+    _, denom = _zone_sums(scn, partition_zones(scn))
     return darcy_zone_integral(scn, geo.r_w, geo.r_e) / denom

@@ -5,7 +5,9 @@ extension on each panel; the difference of the two estimates serves as the
 panel error.  The panel with the largest error is bisected until the summed
 error meets the tolerance or the panel cap is hit.  Panels are kept in
 left-to-right order and summed with compensated addition, so results are
-deterministic regardless of how the work is scheduled.
+deterministic regardless of how the work is scheduled.  Nothing on the PI
+path uses it: it is the independent oracle that the closed forms below are
+checked against.
 
 The zone integrals entering the productivity index are
 
@@ -16,9 +18,13 @@ The zone integrals entering the productivity index are
 S_D and S_F have closed antiderivatives; those are evaluated through a
 power-series form near the outer boundary where the textbook expression
 loses most of its significant digits to cancellation.  S_pD has no
-elementary antiderivative for fractional s (the substitution u = r^2 turns
-it into an incomplete-beta-type integral) and goes through the adaptive
-integrator, which the closed S_D / S_F forms independently verify.
+elementary antiderivative for fractional s; the substitution u = r^2 / r_e^2
+turns it into the incomplete beta integral
+
+    S_pD = lambda * A^(-s) * r_e^(4-s) / 2 * int u^(s/2-1) (1-u)^(2-s) du,
+
+summed as the binomial series of (1-u)^(2-s) for small u and as the
+all-positive series of u^(s/2-1) in x = 1 - u near the outer boundary.
 """
 
 from __future__ import annotations
@@ -246,6 +252,66 @@ def _forch_bracket(r_e: float, r1: float, r2: float) -> float:
     return _forch_closed(r_e, r1, cut) + _forch_series(r_e, cut, r2)
 
 
+def _beta_series(p0: float, m: float, hi: float, lo: float, width: float) -> float:
+    # sum_k c_k (hi^(p0+k) - lo^(p0+k)) / (p0+k), c_0 = 1, c_k = c_(k-1) (k+m)/k,
+    # for 0 <= lo < hi <= _SERIES_CUT^2 and width = hi - lo free of cancellation.
+    # Each difference is hi^p * D with D = 1 - rho^p, rho = lo/hi; D obeys
+    # D_(k+1) = D_k + rho^(p0+k) (1 - rho), a sum of positive terms, so only
+    # D_0 needs expm1, and log(rho) comes from log1p when rho is near 1.
+    # At p0 = 0 the first term is its limit -log(rho).
+    step = width / hi
+    rho = lo / hi
+    if rho >= 0.5:
+        log_rho = math.log1p(-step)
+    elif rho > 0.0:
+        log_rho = math.log(rho)
+    else:
+        log_rho = -math.inf
+    gap = -math.expm1(p0 * log_rho)
+    rest = math.exp(p0 * log_rho)
+    power = hi**p0
+    total = power * gap / p0 if p0 > 0.0 else -log_rho
+    c = 1.0
+    for k in range(1, 400):  # hi <= 0.5625 meets the test within about 80 terms
+        c *= (k + m) / k
+        gap += rest * step
+        rest *= rho
+        power *= hi
+        term = c * power * gap / (p0 + k)
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            break
+    return total
+
+
+def _predarcy_inner(r_e: float, s: float, r1: float, r2: float) -> float:
+    # binomial series of (1-u)^(2-s) against u^(s/2-1), u = (r/r_e)^2
+    u1 = (r1 / r_e) ** 2
+    u2 = (r2 / r_e) ** 2
+    du = (r2 - r1) * (r2 + r1) / r_e**2
+    return _beta_series(0.5 * s, s - 3.0, u2, u1, du)
+
+
+def _predarcy_outer(r_e: float, s: float, r1: float, r2: float) -> float:
+    # all-positive series of u^(s/2-1) = (1-x)^(s/2-1) against x^(2-s), x = 1 - u
+    x1 = (r_e - r1) * (r_e + r1) / r_e**2
+    x2 = (r_e - r2) * (r_e + r2) / r_e**2
+    dx = (r2 - r1) * (r2 + r1) / r_e**2
+    return _beta_series(3.0 - s, -0.5 * s, x1, x2, dx)
+
+
+def _predarcy_bracket(r_e: float, s: float, r1: float, r2: float) -> float:
+    # int (r_e^2-r^2)^(2-s) r^(s-1) dr = (r_e^(4-s)/2) int u^(s/2-1) (1-u)^(2-s) du
+    cut = _SERIES_CUT * r_e
+    if r1 >= cut:
+        beta = _predarcy_outer(r_e, s, r1, r2)
+    elif r2 <= cut:
+        beta = _predarcy_inner(r_e, s, r1, r2)
+    else:
+        beta = _predarcy_inner(r_e, s, r1, cut) + _predarcy_outer(r_e, s, cut, r2)
+    return 0.5 * r_e ** (4.0 - s) * beta
+
+
 def darcy_zone_integral(scn: Scenario, r1: float, r2: float) -> float:
     """S_D[r1, r2] in closed form (Pa-weighted)."""
     _check_interval(scn, r1, r2)
@@ -265,33 +331,24 @@ def forchheimer_zone_integral(scn: Scenario, r1: float, r2: float) -> float:
     return darcy + inertial
 
 
-def predarcy_zone_integral(
-    scn: Scenario, r1: float, r2: float, rel_tol: float = 1e-10
-) -> float:
-    """S_pD[r1, r2] by adaptive quadrature.
+def predarcy_zone_integral(scn: Scenario, r1: float, r2: float) -> float:
+    """S_pD[r1, r2] in closed form, as an incomplete beta series.
 
     For s = 0 with lambda = alpha this reduces to the Darcy integral; for
-    s = 1 the integrand is the polynomial r_e^2 - r^2 and one panel is exact.
+    s = 1 the integrand is the polynomial r_e^2 - r^2.
     """
     _check_interval(scn, r1, r2)
     if r1 == r2:
         return 0.0
-    r_e = scn.geometry.r_e
     s = scn.params.s
-
-    def integrand(r: np.ndarray) -> np.ndarray:
-        return ((r_e - r) * (r_e + r)) ** (2.0 - s) * r ** (s - 1.0)
-
-    result = integrate_adaptive(integrand, r1, r2, rel_tol=rel_tol)
-    return scn.params.lambda_ * flux_density(scn) ** (-s) * result.value
+    bracket = _predarcy_bracket(scn.geometry.r_e, s, r1, r2)
+    return scn.params.lambda_ * flux_density(scn) ** (-s) * bracket
 
 
-def zone_integral(
-    scn: Scenario, law: ZoneLaw, r1: float, r2: float, rel_tol: float = 1e-10
-) -> float:
+def zone_integral(scn: Scenario, law: ZoneLaw, r1: float, r2: float) -> float:
     """Dispatch S_law[r1, r2] for the given constitutive law."""
     if law is ZoneLaw.DARCY:
         return darcy_zone_integral(scn, r1, r2)
     if law is ZoneLaw.FORCHHEIMER:
         return forchheimer_zone_integral(scn, r1, r2)
-    return predarcy_zone_integral(scn, r1, r2, rel_tol=rel_tol)
+    return predarcy_zone_integral(scn, r1, r2)

@@ -104,14 +104,12 @@ def reference_scenario(entry: ReferenceEntry, continuous_predarcy: bool = False)
     )
 
 
-def compare_table(
-    table: int, rel_tol: float = 1e-10, continuous_predarcy: bool = False
-) -> list[TableComparison]:
+def compare_table(table: int, continuous_predarcy: bool = False) -> list[TableComparison]:
     """Recompute one table and compare against its published values."""
     out = []
     for entry in load_reference_entries(table):
         scn = reference_scenario(entry, continuous_predarcy=continuous_predarcy)
-        computed = compute_pi(scn, rel_tol=rel_tol).j_dimensionless
+        computed = compute_pi(scn).j_dimensionless
         rel_dev = abs(computed - entry.published) / abs(entry.published)
         out.append(TableComparison(entry=entry, computed=computed, rel_deviation=rel_dev))
     return out

@@ -29,7 +29,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constitutive import ZoneLaw, drag_power
-from .kinematics import Scenario, flux_density, partition_zones, velocity_profile, zone_segments
+from .kinematics import (
+    Scenario,
+    flux_density,
+    partition_zones,
+    velocity_profile,
+    zone_bounds,
+    zone_segments,
+)
 from .productivity import PiResult, dimensionless_factor
 from .quadrature import integrate_adaptive
 
@@ -154,13 +161,8 @@ def pi_from_profile(
     # implied per-zone S values from the energy route: E_zone = A^2 * S_zone
     part = partition_zones(scn)
     a_flux = flux_density(scn)
-    zone_bounds = (
-        (geo.r_w, part.r_F, scn.regime.near_well),
-        (part.r_F, part.r_D, scn.regime.middle),
-        (part.r_D, geo.r_e, scn.regime.near_boundary),
-    )
     contributions = []
-    for lo, hi, law in zone_bounds:
+    for lo, hi, law in zone_bounds(scn, part):
         if hi <= lo:
             contributions.append(0.0)
             continue

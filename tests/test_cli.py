@@ -55,6 +55,32 @@ def test_nonpositive_flux_names_field(capsys):
     assert "q_over_h" in err
 
 
+_FIELD_FLAGS = {
+    "r_e": "--r-e", "r_w": "--r-w", "h": "--h", "alpha": "--alpha", "beta": "--beta",
+    "lambda_": "--lambda", "s": "--s", "gamma": "--gamma", "v_D": "--v-d", "v_F": "--v-f",
+    "q_over_h": "--q-over-h",
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("field", list(_FIELD_FLAGS))
+def test_nonfinite_input_names_field(capsys, field, value):
+    # NaN fails every comparison, so each guard must be written in positive form
+    code, out, err = run_cli(capsys, "pi", "--regime", "F", _FIELD_FLAGS[field], value)
+    assert code == 2
+    assert out == ""
+    assert f"{field}=" in err or err.startswith(f"error: {field} ")
+
+
+@pytest.mark.parametrize("regime", ["D", "FDpD"])
+def test_overflowing_geometry_is_a_numerical_failure(capsys, regime):
+    # r_e^4 overflows a double: a clean exit 3, not a traceback
+    code, out, err = run_cli(capsys, "pi", "--regime", regime, "--r-e", "1e200")
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err
+
+
 def test_invalid_regime(capsys):
     code, _, err = run_cli(capsys, "pi", "--regime", "bogus")
     assert code == 2

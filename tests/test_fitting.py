@@ -132,6 +132,12 @@ def test_too_few_points():
         fit_segments(data)
 
 
+@pytest.mark.parametrize("v,grad_p", [(math.inf, 1.0), (math.nan, 1.0), (1e-7, math.inf), (1e-7, math.nan)])
+def test_nonfinite_measurement_rejected(v, grad_p):
+    with pytest.raises(ValueError, match="finite"):
+        FlowMeasurement(v=v, grad_p=grad_p)
+
+
 def test_equal_velocities_rejected():
     data = [FlowMeasurement(v=1e-7, grad_p=float(g)) for g in range(1, 8)]
     with pytest.raises(ValueError, match="equal"):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from wellpi import compute_pi, darcy_ratio, velocity_profile
+import wellpi.quadrature
+from wellpi import REGIME_PRESETS, compute_pi, darcy_ratio, velocity_profile
 
 from helpers import make_scenario
 
@@ -63,6 +64,17 @@ def test_contributions_are_nonnegative_and_positioned():
 def test_empty_zone_contributes_zero():
     pi = compute_pi(make_scenario("FDpD", v_D=0.0))
     assert pi.contributions[2] == 0.0
+
+
+def test_pi_path_runs_no_quadrature(monkeypatch):
+    # adaptive quadrature is only the oracle; every zone integral is closed
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive quadrature called on the PI path")
+
+    monkeypatch.setattr(wellpi.quadrature, "integrate_adaptive", refuse)
+    for regime in REGIME_PRESETS:
+        for s in (0.0, 0.5, 1.0):
+            assert compute_pi(make_scenario(regime, s=s, q_over_h=1e-2)).j_raw > 0
 
 
 # ---------------------------------------------------------------------------
