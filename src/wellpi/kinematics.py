@@ -92,10 +92,11 @@ def velocity_profile(scn: Scenario, r: float) -> float:
 
 
 def _raw_radius(a: float, r_e: float, v: float) -> float:
-    # rationalized inverse of v(r); no subtraction of near-equal terms
-    if v == 0.0:
-        return r_e
-    return 2.0 * a * r_e * r_e / (v + math.sqrt(v * v + 4.0 * a * a * r_e * r_e))
+    # rationalized inverse of v(r), r = 2 A r_e^2 / (v + sqrt(v^2 + 4 A^2 r_e^2)),
+    # with 2 A r_e taken out so that no square can overflow; no subtraction of
+    # near-equal terms
+    w = v / (2.0 * a * r_e)
+    return r_e / (w + math.hypot(w, 1.0))
 
 
 def radius_of_velocity(scn: Scenario, v: float) -> float:

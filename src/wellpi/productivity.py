@@ -70,15 +70,25 @@ def compute_pi(scn: Scenario) -> PiResult:
     The denominator is accumulated over same-law merged segments, so an
     all-Darcy regime is exactly independent of the flux; per-zone
     contributions are reported unmerged.
+
+    Raises FloatingPointError when the index or its dimensionless form
+    overflows, underflows to zero or is NaN, so no such value is ever
+    reported as a result.
     """
     geo = scn.geometry
     part = partition_zones(scn)
     contributions, total = _zone_sums(scn, part)
     big_l = 2.0 * math.pi * geo.h * geo.radius_span_sq**2
     j_raw = big_l / total
+    j_dimensionless = j_raw * dimensionless_factor(scn)
+    if not (0.0 < j_raw < math.inf and 0.0 < j_dimensionless < math.inf):
+        raise FloatingPointError(
+            f"PI out of the floating-point range: j_raw={j_raw!r}, "
+            f"j_dimensionless={j_dimensionless!r}"
+        )
     return PiResult(
         j_raw=j_raw,
-        j_dimensionless=j_raw * dimensionless_factor(scn),
+        j_dimensionless=j_dimensionless,
         zone_partition=part,
         contributions=contributions,
         regime=scn.regime,

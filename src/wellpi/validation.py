@@ -6,9 +6,11 @@ zone integrals:
 * ``pi_from_profile`` builds the radial pressure profile W(r) by quadrature
   of g(v) v, then integrates r * W(r) again (a genuinely nested computation)
   and forms J = Q |U| / (2 * 2 pi h * int r W dr) with |U| = 2 pi h
-  (r_e^2 - r_w^2).  Integration by parts ties that denominator to the drag
-  energy integral, which is evaluated separately as an internal consistency
-  check.
+  (r_e^2 - r_w^2).  Every outer node gets its own inner quadrature, taken
+  from the nearest node below it where W is already known, so each inner
+  integral spans a short gap instead of the whole segment.  Integration by
+  parts ties that denominator to the drag energy integral, which is
+  evaluated separately as an internal consistency check.
 
 * ``compressible_velocity`` solves the slightly-compressible radial balance
 
@@ -22,6 +24,7 @@ zone integrals:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -50,15 +53,17 @@ class ProfileSample:
     v: float
 
 
+def _speed_fun(scn: Scenario) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized PSS speed v(r) = A (r_e^2 - r^2) / r."""
+    r_e = scn.geometry.r_e
+    a = flux_density(scn)
+    return lambda r: a * (r_e - r) * (r_e + r) / r
+
+
 def _grad_fun(scn: Scenario, law: ZoneLaw) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized |grad p| = g(v(r)) * v(r) along one zone law."""
-    geo = scn.geometry
-    a = flux_density(scn)
     p = scn.params
-
-    def speed(r: np.ndarray) -> np.ndarray:
-        return a * (geo.r_e - r) * (geo.r_e + r) / r
-
+    speed = _speed_fun(scn)
     if law is ZoneLaw.DARCY:
         return lambda r: p.alpha * speed(r)
     if law is ZoneLaw.FORCHHEIMER:
@@ -91,18 +96,18 @@ def sample_profile(
     ]
 
 
+def _zone_energy(scn: Scenario, law: ZoneLaw, lo: float, hi: float, rel_tol: float) -> float:
+    """int_lo^hi r g(v) v^2 dr along one zone law."""
+    grad = _grad_fun(scn, law)
+    speed = _speed_fun(scn)
+    return integrate_adaptive(lambda r: r * grad(r) * speed(r), lo, hi, rel_tol=rel_tol).value
+
+
 def drag_energy_integral(scn: Scenario, rel_tol: float = 1e-10) -> float:
     """int_{r_w}^{r_e} r g(v) v^2 dr, the drag-power weighted moment."""
-    geo = scn.geometry
-    a = flux_density(scn)
     total = 0.0
     for lo, hi, law in zone_segments(scn):
-        grad = _grad_fun(scn, law)
-
-        def integrand(r: np.ndarray) -> np.ndarray:
-            return r * grad(r) * (a * (geo.r_e - r) * (geo.r_e + r) / r)
-
-        total += integrate_adaptive(integrand, lo, hi, rel_tol=rel_tol).value
+        total += _zone_energy(scn, law, lo, hi, rel_tol)
     return total
 
 
@@ -122,14 +127,17 @@ def pi_from_profile(
 
     The drawdown denominator int_U W dx is evaluated as
     2 * 2 pi h * int r W(r) dr (the factor matching the |U| convention used
-    throughout), with W itself obtained by inner quadrature at every outer
-    node.  The result is cross-checked against the energy-identity route;
-    disagreement beyond ``consistency_tol`` signals a quadrature failure.
+    throughout).  W at every outer node comes from its own inner quadrature
+    of g(v) v, taken from the nearest radius below the node where W is
+    already known (the segment start or an earlier node) and accumulated
+    onto the W found there.  The result is cross-checked against the
+    energy-identity route; disagreement beyond ``consistency_tol`` signals a
+    quadrature failure.
     """
     geo = scn.geometry
     segments = zone_segments(scn)
 
-    # cumulative W at segment starts, so inner integrals stay short
+    # cumulative W at segment starts
     w_base = [0.0]
     for a, b, law in segments:
         piece = integrate_adaptive(_grad_fun(scn, law), a, b, rel_tol=inner_rel_tol)
@@ -138,12 +146,19 @@ def pi_from_profile(
     total_rw = 0.0
     for (a, b, law), w0 in zip(segments, w_base):
         grad = _grad_fun(scn, law)
+        # radii in [a, b] where W - w0 is known, ascending, with those values
+        known_r = [a]
+        known_w = [0.0]
 
         def outer_integrand(radii: np.ndarray) -> np.ndarray:
             out = np.empty_like(radii)
             for i, r in enumerate(radii):
-                w = integrate_adaptive(grad, a, float(r), rel_tol=inner_rel_tol).value
-                out[i] = float(r) * (w0 + w)
+                r = float(r)
+                j = bisect.bisect_right(known_r, r) - 1
+                w = known_w[j] + integrate_adaptive(grad, known_r[j], r, rel_tol=inner_rel_tol).value
+                known_r.insert(j + 1, r)
+                known_w.insert(j + 1, w)
+                out[i] = r * (w0 + w)
             return out
 
         total_rw += integrate_adaptive(outer_integrand, a, b, rel_tol=outer_rel_tol).value
@@ -166,12 +181,7 @@ def pi_from_profile(
         if hi <= lo:
             contributions.append(0.0)
             continue
-        grad = _grad_fun(scn, law)
-
-        def integrand(r: np.ndarray) -> np.ndarray:
-            return r * grad(r) * (a_flux * (geo.r_e - r) * (geo.r_e + r) / r)
-
-        energy = integrate_adaptive(integrand, lo, hi, rel_tol=inner_rel_tol).value
+        energy = _zone_energy(scn, law, lo, hi, inner_rel_tol)
         contributions.append(energy / (a_flux * a_flux))
 
     return PiResult(

@@ -81,6 +81,18 @@ def test_overflowing_geometry_is_a_numerical_failure(capsys, regime):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--regime", "FDpD", "--q-over-h", "1e300"),  # S_F overflows, J = 0
+    ("--h", "1e-320"),  # J underflows to 0, alpha / (2 pi h) overflows: 0 * inf = nan
+    ("--r-w", "1e-300"),  # S_F overflows near the well, J = 0
+], ids=["huge-flux", "subnormal-h", "tiny-r-w"])
+def test_pi_out_of_float_range_is_a_numerical_failure(capsys, argv):
+    code, out, err = run_cli(capsys, "pi", *argv)
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err
+
+
 def test_invalid_regime(capsys):
     code, _, err = run_cli(capsys, "pi", "--regime", "bogus")
     assert code == 2

@@ -185,6 +185,16 @@ def test_partition_ordering_invariant(v_D, v_F):
     assert scn.geometry.r_w <= part.r_F <= part.r_D <= scn.geometry.r_e
 
 
+@pytest.mark.parametrize("q_over_h", [1e250, 1e300, 1.7e308])
+def test_partition_at_extreme_flux_puts_every_radius_in_the_fast_zone(q_over_h):
+    # every speed in the annulus but v(r_e) = 0 exceeds v_F; no square of the
+    # flux density may overflow and collapse the critical radii onto r_w
+    scn = make_scenario("FDpD", q_over_h=q_over_h)
+    part = partition_zones(scn)
+    assert part.r_F == part.r_D == scn.geometry.r_e
+    assert zone_segments(scn) == [(0.3, 1000.0, ZoneLaw.FORCHHEIMER)]
+
+
 # ---------------------------------------------------------------------------
 # zone segments (merged by law)
 # ---------------------------------------------------------------------------

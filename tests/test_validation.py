@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import wellpi.quadrature
 from wellpi import (
     FlowParameters,
     Geometry,
@@ -12,12 +13,14 @@ from wellpi import (
     compressible_velocity,
     compute_pi,
     flux_density,
+    integrate_adaptive,
     pi_from_energy,
     pi_from_profile,
     pressure_profile,
     regime_preset,
     sample_profile,
     velocity_profile,
+    zone_segments,
 )
 from wellpi.constitutive import drag_power
 
@@ -109,6 +112,34 @@ def test_profile_pi_agrees_with_zone_integrals(regime):
     j_closed = compute_pi(scn).j_raw
     j_profile = pi_from_profile(scn).j_raw
     assert j_profile == pytest.approx(j_closed, rel=1e-6)
+
+
+@pytest.mark.parametrize("regime", ["F", "FDpD", "pure-preDarcy"])
+def test_profile_pi_matches_fresh_profile_at_every_node(regime):
+    # reference: W(r) integrated afresh from r_w at every outer node, then
+    # r W(r) integrated over each segment of [r_w, r_e]
+    scn = make_scenario(regime, q_over_h=1e-2, s=0.7)
+    geo = scn.geometry
+
+    def r_times_w(radii):
+        return np.array([r * pressure_profile(scn, float(r)) for r in radii])
+
+    total_rw = sum(
+        integrate_adaptive(r_times_w, a, b, rel_tol=1e-9).value
+        for a, b, _ in zone_segments(scn)
+    )
+    reference = scn.q * geo.radius_span_sq / (2.0 * total_rw)
+    assert pi_from_profile(scn).j_raw == pytest.approx(reference, rel=1e-9)
+
+
+def test_profile_pi_uses_no_closed_form(monkeypatch):
+    # the oracle must stay independent of the zone integrals it checks
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed-form zone integral called by the oracle")
+
+    for name in ("_darcy_bracket", "_forch_bracket", "_predarcy_bracket"):
+        monkeypatch.setattr(wellpi.quadrature, name, refuse)
+    assert pi_from_profile(make_scenario("FDpD", q_over_h=1e-2)).j_raw > 0
 
 
 def test_energy_route_agrees_with_profile_route():
