@@ -36,7 +36,7 @@ from .kinematics import (
     velocity_profile,
     zone_segments,
 )
-from .productivity import PiResult, compute_pi, darcy_ratio, dimensionless_factor
+from .productivity import PiResult, compute_pi, compute_pis, darcy_ratio, dimensionless_factor
 from .quadrature import (
     IntegralResult,
     QuadratureError,
@@ -92,6 +92,7 @@ __all__ = [
     "zone_integral",
     "PiResult",
     "compute_pi",
+    "compute_pis",
     "darcy_ratio",
     "dimensionless_factor",
     "ProfileSample",

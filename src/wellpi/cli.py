@@ -24,7 +24,7 @@ from . import __version__
 from .constitutive import FlowParameters, RegimeAssignment, ZoneLaw, preset_name, regime_preset
 from .fitting import fit_segments, model_curve, read_measurements_csv
 from .kinematics import Geometry, Scenario
-from .productivity import PiResult, compute_pi
+from .productivity import PiResult, compute_pi, compute_pis
 from .quadrature import QuadratureError
 from .reference import (
     BASE_ALPHA,
@@ -220,15 +220,21 @@ def _write_text(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _sweep_row(axis_name: str, axis_value: float, scn: Scenario, pi: PiResult) -> str:
-    part = pi.zone_partition
-    cells = (
-        axis_name, _fmt(axis_value), preset_name(scn.regime),
-        _fmt(scn.params.s), _fmt(scn.params.v_D), _fmt(scn.params.v_F),
-        _fmt(scn.q_over_h), _fmt(part.r_F), _fmt(part.r_D),
-        _fmt(pi.j_raw), _fmt(pi.j_dimensionless),
+def _sweep_rows(axis_name: str, axis_value: float, scn: Scenario,
+                pis: list[PiResult], names: list[str]) -> str:
+    """CSV rows of one sweep point, one per PI in ``pis`` with its regime name
+    from ``names``.  The PIs share the scenario's partition, so every cell
+    but the regime and the PI itself is formatted once."""
+    part = pis[0].zone_partition
+    p = scn.params
+    head = f"{axis_name},{_fmt(axis_value)},"
+    shared = ",".join((
+        _fmt(p.s), _fmt(p.v_D), _fmt(p.v_F), _fmt(scn.q_over_h), _fmt(part.r_F), _fmt(part.r_D),
+    ))
+    return "".join(
+        f"{head}{name},{shared},{_fmt(pi.j_raw)},{_fmt(pi.j_dimensionless)}\n"
+        for name, pi in zip(names, pis)
     )
-    return ",".join(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +261,8 @@ def cmd_pi(args: argparse.Namespace) -> int:
         lines.append(f"S_{label:<16}= {_fmt(value)}")
     print("\n".join(lines))
     if args.out:
-        csv_text = ",".join(_SWEEP_COLUMNS) + "\n" + _sweep_row("q_over_h", scn.q_over_h, scn, pi) + "\n"
+        rows = _sweep_rows("q_over_h", scn.q_over_h, scn, [pi], [preset_name(scn.regime)])
+        csv_text = ",".join(_SWEEP_COLUMNS) + "\n" + rows
         _write_text(csv_text, args.out)
     return EXIT_OK
 
@@ -297,13 +304,12 @@ def run_sweep(base: Scenario, spec: SweepSpec) -> str:
         presets = [regime_preset(name) for name in spec.regimes]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    names = [preset_name(preset) for preset in presets]
     buf = io.StringIO()
     buf.write(",".join(_SWEEP_COLUMNS) + "\n")
     for value in spec.values:
-        for preset in presets:
-            scn = _scenario_with(replace(base, regime=preset), spec.axis, value)
-            pi = compute_pi(scn)
-            buf.write(_sweep_row(spec.axis, value, scn, pi) + "\n")
+        scn = _scenario_with(base, spec.axis, value)
+        buf.write(_sweep_rows(spec.axis, value, scn, compute_pis(scn, presets), names))
     return buf.getvalue()
 
 

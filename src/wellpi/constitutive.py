@@ -26,6 +26,10 @@ class ZoneLaw(Enum):
     DARCY = "darcy"
     FORCHHEIMER = "forchheimer"
 
+    # Members are singletons compared by identity; the identity hash is
+    # C-level, which keeps dict keys that hold a law cheap on the PI path.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class FlowParameters:

@@ -136,38 +136,38 @@ def partition_zones(scn: Scenario) -> ZonePartition:
 Zone = tuple[float, float, ZoneLaw]
 
 
-def zone_bounds(scn: Scenario, part: ZonePartition) -> tuple[Zone, Zone, Zone]:
+def zone_bounds(
+    scn: Scenario, part: ZonePartition, regime: RegimeAssignment
+) -> tuple[Zone, Zone, Zone]:
     """The fast, moderate and slow zones [r_w, r_F], [r_F, r_D], [r_D, r_e]
-    with their laws, empty ones included."""
+    with their laws under ``regime``, empty ones included."""
     geo = scn.geometry
     return (
-        (geo.r_w, part.r_F, scn.regime.near_well),
-        (part.r_F, part.r_D, scn.regime.middle),
-        (part.r_D, geo.r_e, scn.regime.near_boundary),
+        (geo.r_w, part.r_F, regime.near_well),
+        (part.r_F, part.r_D, regime.middle),
+        (part.r_D, geo.r_e, regime.near_boundary),
     )
 
 
-def merge_zones(zones: tuple[Zone, ...]) -> list[tuple[float, float, ZoneLaw, tuple[int, ...]]]:
-    """Nonempty zones with same-law neighbors merged, each segment with the
-    indices of the zones it covers."""
-    merged: list[tuple[float, float, ZoneLaw, tuple[int, ...]]] = []
-    for i, (a0, b0, law) in enumerate(zones):
-        if b0 <= a0:
-            continue
-        if merged and merged[-1][2] is law:
-            merged[-1] = (merged[-1][0], b0, law, merged[-1][3] + (i,))
-        else:
-            merged.append((a0, b0, law, (i,)))
-    return merged
-
-
-def zone_segments(scn: Scenario) -> list[Zone]:
-    """Nonempty radial segments with their governing law, same-law neighbors
-    merged.
+def merge_zones(zones: tuple[Zone, ...]) -> list[Zone]:
+    """Nonempty zones, in order, with same-law neighbors merged.
 
     Merging means e.g. an all-Darcy regime always yields the single segment
     [r_w, r_e] regardless of where the critical radii fall, so its integrals
     do not depend on the flux at all.
     """
-    zones = zone_bounds(scn, partition_zones(scn))
-    return [(a, b, law) for a, b, law, _ in merge_zones(zones)]
+    merged: list[Zone] = []
+    for a0, b0, law in zones:
+        if b0 <= a0:
+            continue
+        if merged and merged[-1][2] is law:
+            merged[-1] = (merged[-1][0], b0, law)
+        else:
+            merged.append((a0, b0, law))
+    return merged
+
+
+def zone_segments(scn: Scenario) -> list[Zone]:
+    """Nonempty radial segments of the scenario's regime with their governing
+    law, same-law neighbors merged (see ``merge_zones``)."""
+    return merge_zones(zone_bounds(scn, partition_zones(scn), scn.regime))

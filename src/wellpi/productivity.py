@@ -7,15 +7,21 @@ For any assignment of constitutive laws to the three velocity zones,
 where empty zones contribute exactly zero.  One accumulator therefore covers
 every conventional regime (all-Darcy, all-Forchheimer, and the mixed ones)
 as well as arbitrary triples.  The dimensionless index is J * alpha / (2 pi h).
+
+The zone partition does not depend on the regime, so ``compute_pis``
+evaluates several regimes at one scenario from one partition and takes each
+zone integral that two regimes share only once; ``compute_pi`` is its
+one-regime call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .constitutive import RegimeAssignment
-from .kinematics import Scenario, ZonePartition, merge_zones, partition_zones, zone_bounds
+from .kinematics import Scenario, Zone, ZonePartition, merge_zones, partition_zones, zone_bounds
 from .quadrature import darcy_zone_integral, zone_integral
 
 
@@ -42,65 +48,88 @@ def dimensionless_factor(scn: Scenario) -> float:
     return scn.params.alpha / (2.0 * math.pi * scn.geometry.h)
 
 
-def _zone_sums(scn: Scenario, part: ZonePartition) -> tuple[tuple[float, float, float], float]:
-    """Per-zone S values and the PI denominator, in one pass over the zones.
+def finite_positive(what: str, x: float) -> float:
+    """x itself when 0 < x < inf.
 
-    Each nonempty zone is integrated once.  A merged same-law segment that
-    covers more than one zone is integrated again as a whole, so an all-Darcy
-    regime always sums the one integral over [r_w, r_e] and its PI does not
-    depend on where the critical radii fall.
+    Raises FloatingPointError naming ``what`` when x overflowed, underflowed
+    to zero or is NaN, so that no such value is reported as a result.
     """
-    zones = zone_bounds(scn, part)
-    contributions = [0.0, 0.0, 0.0]
-    segment_sums = []
-    for a, b, law, members in merge_zones(zones):
-        for i in members:
-            lo, hi, _ = zones[i]
-            contributions[i] = zone_integral(scn, law, lo, hi)
-        if len(members) == 1:
-            segment_sums.append(contributions[members[0]])
-        else:
-            segment_sums.append(zone_integral(scn, law, a, b))
-    return tuple(contributions), math.fsum(segment_sums)
+    if not 0.0 < x < math.inf:
+        raise FloatingPointError(f"{what} out of the floating-point range: {x!r}")
+    return x
 
 
-def compute_pi(scn: Scenario) -> PiResult:
-    """Pseudo-steady-state productivity index for the scenario's regime.
+def _zone_sums(
+    scn: Scenario, part: ZonePartition, regime: RegimeAssignment, done: dict[Zone, float]
+) -> tuple[tuple[float, float, float], float]:
+    """Per-zone S values and the PI denominator of one regime.
+
+    The denominator sums the merged same-law segments: a one-zone segment is
+    that zone again, and a longer one is integrated as a whole, so an
+    all-Darcy regime always sums the one integral over [r_w, r_e] and its PI
+    does not depend on where the critical radii fall.  ``done`` maps each
+    zone or segment (lo, hi, law) already integrated at this partition to
+    its S value; nothing in it is integrated again, and new ones are added.
+    """
+    zones = zone_bounds(scn, part, regime)
+    values = []
+    for zone in (*zones, *merge_zones(zones)):
+        value = done.get(zone)
+        if value is None:
+            lo, hi, law = zone
+            value = done[zone] = zone_integral(scn, law, lo, hi) if lo < hi else 0.0
+        values.append(value)
+    return tuple(values[:3]), math.fsum(values[3:])
+
+
+def compute_pis(scn: Scenario, regimes: Sequence[RegimeAssignment]) -> list[PiResult]:
+    """Pseudo-steady-state productivity index of each regime at the scenario.
+
+    ``scn.regime`` is ignored; the results follow ``regimes`` in order.  The
+    zones are partitioned once, and a zone integral needed by several
+    regimes (the same law over the same radii) is taken once, so each result
+    equals what ``compute_pi`` gives for that regime alone, bit for bit.
 
     The denominator is accumulated over same-law merged segments, so an
     all-Darcy regime is exactly independent of the flux; per-zone
     contributions are reported unmerged.
 
-    Raises FloatingPointError when the index or its dimensionless form
-    overflows, underflows to zero or is NaN, so no such value is ever
-    reported as a result.
+    Raises FloatingPointError when an index or its dimensionless form
+    overflows, underflows to zero or is NaN.
     """
     geo = scn.geometry
     part = partition_zones(scn)
-    contributions, total = _zone_sums(scn, part)
     big_l = 2.0 * math.pi * geo.h * geo.radius_span_sq**2
-    j_raw = big_l / total
-    j_dimensionless = j_raw * dimensionless_factor(scn)
-    if not (0.0 < j_raw < math.inf and 0.0 < j_dimensionless < math.inf):
-        raise FloatingPointError(
-            f"PI out of the floating-point range: j_raw={j_raw!r}, "
-            f"j_dimensionless={j_dimensionless!r}"
-        )
-    return PiResult(
-        j_raw=j_raw,
-        j_dimensionless=j_dimensionless,
-        zone_partition=part,
-        contributions=contributions,
-        regime=scn.regime,
-    )
+    factor = dimensionless_factor(scn)
+    done: dict[Zone, float] = {}
+    out = []
+    for regime in regimes:
+        contributions, total = _zone_sums(scn, part, regime, done)
+        j_raw = finite_positive("PI j_raw", big_l / total)
+        out.append(PiResult(
+            j_raw=j_raw,
+            j_dimensionless=finite_positive("PI j_dimensionless", j_raw * factor),
+            zone_partition=part,
+            contributions=contributions,
+            regime=regime,
+        ))
+    return out
+
+
+def compute_pi(scn: Scenario) -> PiResult:
+    """Pseudo-steady-state productivity index for the scenario's regime:
+    ``compute_pis`` for that one regime."""
+    return compute_pis(scn, (scn.regime,))[0]
 
 
 def darcy_ratio(scn: Scenario) -> float:
     """J_regime / J_Darcy = S_D[r_w, r_e] / sum_zones S_law[zone].
 
     Multiplying the all-Darcy PI by this skin-style ratio reproduces the
-    regime's PI.
+    regime's PI.  Raises FloatingPointError when the ratio overflows,
+    underflows to zero or is NaN.
     """
     geo = scn.geometry
-    _, denom = _zone_sums(scn, partition_zones(scn))
-    return darcy_zone_integral(scn, geo.r_w, geo.r_e) / denom
+    _, denom = _zone_sums(scn, partition_zones(scn), scn.regime, {})
+    darcy = darcy_zone_integral(scn, geo.r_w, geo.r_e)
+    return finite_positive("Darcy ratio", darcy / denom)

@@ -90,7 +90,8 @@ class IntegralResult:
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the panel cap is reached; carries the best estimate."""
+    """Raised when the panel cap is reached or a panel is not finite;
+    carries the best estimate."""
 
     def __init__(self, message: str, best: IntegralResult):
         super().__init__(message)
@@ -124,7 +125,9 @@ def integrate_adaptive(
     estimate is returned as converged.
 
     Raises QuadratureError (carrying the best estimate) if the panel cap is
-    reached first.
+    reached first, and at once when a panel's estimate or error is not
+    finite (f returned NaN or inf, or overflowed in the sum), instead of
+    bisecting towards the cap.
     """
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
@@ -135,8 +138,14 @@ def integrate_adaptive(
 
     panels: list[tuple[float, float, float, float, float]] = [(a, b, *_panel(f, a, b))]
     while True:
-        value = math.fsum(p[2] for p in panels)
         err = math.fsum(p[3] for p in panels)
+        if not math.isfinite(err):
+            value = sum(p[2] for p in panels)  # fsum raises on inf - inf
+            raise QuadratureError(
+                f"non-finite panel on [{a}, {b}] (value={value:.6e}, err={err:.2e})",
+                IntegralResult(value, err, len(panels)),
+            )
+        value = math.fsum(p[2] for p in panels)
         resabs = math.fsum(p[4] for p in panels)
         if err <= max(abs_tol, rel_tol * abs(value)) or err <= 100.0 * _EPS * resabs:
             return IntegralResult(value, err, len(panels))

@@ -40,7 +40,7 @@ from .kinematics import (
     zone_bounds,
     zone_segments,
 )
-from .productivity import PiResult, dimensionless_factor
+from .productivity import PiResult, dimensionless_factor, finite_positive
 from .quadrature import integrate_adaptive
 
 
@@ -112,9 +112,14 @@ def drag_energy_integral(scn: Scenario, rel_tol: float = 1e-10) -> float:
 
 
 def pi_from_energy(scn: Scenario, rel_tol: float = 1e-10) -> float:
-    """Raw PI from the energy identity J = Q^2 / (2 pi h int r g(v) v^2 dr)."""
+    """Raw PI from the energy identity J = Q^2 / (2 pi h int r g(v) v^2 dr).
+
+    Raises FloatingPointError when the PI overflows, underflows to zero or
+    is NaN.
+    """
     q = scn.q
-    return q * q / (2.0 * math.pi * scn.geometry.h * drag_energy_integral(scn, rel_tol))
+    energy = drag_energy_integral(scn, rel_tol)
+    return finite_positive("energy-route PI", q * q / (2.0 * math.pi * scn.geometry.h * energy))
 
 
 def pi_from_profile(
@@ -132,7 +137,8 @@ def pi_from_profile(
     already known (the segment start or an earlier node) and accumulated
     onto the W found there.  The result is cross-checked against the
     energy-identity route; disagreement beyond ``consistency_tol`` signals a
-    quadrature failure.
+    quadrature failure.  Raises FloatingPointError when the PI overflows,
+    underflows to zero or is NaN, where both routes could agree on 0.
     """
     geo = scn.geometry
     segments = zone_segments(scn)
@@ -166,6 +172,7 @@ def pi_from_profile(
     q = scn.q
     u_measure = 2.0 * math.pi * geo.h * geo.radius_span_sq
     j_raw = q * u_measure / (2.0 * 2.0 * math.pi * geo.h * total_rw)
+    finite_positive("profile-route PI", j_raw)
 
     j_energy = pi_from_energy(scn, rel_tol=inner_rel_tol)
     if abs(j_raw - j_energy) > consistency_tol * abs(j_energy):
@@ -177,7 +184,7 @@ def pi_from_profile(
     part = partition_zones(scn)
     a_flux = flux_density(scn)
     contributions = []
-    for lo, hi, law in zone_bounds(scn, part):
+    for lo, hi, law in zone_bounds(scn, part, scn.regime):
         if hi <= lo:
             contributions.append(0.0)
             continue
@@ -186,7 +193,9 @@ def pi_from_profile(
 
     return PiResult(
         j_raw=j_raw,
-        j_dimensionless=j_raw * dimensionless_factor(scn),
+        j_dimensionless=finite_positive(
+            "profile-route PI j_dimensionless", j_raw * dimensionless_factor(scn)
+        ),
         zone_partition=part,
         contributions=tuple(contributions),
         regime=scn.regime,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wellpi import synthesize_measurements
+from wellpi import compute_pi, load_reference_entries, reference_scenario, synthesize_measurements
 from wellpi.cli import main
 
 from helpers import make_scenario
@@ -140,8 +140,6 @@ def test_continuous_predarcy_flag_changes_result(capsys):
 # ---------------------------------------------------------------------------
 
 def test_single_value_sweep_matches_pi(capsys):
-    from wellpi import compute_pi
-
     code, out, _ = run_cli(
         capsys, "sweep", "--axis", "q_over_h", "--values", "1e-4", "--regimes", "FDpD"
     )
@@ -206,6 +204,40 @@ def test_sweep_over_v_d_reproduces_small_reservoir_row(capsys):
     assert got == pytest.approx(published, rel=0.01)
 
 
+def _cell(x):
+    return f"{x:.8e}"
+
+
+def _expected_sweep(axis, values, regimes):
+    """The sweep CSV rebuilt with one compute_pi per row."""
+    lines = ["axis_name,axis_value,regime,s,v_D,v_F,q_over_h,r_F,r_D,j_raw,j_dimensionless"]
+    for value in values:
+        for name in regimes:
+            scn = make_scenario(name, **{axis: value})
+            pi = compute_pi(scn)
+            p, part = scn.params, pi.zone_partition
+            lines.append(",".join((axis, _cell(value), name, *map(_cell, (
+                p.s, p.v_D, p.v_F, scn.q_over_h, part.r_F, part.r_D,
+                pi.j_raw, pi.j_dimensionless,
+            )))))
+    return "\n".join(lines) + "\n"
+
+
+ALL_PRESETS = "D,F,FDD,DDpD,FDpD,FpDpD,pure-preDarcy"
+
+
+@pytest.mark.parametrize("axis, flag, spec, values, regimes", [
+    # both radii clamp to r_w at the low end; r_D rounds to r_e at the high end
+    ("q_over_h", "--log-range", "1e-9,1e14,24", list(np.geomspace(1e-9, 1e14, 24)), ALL_PRESETS),
+    ("s", "--values", "0,0.25,0.5,0.75,1", [0.0, 0.25, 0.5, 0.75, 1.0], ALL_PRESETS),
+    ("q_over_h", "--values", "1e-7,1e-4,1e-1", [1e-7, 1e-4, 1e-1], "D,F,D"),
+], ids=["clamped-flux-range", "s-with-both-ends", "repeated-preset"])
+def test_sweep_csv_equals_compute_pi_per_row(capsys, axis, flag, spec, values, regimes):
+    code, out, _ = run_cli(capsys, "sweep", "--axis", axis, flag, spec, "--regimes", regimes)
+    assert code == 0
+    assert out == _expected_sweep(axis, [float(v) for v in values], regimes.split(","))
+
+
 def test_sweep_spec_validation():
     from wellpi.cli import SweepSpec
 
@@ -229,6 +261,21 @@ def test_tables_reproduce_within_tolerance(capsys, table):
     assert rows[0].startswith("table,regime")
     assert all(row.endswith(",yes") for row in rows[1:])
     assert "0 beyond" in err
+
+
+@pytest.mark.parametrize("table", [1, 2, 3, 4])
+def test_table_csv_equals_compute_pi_per_entry(capsys, table):
+    lines = ["table,regime,s,v_D,q_over_h,r_e,published,computed,rel_deviation,within_1pct"]
+    for e in load_reference_entries(table):
+        j = compute_pi(reference_scenario(e)).j_dimensionless
+        dev = abs(j - e.published) / abs(e.published)
+        lines.append(",".join((
+            str(e.table), e.regime, *map(_cell, (e.s, e.v_d, e.q_over_h, e.r_e, e.published, j, dev)),
+            "yes" if dev <= 0.01 else "NO",
+        )))
+    code, out, _ = run_cli(capsys, "table", str(table))
+    assert code == 0
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_table_3_contains_published_anchor(capsys):

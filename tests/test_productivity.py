@@ -1,12 +1,25 @@
 """Productivity index assembly, published anchors and structural properties."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import wellpi.productivity
 import wellpi.quadrature
-from wellpi import REGIME_PRESETS, compute_pi, darcy_ratio, velocity_profile
+from wellpi import (
+    REGIME_PRESETS,
+    RegimeAssignment,
+    ZoneLaw,
+    compute_pi,
+    compute_pis,
+    darcy_ratio,
+    regime_preset,
+    velocity_profile,
+)
 
 from helpers import make_scenario
 
@@ -160,3 +173,60 @@ def test_darcy_ratio_forchheimer_published():
     # ratio of the published entries 0.0497 / 0.1358 at Q/h = 1
     ratio = darcy_ratio(make_scenario("F", q_over_h=1.0))
     assert ratio == pytest.approx(0.0497 / 0.1358, rel=0.01)
+
+
+@pytest.mark.parametrize("overrides", [{"q_over_h": 1e300}, {"r_w": 1e-300}],
+                         ids=["huge-flux", "tiny-r-w"])
+def test_darcy_ratio_out_of_float_range_raises(overrides):
+    # the regime's denominator overflows, so the ratio would come out as 0.0
+    with pytest.raises(FloatingPointError):
+        darcy_ratio(make_scenario("FDpD", **overrides))
+
+
+# ---------------------------------------------------------------------------
+# several regimes at one scenario
+# ---------------------------------------------------------------------------
+
+ALL_TRIPLES = tuple(RegimeAssignment(*laws) for laws in itertools.product(ZoneLaw, repeat=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    v_D=st.one_of(st.just(0.0), st.floats(-9.0, -5.0).map(lambda e: 10.0**e)),
+    v_F_over_v_D=st.floats(1.0, 1e3),
+    log_q=st.floats(-8.0, 3.0),
+    r_e=st.floats(10.0, 3000.0),
+    order=st.permutations(ALL_TRIPLES),
+)
+def test_compute_pis_equals_compute_pi_per_regime(s, v_D, v_F_over_v_D, log_q, r_e, order):
+    # the edges of s, v_D = 0 and the flux range give clamped and empty zones
+    v_F = v_D * v_F_over_v_D if v_D > 0 else 1e-5
+    scn = make_scenario("D", s=s, v_D=v_D, v_F=v_F, q_over_h=10.0**log_q, r_e=r_e)
+    regimes = order[:10] + order[:3]  # a repeated regime is computed again
+    expected = [compute_pi(replace(scn, regime=r)) for r in regimes]
+    assert compute_pis(scn, regimes) == expected
+
+
+@pytest.mark.parametrize("presets, separate, shared", [
+    (("DDpD", "FDpD", "FpDpD", "pure-preDarcy"), 15, 9),
+    (("D", "F", "FDD"), 12, 9),
+], ids=["pre-Darcy", "closed"])
+def test_regimes_at_one_scenario_share_zone_integrals(monkeypatch, presets, separate, shared):
+    calls = []
+    original = wellpi.productivity.zone_integral
+
+    def counting(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(wellpi.productivity, "zone_integral", counting)
+    scn = make_scenario()
+    regimes = [regime_preset(name) for name in presets]
+    for regime in regimes:
+        compute_pi(replace(scn, regime=regime))
+    assert len(calls) == separate
+    calls.clear()
+    compute_pis(scn, regimes)
+    assert len(calls) == shared
+    assert len(set(calls)) == shared  # no integral taken twice

@@ -65,6 +65,21 @@ def test_panel_cap_raises_with_best_estimate():
     assert best.abs_error_estimate > 0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_integrand_raises_at_the_first_panel(bad):
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.full_like(x, bad)
+
+    with pytest.raises(QuadratureError) as info, np.errstate(invalid="ignore"):
+        integrate_adaptive(f, 0.0, 1.0)
+    assert len(calls) == 1  # no bisection towards the panel cap
+    assert info.value.best.subdivisions == 1
+    assert not math.isfinite(info.value.best.value)
+
+
 # ---------------------------------------------------------------------------
 # closed forms vs quadrature
 # ---------------------------------------------------------------------------

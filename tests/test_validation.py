@@ -147,6 +147,18 @@ def test_energy_route_agrees_with_profile_route():
     assert pi_from_energy(scn) == pytest.approx(pi_from_profile(scn).j_raw, rel=1e-8)
 
 
+def test_energy_pi_out_of_float_range_raises():
+    # 2 pi h underflows, so Q^2 / (2 pi h E) would come out as 0.0
+    with pytest.raises(FloatingPointError):
+        pi_from_energy(make_scenario("FDpD", h=1e-320))
+
+
+def test_profile_pi_out_of_float_range_raises():
+    # both routes give 0.0 here, so their consistency check alone passes
+    with pytest.raises(FloatingPointError):
+        pi_from_profile(make_scenario("D", h=1e-320))
+
+
 def test_profile_pi_contributions_match_zone_integrals():
     scn = make_scenario("FDpD")
     by_profile = pi_from_profile(scn).contributions
