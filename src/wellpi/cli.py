@@ -463,7 +463,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # a ValueError left unmapped is an input the library rejected, e.g.
+        # the continuous pre-Darcy rescaling of a table entry with v_D = 0
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (QuadratureError, StepSizeUnderflow, RuntimeError, ArithmeticError) as exc:

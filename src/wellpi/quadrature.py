@@ -78,6 +78,8 @@ _EPS = float(np.finfo(float).eps)
 
 #: Default subdivision cap; plenty for smooth integrands on a bounded interval.
 DEFAULT_MAX_PANELS = 2000
+#: Default absolute tolerance: in effect, the relative tolerance alone decides.
+DEFAULT_ABS_TOL = 1e-300
 
 
 @dataclass(frozen=True)
@@ -98,14 +100,36 @@ class QuadratureError(RuntimeError):
         self.best = best
 
 
-def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
+def _panels(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):
+    """Kronrod value, error estimate and resabs of the 15-node panel on each
+    interval [a[i], b[i]], as three arrays.
+
+    ``f`` is called once, on the 15 * n nodes of all n panels flattened in
+    interval order.
+    """
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    fx = np.asarray(f(center + half * _NODES), dtype=float)
-    kronrod = half * float(_W_KRONROD @ fx)
-    gauss = half * float(_W_GAUSS @ fx)
-    resabs = abs(half) * float(_W_KRONROD @ np.abs(fx))
-    return kronrod, abs(kronrod - gauss), resabs
+    nodes = center[:, None] + half[:, None] * _NODES
+    fx = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    kronrod = half * (fx @ _W_KRONROD)
+    gauss = half * (fx @ _W_GAUSS)
+    resabs = np.abs(half) * (np.abs(fx) @ _W_KRONROD)
+    return kronrod, np.abs(kronrod - gauss), resabs
+
+
+def _panel_list(f: Callable[[np.ndarray], np.ndarray], a: list, b: list) -> list:
+    """(a, b, value, error, resabs) of the panel on each [a[i], b[i]]."""
+    values, errs, resabs = _panels(f, np.array(a, dtype=float), np.array(b, dtype=float))
+    return list(zip(a, b, values.tolist(), errs.tolist(), resabs.tolist()))
+
+
+def _converged(value: float, err: float, resabs: float, rel_tol: float, abs_tol: float) -> bool:
+    """The acceptance test of integrate_adaptive: the error is finite and
+    within max(abs_tol, rel_tol * |value|), or at the roundoff floor of the
+    integrand, where no further subdivision can help."""
+    return math.isfinite(err) and (
+        err <= max(abs_tol, rel_tol * abs(value)) or err <= 100.0 * _EPS * resabs
+    )
 
 
 def integrate_adaptive(
@@ -113,14 +137,17 @@ def integrate_adaptive(
     a: float,
     b: float,
     rel_tol: float = 1e-10,
-    abs_tol: float = 1e-300,
+    abs_tol: float = DEFAULT_ABS_TOL,
     max_panels: int = DEFAULT_MAX_PANELS,
 ) -> IntegralResult:
     """Integrate f over [a, b] to max(abs_tol, rel_tol * |value|).
 
-    ``f`` must accept and return numpy arrays and be finite on [a, b]
-    (endpoints are never evaluated).  An empty interval integrates to
-    exactly zero.  Once the accumulated panel error sits at the roundoff
+    ``f`` receives one 1-D float array, the 15 * n Gauss-Kronrod nodes of
+    the n panels evaluated together, and must return an array of the same
+    shape, finite on [a, b] (endpoints are never evaluated).  The first
+    panel is one call, and each bisection evaluates both halves in one
+    call, so k bisections cost k + 1 calls.  An empty interval integrates
+    to exactly zero.  Once the accumulated panel error sits at the roundoff
     floor of the integrand no further subdivision can help, and the current
     estimate is returned as converged.
 
@@ -136,7 +163,7 @@ def integrate_adaptive(
     if a == b:
         return IntegralResult(0.0, 0.0, 0)
 
-    panels: list[tuple[float, float, float, float, float]] = [(a, b, *_panel(f, a, b))]
+    panels = _panel_list(f, [a], [b])
     while True:
         err = math.fsum(p[3] for p in panels)
         if not math.isfinite(err):
@@ -147,7 +174,7 @@ def integrate_adaptive(
             )
         value = math.fsum(p[2] for p in panels)
         resabs = math.fsum(p[4] for p in panels)
-        if err <= max(abs_tol, rel_tol * abs(value)) or err <= 100.0 * _EPS * resabs:
+        if _converged(value, err, resabs, rel_tol, abs_tol):
             return IntegralResult(value, err, len(panels))
         if len(panels) >= max_panels:
             best = IntegralResult(value, err, len(panels))
@@ -157,10 +184,9 @@ def integrate_adaptive(
                 best,
             )
         worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        a0, b0, _, _, _ = panels.pop(worst)
+        a0, b0 = panels[worst][:2]
         mid = 0.5 * (a0 + b0)
-        panels.insert(worst, (mid, b0, *_panel(f, mid, b0)))
-        panels.insert(worst, (a0, mid, *_panel(f, a0, mid)))
+        panels[worst:worst + 1] = _panel_list(f, [a0, mid], [mid, b0])
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,14 +35,16 @@ import numpy as np
 from .constitutive import ZoneLaw, drag_power
 from .kinematics import (
     Scenario,
+    Zone,
     flux_density,
+    merge_zones,
     partition_zones,
     velocity_profile,
     zone_bounds,
     zone_segments,
 )
 from .productivity import PiResult, dimensionless_factor, finite_positive
-from .quadrature import integrate_adaptive
+from .quadrature import DEFAULT_ABS_TOL, _converged, _panels, integrate_adaptive
 
 
 @dataclass(frozen=True)
@@ -103,12 +106,41 @@ def _zone_energy(scn: Scenario, law: ZoneLaw, lo: float, hi: float, rel_tol: flo
     return integrate_adaptive(lambda r: r * grad(r) * speed(r), lo, hi, rel_tol=rel_tol).value
 
 
+def _energies(scn: Scenario, zones: Sequence[Zone], rel_tol: float,
+              done: dict[Zone, float]) -> list[float]:
+    """Drag energy of each zone (lo, hi, law), zero for an empty one.
+
+    ``done`` maps each zone already integrated to its energy; nothing in it
+    is integrated again, and new ones are added.
+    """
+    out = []
+    for zone in zones:
+        value = done.get(zone)
+        if value is None:
+            lo, hi, law = zone
+            value = done[zone] = _zone_energy(scn, law, lo, hi, rel_tol) if lo < hi else 0.0
+        out.append(value)
+    return out
+
+
+def _drag_energy(scn: Scenario, segments: Sequence[Zone], rel_tol: float,
+                 done: dict[Zone, float]) -> float:
+    """Sum of the drag energies of the merged segments (see ``_energies``)."""
+    total = 0.0
+    for energy in _energies(scn, segments, rel_tol, done):
+        total += energy
+    return total
+
+
 def drag_energy_integral(scn: Scenario, rel_tol: float = 1e-10) -> float:
     """int_{r_w}^{r_e} r g(v) v^2 dr, the drag-power weighted moment."""
-    total = 0.0
-    for lo, hi, law in zone_segments(scn):
-        total += _zone_energy(scn, law, lo, hi, rel_tol)
-    return total
+    return _drag_energy(scn, zone_segments(scn), rel_tol, {})
+
+
+def _energy_pi(scn: Scenario, energy: float) -> float:
+    """Raw PI Q^2 / (2 pi h E) of the drag energy E over [r_w, r_e]."""
+    q = scn.q
+    return finite_positive("energy-route PI", q * q / (2.0 * math.pi * scn.geometry.h * energy))
 
 
 def pi_from_energy(scn: Scenario, rel_tol: float = 1e-10) -> float:
@@ -117,9 +149,7 @@ def pi_from_energy(scn: Scenario, rel_tol: float = 1e-10) -> float:
     Raises FloatingPointError when the PI overflows, underflows to zero or
     is NaN.
     """
-    q = scn.q
-    energy = drag_energy_integral(scn, rel_tol)
-    return finite_positive("energy-route PI", q * q / (2.0 * math.pi * scn.geometry.h * energy))
+    return _energy_pi(scn, drag_energy_integral(scn, rel_tol))
 
 
 def pi_from_profile(
@@ -134,14 +164,19 @@ def pi_from_profile(
     2 * 2 pi h * int r W(r) dr (the factor matching the |U| convention used
     throughout).  W at every outer node comes from its own inner quadrature
     of g(v) v, taken from the nearest radius below the node where W is
-    already known (the segment start or an earlier node) and accumulated
-    onto the W found there.  The result is cross-checked against the
-    energy-identity route; disagreement beyond ``consistency_tol`` signals a
-    quadrature failure.  Raises FloatingPointError when the PI overflows,
-    underflows to zero or is NaN, where both routes could agree on 0.
+    already known (the segment start, an earlier node or the previous node
+    of the same batch) and accumulated onto the W found there.  The first
+    Gauss-Kronrod panel of every gap in a batch of outer nodes is evaluated
+    in one integrand call; a gap whose panel fails the acceptance test of
+    ``integrate_adaptive`` is integrated adaptively instead.  The result is
+    cross-checked against the energy-identity route; disagreement beyond
+    ``consistency_tol`` signals a quadrature failure.  Raises
+    FloatingPointError when the PI overflows, underflows to zero or is NaN,
+    where both routes could agree on 0.
     """
     geo = scn.geometry
-    segments = zone_segments(scn)
+    part = partition_zones(scn)
+    segments = merge_zones(zone_bounds(scn, part, scn.regime))
 
     # cumulative W at segment starts
     w_base = [0.0]
@@ -157,13 +192,33 @@ def pi_from_profile(
         known_w = [0.0]
 
         def outer_integrand(radii: np.ndarray) -> np.ndarray:
-            out = np.empty_like(radii)
-            for i, r in enumerate(radii):
-                r = float(r)
+            # the nodes arrive ascending, so each one's nearest known radius
+            # below is the one found in known_r or the previous node
+            nodes = radii.tolist()
+            starts: list[float] = []
+            bases: list[float | None] = []  # None: W of the previous node
+            prev = -math.inf
+            for r in nodes:
                 j = bisect.bisect_right(known_r, r) - 1
-                w = known_w[j] + integrate_adaptive(grad, known_r[j], r, rel_tol=inner_rel_tol).value
-                known_r.insert(j + 1, r)
-                known_w.insert(j + 1, w)
+                if prev >= known_r[j]:
+                    starts.append(prev)
+                    bases.append(None)
+                else:
+                    starts.append(known_r[j])
+                    bases.append(known_w[j])
+                prev = r
+            values, errs, resabs = _panels(grad, np.array(starts), radii)
+            out = np.empty_like(radii)
+            w = 0.0
+            for i, (r, lo, base, value, err, res) in enumerate(zip(
+                nodes, starts, bases, values.tolist(), errs.tolist(), resabs.tolist()
+            )):
+                if not _converged(value, err, res, inner_rel_tol, DEFAULT_ABS_TOL):
+                    value = integrate_adaptive(grad, lo, r, rel_tol=inner_rel_tol).value
+                w = (w if base is None else base) + value
+                k = bisect.bisect_right(known_r, r)
+                known_r.insert(k, r)
+                known_w.insert(k, w)
                 out[i] = r * (w0 + w)
             return out
 
@@ -174,22 +229,21 @@ def pi_from_profile(
     j_raw = q * u_measure / (2.0 * 2.0 * math.pi * geo.h * total_rw)
     finite_positive("profile-route PI", j_raw)
 
-    j_energy = pi_from_energy(scn, rel_tol=inner_rel_tol)
+    # the energy route and the per-zone energies share each zone integral
+    energies: dict[Zone, float] = {}
+    j_energy = _energy_pi(scn, _drag_energy(scn, segments, inner_rel_tol, energies))
     if abs(j_raw - j_energy) > consistency_tol * abs(j_energy):
         raise RuntimeError(
             f"profile and energy routes disagree: {j_raw:.12e} vs {j_energy:.12e}"
         )
 
     # implied per-zone S values from the energy route: E_zone = A^2 * S_zone
-    part = partition_zones(scn)
     a_flux = flux_density(scn)
-    contributions = []
-    for lo, hi, law in zone_bounds(scn, part, scn.regime):
-        if hi <= lo:
-            contributions.append(0.0)
-            continue
-        energy = _zone_energy(scn, law, lo, hi, inner_rel_tol)
-        contributions.append(energy / (a_flux * a_flux))
+    zones = zone_bounds(scn, part, scn.regime)
+    contributions = [
+        energy / (a_flux * a_flux) if lo < hi else 0.0
+        for (lo, hi, _), energy in zip(zones, _energies(scn, zones, inner_rel_tol, energies))
+    ]
 
     return PiResult(
         j_raw=j_raw,
@@ -267,10 +321,10 @@ def compressible_velocity(
             k = [0.0] * 7
             for i in range(7):
                 ri = r + _DP_C[i] * h
-                ui = u + h * sum(_DP_A[i][j] * k[j] for j in range(i))
+                ui = u + h * sum(map(mul, _DP_A[i], k))
                 k[i] = rhs(ri, ui)
-            u5 = u + h * sum(b * ki for b, ki in zip(_DP_B5, k))
-            u4 = u + h * sum(b * ki for b, ki in zip(_DP_B4, k))
+            u5 = u + h * sum(map(mul, _DP_B5, k))
+            u4 = u + h * sum(map(mul, _DP_B4, k))
             err = abs(u5 - u4)
             tol = abs_floor + rel_tol * max(abs(u), abs(u5))
             if err <= tol:

@@ -293,6 +293,20 @@ def test_table_4_contains_pure_predarcy_column(capsys):
     assert any("4.20000000e-03" in row for row in predarcy_rows)
 
 
+def test_table_continuous_predarcy_with_zero_v_d_is_a_config_error(capsys):
+    # table 4 has v_D = 0 entries, where lambda = alpha * v_D^s is undefined
+    code, out, err = run_cli(capsys, "table", "4", "--continuous-predarcy")
+    assert code == 2
+    assert err.startswith("error:") and "v_D" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_table_continuous_predarcy_runs(capsys):
+    code, out, _ = run_cli(capsys, "table", "1", "--continuous-predarcy")
+    assert code == 0
+    assert out.startswith("table,regime")
+
+
 def test_table_writes_file(capsys, tmp_path):
     out_path = tmp_path / "t1.csv"
     code, _, _ = run_cli(capsys, "table", "1", "--out", str(out_path))

@@ -16,6 +16,8 @@ from wellpi import (
     zone_integral,
 )
 
+from wellpi.quadrature import _panels
+
 from helpers import make_scenario
 
 
@@ -78,6 +80,42 @@ def test_nonfinite_integrand_raises_at_the_first_panel(bad):
     assert len(calls) == 1  # no bisection towards the panel cap
     assert info.value.best.subdivisions == 1
     assert not math.isfinite(info.value.best.value)
+
+
+def test_batched_panels_match_single_panels_in_one_call():
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.exp(-x) / (1.0 + x * x)
+
+    rng = np.random.default_rng(3)
+    a = rng.uniform(0.0, 5.0, size=9)
+    b = a + rng.uniform(1e-6, 3.0, size=9)
+    batched = _panels(f, a, b)
+    assert calls == [(15 * 9,)]  # one call on all the nodes, flattened
+    for i in range(9):
+        value, err, resabs = (x[0] for x in _panels(f, a[i:i + 1], b[i:i + 1]))
+        ulp = np.spacing(resabs)
+        assert abs(batched[0][i] - value) <= 4 * np.spacing(abs(value))
+        assert abs(batched[2][i] - resabs) <= 4 * ulp
+        # the error is a difference of two estimates of size resabs
+        assert abs(batched[1][i] - err) <= 4 * ulp
+
+
+def test_each_bisection_is_one_integrand_call():
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return 1.0 / x
+
+    res = integrate_adaptive(f, 1e-3, 1.0, rel_tol=1e-12)
+    assert res.value == pytest.approx(math.log(1e3), rel=1e-12)
+    assert res.subdivisions > 10
+    # the first panel, then both halves of each bisected panel together
+    assert len(calls) == res.subdivisions
+    assert calls == [15] + [30] * (res.subdivisions - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import wellpi.quadrature
+import wellpi.validation
 from wellpi import (
     FlowParameters,
     Geometry,
@@ -115,10 +116,18 @@ def test_profile_pi_agrees_with_zone_integrals(regime):
 
 
 @pytest.mark.parametrize("regime", ["F", "FDpD", "pure-preDarcy"])
-def test_profile_pi_matches_fresh_profile_at_every_node(regime):
+def test_profile_pi_matches_fresh_profile_at_every_node(regime, monkeypatch):
     # reference: W(r) integrated afresh from r_w at every outer node, then
     # r W(r) integrated over each segment of [r_w, r_e]
     scn = make_scenario(regime, q_over_h=1e-2, s=0.7)
+    accepted = []  # per inner gap: did its batched first panel pass?
+    converged = wellpi.validation._converged
+
+    def spy(*args):
+        accepted.append(converged(*args))
+        return accepted[-1]
+
+    monkeypatch.setattr(wellpi.validation, "_converged", spy)
     geo = scn.geometry
 
     def r_times_w(radii):
@@ -130,6 +139,25 @@ def test_profile_pi_matches_fresh_profile_at_every_node(regime):
     )
     reference = scn.q * geo.radius_span_sq / (2.0 * total_rw)
     assert pi_from_profile(scn).j_raw == pytest.approx(reference, rel=1e-9)
+    # both the batched first panels and the adaptive fallback were exercised
+    assert 0 < accepted.count(False) < accepted.count(True)
+
+
+@pytest.mark.parametrize("regime,calls", [("FDpD", 3), ("D", 4)])
+def test_profile_pi_takes_each_zone_energy_once(regime, calls, monkeypatch):
+    # FDpD: three one-zone segments, which are also the three zones;
+    # D: the merged segment [r_w, r_e] and the three zones
+    seen = []
+    zone_energy = wellpi.validation._zone_energy
+
+    def spy(scn, law, lo, hi, rel_tol):
+        seen.append((lo, hi, law))
+        return zone_energy(scn, law, lo, hi, rel_tol)
+
+    monkeypatch.setattr(wellpi.validation, "_zone_energy", spy)
+    pi_from_profile(make_scenario(regime))
+    assert len(seen) == calls
+    assert len(set(seen)) == calls
 
 
 def test_profile_pi_uses_no_closed_form(monkeypatch):
