@@ -15,9 +15,9 @@ from .constitutive import (
     ZoneLaw,
     law_for_speed,
     mobility,
+    pressure_gradient,
     preset_name,
     regime_preset,
-    resistance,
 )
 from .fitting import (
     FitResult,
@@ -72,7 +72,7 @@ __all__ = [
     "REGIME_PRESETS",
     "regime_preset",
     "preset_name",
-    "resistance",
+    "pressure_gradient",
     "mobility",
     "law_for_speed",
     "Geometry",

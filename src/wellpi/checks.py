@@ -20,8 +20,8 @@ from .constitutive import (
     FlowParameters,
     ZoneLaw,
     mobility,
+    pressure_gradient,
     regime_preset,
-    resistance,
 )
 from .kinematics import Geometry, Scenario, flux_density, radius_of_velocity, velocity_profile
 from .productivity import compute_pi, compute_pis
@@ -71,12 +71,12 @@ def _base_scenario(regime: str, q_over_h: float = 1e-4, s: float = 0.7,
 
 
 def check_constitutive_inverse() -> CheckResult:
-    """mobility(resistance(v) * v) * resistance(v) * v recovers v."""
+    """mobility(grad p) * grad p recovers v, where grad p = pressure_gradient(v)."""
     params = _base_params(s=0.3)
     worst = 0.0
     for law in (ZoneLaw.PRE_DARCY, ZoneLaw.DARCY, ZoneLaw.FORCHHEIMER):
         for xi in np.geomspace(1e-12, 1e2, 60):
-            grad_p = resistance(params, law, float(xi)) * float(xi)
+            grad_p = pressure_gradient(params, law, float(xi))
             back = mobility(params, law, grad_p) * grad_p
             worst = max(worst, abs(back - xi) / xi)
     return CheckResult("constitutive-inverse-roundtrip", worst <= 1e-12, worst, "1e-12")

@@ -39,7 +39,6 @@ class FlowParameters:
     beta:    Forchheimer coefficient, Pa*s^2/m^3
     lambda_: pre-Darcy coefficient, Pa*s^(1-s)/m^(2-s)
     s:       pre-Darcy exponent in [0, 1]
-    gamma:   fluid compressibility, 1/Pa
     v_D:     Darcy/pre-Darcy transition velocity, m/s
     v_F:     Darcy/Forchheimer transition velocity, m/s
     """
@@ -50,7 +49,6 @@ class FlowParameters:
     s: float
     v_D: float
     v_F: float
-    gamma: float = 1e-8
 
     def __post_init__(self):
         # positive-form comparisons, so NaN fails every one of them
@@ -62,8 +60,6 @@ class FlowParameters:
             raise ValueError(f"lambda_ must be positive and finite, got {self.lambda_}")
         if not 0.0 <= self.s <= 1.0:
             raise ValueError(f"s must lie in [0, 1], got {self.s}")
-        if not 0 <= self.gamma < math.inf:
-            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
         if not 0 <= self.v_D <= self.v_F < math.inf:
             raise ValueError(
                 f"critical velocities must satisfy 0 <= v_D <= v_F < inf, "
@@ -128,26 +124,29 @@ def preset_name(regime: RegimeAssignment) -> str:
     return "".join(short[law] for law in regime.laws())
 
 
-def resistance(params: FlowParameters, law: ZoneLaw, speed: float) -> float:
-    """Resistance coefficient g(speed) in Pa*s/m^2 for one law branch.
+def pressure_gradient(params: FlowParameters, law: ZoneLaw, speed):
+    """|grad p| = g(speed) * speed in Pa/m along one law branch.
 
-    The pre-Darcy branch is singular at zero speed when s > 0.
+    alpha * v for Darcy, (alpha + beta * v) * v for Forchheimer and
+    lambda * v**(1 - s) for pre-Darcy, which is 0 at v = 0 for s < 1 and the
+    flux-independent lambda at s = 1.  ``speed`` is a float or a numpy array
+    of speeds; only plain operators touch it.  A negative float speed raises
+    ValueError; arrays are not checked, since a per-call reduction would cost
+    more than the law.
     """
-    if speed < 0:
+    if isinstance(speed, (int, float)) and speed < 0:
         raise ValueError(f"speed must be nonnegative, got {speed}")
     if law is ZoneLaw.DARCY:
-        return params.alpha
+        return params.alpha * speed
     if law is ZoneLaw.FORCHHEIMER:
-        return params.alpha + params.beta * speed
-    if speed == 0.0 and params.s > 0:
-        raise ValueError("pre-Darcy resistance is singular at zero speed")
-    return params.lambda_ * speed ** (-params.s)
+        return (params.alpha + params.beta * speed) * speed
+    return params.lambda_ * speed ** (1.0 - params.s)
 
 
 def mobility(params: FlowParameters, law: ZoneLaw, grad_p: float) -> float:
     """Mobility K(|grad p|) in m^2/(Pa*s): speed = K * |grad p|.
 
-    Inverse of ``resistance`` along each branch.  Undefined for the
+    Inverse of ``pressure_gradient`` along each branch.  Undefined for the
     pre-Darcy branch at s = 1 (the forward law becomes flux-independent).
     """
     if grad_p < 0:
@@ -179,10 +178,4 @@ def law_for_speed(params: FlowParameters, regime: RegimeAssignment, speed: float
 def drag_power(params: FlowParameters, regime: RegimeAssignment, speed: float) -> float:
     """g(|v|) * v^2, the drag power density; continuous with value 0 at v = 0."""
     speed = abs(speed)
-    if speed == 0.0:
-        return 0.0
-    law = law_for_speed(params, regime, speed)
-    if law is ZoneLaw.PRE_DARCY:
-        # lambda * v^(2-s) stays finite as v -> 0 for s <= 1
-        return params.lambda_ * speed ** (2.0 - params.s)
-    return resistance(params, law, speed) * speed * speed
+    return pressure_gradient(params, law_for_speed(params, regime, speed), speed) * speed

@@ -16,11 +16,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .constitutive import FlowParameters, law_for_speed, regime_preset, resistance
+from .constitutive import FlowParameters, law_for_speed, pressure_gradient, regime_preset
 
 #: Law-by-velocity mapping used when synthesizing measurements: Forchheimer
 #: above v_F, Darcy between, pre-Darcy below v_D.
 _PHYSICAL_REGIME = regime_preset("FDpD")
+#: The fitted law: pre-Darcy below v_D_hat, Darcy above (no Forchheimer zone).
+_FITTED_REGIME = regime_preset("DDpD")
 
 _MIN_POINTS = 6
 _MIN_SEGMENT = 3
@@ -81,8 +83,7 @@ def synthesize_measurements(
     out = []
     for v in v_grid:
         v = float(v)
-        law = law_for_speed(params, _PHYSICAL_REGIME, v)
-        grad_p = resistance(params, law, v) * v
+        grad_p = pressure_gradient(params, law_for_speed(params, _PHYSICAL_REGIME, v), v)
         if noise_rel > 0:
             grad_p *= math.exp(noise_rel * float(rng.standard_normal()))
         out.append(FlowMeasurement(v=v, grad_p=grad_p))
@@ -218,12 +219,12 @@ def read_measurements_csv(path: str) -> list[FlowMeasurement]:
 
 def model_curve(fit: FitResult, v_values: Sequence[float]) -> list[tuple[float, float]]:
     """Sample the fitted piecewise law: pre-Darcy below v_D_hat, Darcy above."""
+    params = FlowParameters(
+        alpha=fit.alpha_hat, beta=0.0, lambda_=fit.lambda_hat, s=fit.s_hat,
+        v_D=fit.v_D_hat, v_F=fit.v_D_hat,
+    )
     out = []
     for v in v_values:
         v = float(v)
-        if fit.v_D_hat > 0 and v < fit.v_D_hat:
-            grad_p = fit.lambda_hat * v ** (1.0 - fit.s_hat)
-        else:
-            grad_p = fit.alpha_hat * v
-        out.append((v, grad_p))
+        out.append((v, pressure_gradient(params, law_for_speed(params, _FITTED_REGIME, v), v)))
     return out

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constitutive import ZoneLaw, drag_power
+from .constitutive import ZoneLaw, drag_power, pressure_gradient
 from .kinematics import (
     Scenario,
     Zone,
@@ -67,12 +67,7 @@ def _grad_fun(scn: Scenario, law: ZoneLaw) -> Callable[[np.ndarray], np.ndarray]
     """Vectorized |grad p| = g(v(r)) * v(r) along one zone law."""
     p = scn.params
     speed = _speed_fun(scn)
-    if law is ZoneLaw.DARCY:
-        return lambda r: p.alpha * speed(r)
-    if law is ZoneLaw.FORCHHEIMER:
-        return lambda r: (p.alpha + p.beta * speed(r)) * speed(r)
-    # lambda * v^(1-s); exponent >= 0 keeps this finite up to v = 0
-    return lambda r: p.lambda_ * np.power(speed(r), 1.0 - p.s)
+    return lambda r: pressure_gradient(p, law, speed(r))
 
 
 def pressure_profile(scn: Scenario, r: float, rel_tol: float = 1e-10) -> float:
@@ -132,11 +127,6 @@ def _drag_energy(scn: Scenario, segments: Sequence[Zone], rel_tol: float,
     return total
 
 
-def drag_energy_integral(scn: Scenario, rel_tol: float = 1e-10) -> float:
-    """int_{r_w}^{r_e} r g(v) v^2 dr, the drag-power weighted moment."""
-    return _drag_energy(scn, zone_segments(scn), rel_tol, {})
-
-
 def _energy_pi(scn: Scenario, energy: float) -> float:
     """Raw PI Q^2 / (2 pi h E) of the drag energy E over [r_w, r_e]."""
     q = scn.q
@@ -149,7 +139,7 @@ def pi_from_energy(scn: Scenario, rel_tol: float = 1e-10) -> float:
     Raises FloatingPointError when the PI overflows, underflows to zero or
     is NaN.
     """
-    return _energy_pi(scn, drag_energy_integral(scn, rel_tol))
+    return _energy_pi(scn, _drag_energy(scn, zone_segments(scn), rel_tol, {}))
 
 
 def pi_from_profile(

@@ -57,7 +57,7 @@ def test_nonpositive_flux_names_field(capsys):
 
 _FIELD_FLAGS = {
     "r_e": "--r-e", "r_w": "--r-w", "h": "--h", "alpha": "--alpha", "beta": "--beta",
-    "lambda_": "--lambda", "s": "--s", "gamma": "--gamma", "v_D": "--v-d", "v_F": "--v-f",
+    "lambda_": "--lambda", "s": "--s", "v_D": "--v-d", "v_F": "--v-f",
     "q_over_h": "--q-over-h",
 }
 
@@ -123,6 +123,18 @@ def test_unknown_config_key(capsys, tmp_path):
     code, _, err = run_cli(capsys, "pi", "--config", str(cfg))
     assert code == 2
     assert "geometry.radius" in err
+
+
+def test_gamma_is_neither_a_flag_nor_a_config_key(capsys, tmp_path):
+    # no PI command reads a compressibility, so none accepts one
+    with pytest.raises(SystemExit) as info:
+        main(["pi", "--gamma", "1e-3"])
+    assert info.value.code == 2
+    cfg = tmp_path / "gamma.cfg"
+    cfg.write_text("params.gamma = 1e-8\n")
+    code, out, err = run_cli(capsys, "pi", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "unknown key 'params.gamma'" in err
 
 
 def test_continuous_predarcy_flag_changes_result(capsys):
@@ -238,15 +250,16 @@ def test_sweep_csv_equals_compute_pi_per_row(capsys, axis, flag, spec, values, r
     assert out == _expected_sweep(axis, [float(v) for v in values], regimes.split(","))
 
 
-def test_sweep_spec_validation():
-    from wellpi.cli import SweepSpec
-
-    with pytest.raises(ValueError):
-        SweepSpec(axis="bogus", values=(1.0,), regimes=("D",))
-    with pytest.raises(ValueError):
-        SweepSpec(axis="s", values=(), regimes=("D",))
-    with pytest.raises(ValueError):
-        SweepSpec(axis="s", values=(0.5,), regimes=())
+def test_sweep_rejects_unknown_axis_and_empty_lists(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--axis", "bogus", "--values", "1"])
+    assert info.value.code == 2
+    code, out, err = run_cli(capsys, "sweep", "--axis", "s", "--values", ",")
+    assert (code, out) == (2, "")
+    assert "at least one axis value" in err
+    code, out, err = run_cli(capsys, "sweep", "--axis", "s", "--values", "0.5", "--regimes", ",")
+    assert (code, out) == (2, "")
+    assert "at least one regime" in err
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ from wellpi import (
     ZoneLaw,
     law_for_speed,
     mobility,
+    pressure_gradient,
     preset_name,
     regime_preset,
-    resistance,
 )
 from wellpi.constitutive import drag_power
 
@@ -24,45 +24,48 @@ def params(**overrides):
 
 
 # ---------------------------------------------------------------------------
-# resistance
+# pressure_gradient: |grad p| = g(v) v, so the resistance is g = |grad p| / v
 # ---------------------------------------------------------------------------
 
 def test_darcy_resistance_is_constant():
     p = params()
-    assert resistance(p, ZoneLaw.DARCY, 1e-6) == 1.01e10
-    assert resistance(p, ZoneLaw.DARCY, 123.0) == 1.01e10
+    assert pressure_gradient(p, ZoneLaw.DARCY, 1e-6) == 1.01e10 * 1e-6
+    assert pressure_gradient(p, ZoneLaw.DARCY, 123.0) == 1.01e10 * 123.0
 
 
 def test_predarcy_resistance_power_law():
-    # direct power evaluation: 1.01e10 * (1e-7)**(-0.3) = 1.01e10 * 10**2.1
+    # direct power evaluation: 1.01e10 * (1e-7)**(1 - 0.3) = 1.01e10 * 10**-4.9
     p = params(s=0.3)
-    expected = 1.01e10 * 10.0**2.1
-    assert resistance(p, ZoneLaw.PRE_DARCY, 1e-7) == pytest.approx(expected, rel=1e-12)
-    assert expected == pytest.approx(1.2715146659e12, rel=1e-9)
+    expected = 1.01e10 * 10.0**-4.9
+    assert pressure_gradient(p, ZoneLaw.PRE_DARCY, 1e-7) == pytest.approx(expected, rel=1e-12)
+    assert expected == pytest.approx(1.2715146659e5, rel=1e-9)
 
 
 def test_forchheimer_resistance_linear_in_speed():
     p = params()
-    expected = 1.01e10 + 2.4318e11 * 1e-5
-    assert resistance(p, ZoneLaw.FORCHHEIMER, 1e-5) == pytest.approx(expected, rel=1e-15)
+    expected = (1.01e10 + 2.4318e11 * 1e-5) * 1e-5
+    assert pressure_gradient(p, ZoneLaw.FORCHHEIMER, 1e-5) == pytest.approx(expected, rel=1e-15)
 
 
 def test_resistance_domain_errors():
     p = params(s=0.3)
-    with pytest.raises(ValueError):
-        resistance(p, ZoneLaw.DARCY, -1e-9)
-    with pytest.raises(ValueError):
-        resistance(p, ZoneLaw.PRE_DARCY, 0.0)
-    # s = 0 branch is just the constant lambda, fine at zero speed
-    assert resistance(params(s=0.0), ZoneLaw.PRE_DARCY, 0.0) == 1.01e10
+    for law in ZoneLaw:
+        with pytest.raises(ValueError):
+            pressure_gradient(p, law, -1e-9)
+    # g = lambda v^-s is singular at zero speed for s > 0, but g(v) v is not:
+    # it vanishes for s < 1, and at s = 1 it is lambda at every speed
+    assert pressure_gradient(params(s=0.0), ZoneLaw.PRE_DARCY, 0.0) == 0.0
+    assert pressure_gradient(params(s=0.3), ZoneLaw.PRE_DARCY, 0.0) == 0.0
+    assert pressure_gradient(params(s=1.0), ZoneLaw.PRE_DARCY, 0.0) == 1.01e10
+    assert pressure_gradient(params(s=1.0), ZoneLaw.PRE_DARCY, 1e-3) == 1.01e10
 
 
 def test_resistance_monotonicity_by_branch():
     p = params(s=0.5)
     speeds = [10.0**e for e in range(-9, 0)]
-    pre = [resistance(p, ZoneLaw.PRE_DARCY, v) for v in speeds]
+    pre = [pressure_gradient(p, ZoneLaw.PRE_DARCY, v) / v for v in speeds]
     assert all(a > b for a, b in zip(pre, pre[1:]))
-    forch = [resistance(p, ZoneLaw.FORCHHEIMER, v) for v in speeds]
+    forch = [pressure_gradient(p, ZoneLaw.FORCHHEIMER, v) / v for v in speeds]
     assert all(a < b for a, b in zip(forch, forch[1:]))
 
 
@@ -102,7 +105,7 @@ def test_inverse_consistency(law, s):
     p = params(s=s)
     for exponent in range(-12, 3):
         xi = 10.0**exponent
-        grad_p = resistance(p, law, xi) * xi
+        grad_p = pressure_gradient(p, law, xi)
         assert mobility(p, law, grad_p) * grad_p == pytest.approx(xi, rel=1e-12)
 
 
@@ -113,14 +116,14 @@ def test_inverse_consistency(law, s):
 def test_continuous_predarcy_rescaling_joins_branches():
     p = params(s=0.6).with_continuous_predarcy()
     assert p.lambda_ == pytest.approx(p.alpha * p.v_D**0.6, rel=1e-15)
-    at_junction = resistance(p, ZoneLaw.PRE_DARCY, p.v_D)
-    assert at_junction == pytest.approx(p.alpha, rel=1e-12)
+    at_junction = pressure_gradient(p, ZoneLaw.PRE_DARCY, p.v_D)
+    assert at_junction == pytest.approx(pressure_gradient(p, ZoneLaw.DARCY, p.v_D), rel=1e-12)
 
 
 def test_forchheimer_junction_jump_is_beta_v_f():
     p = params()
-    jump = resistance(p, ZoneLaw.FORCHHEIMER, p.v_F) - resistance(p, ZoneLaw.DARCY, p.v_F)
-    assert jump == pytest.approx(p.beta * p.v_F, rel=1e-12)
+    jump = pressure_gradient(p, ZoneLaw.FORCHHEIMER, p.v_F) - pressure_gradient(p, ZoneLaw.DARCY, p.v_F)
+    assert jump / p.v_F == pytest.approx(p.beta * p.v_F, rel=1e-12)
 
 
 def test_continuous_predarcy_requires_positive_v_d():
@@ -141,9 +144,9 @@ def test_continuous_predarcy_requires_positive_v_d():
         dict(lambda_=0.0),
         dict(s=-0.1),
         dict(s=1.1),
-        dict(gamma=-1e-8),
         dict(v_D=-1e-9),
         dict(v_D=2e-5),  # above v_F
+        dict(v_F=math.inf),
     ],
 )
 def test_flow_parameter_invariants(bad):
@@ -199,7 +202,8 @@ def test_drag_power_vanishes_at_zero_speed():
     fdpd = regime_preset("FDpD")
     assert drag_power(p, fdpd, 0.0) == 0.0
     v = 2e-6
-    expected = resistance(p, ZoneLaw.DARCY, v) * v * v
-    assert drag_power(p, fdpd, v) == pytest.approx(expected, rel=1e-15)
+    assert drag_power(p, fdpd, v) == pytest.approx(p.alpha * v * v, rel=1e-15)
     v = 1e-8
     assert drag_power(p, fdpd, v) == pytest.approx(p.lambda_ * v ** (2 - p.s), rel=1e-15)
+    # every law vanishes at zero speed, the flux-independent s = 1 one too
+    assert drag_power(params(s=1.0), regime_preset("pure-preDarcy"), 0.0) == 0.0

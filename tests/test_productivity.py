@@ -107,6 +107,27 @@ def test_forchheimer_pi_strictly_decreasing_in_flux():
     assert all(a > b for a, b in zip(js, js[1:]))
 
 
+def test_pure_predarcy_pi_scales_as_flux_to_the_s():
+    # S_pD is proportional to A^(-s), so J(c q) = c^s J(q) up to rounding
+    worst = 0.0
+    for s in (0.0, 0.3, 0.7, 1.0):
+        for q in (1e-6, 1e-4, 1e-2, 1.0):
+            j = compute_pi(make_scenario("pure-preDarcy", s=s, q_over_h=q)).j_raw
+            for c in (2.0, 10.0, 1e3):
+                jc = compute_pi(make_scenario("pure-preDarcy", s=s, q_over_h=c * q)).j_raw
+                worst = max(worst, abs(jc - c**s * j) / jc)
+    assert worst <= 1e-15
+
+
+def test_dimensionless_pi_is_independent_of_thickness():
+    # at fixed Q/h every velocity, and so every S, is the same for any h
+    for name in REGIME_PRESETS:
+        ref = compute_pi(make_scenario(name, h=10.0)).j_dimensionless
+        for h in (0.1, 3.0, 1e3):
+            j = compute_pi(make_scenario(name, h=h)).j_dimensionless
+            assert abs(j - ref) <= 1e-15 * ref, (name, h)
+
+
 # ---------------------------------------------------------------------------
 # pre-Darcy power dependence
 # ---------------------------------------------------------------------------
