@@ -6,7 +6,15 @@ branches across three velocity zones.  Includes independent pressure-profile
 and energy-identity cross-checks, reproduction of published parameter-study
 tables, and a segmented log-log fitter for measured velocity /
 pressure-gradient data.
+
+The PI path (constitutive laws, zone partition, closed-form zone integrals,
+PI assembly, reference tables) imports no numpy.  The names from
+``validation`` and ``fitting``, and the submodules ``validation``,
+``fitting`` and ``checks``, need numpy; they are imported together on first
+access, e.g. ``from wellpi import pi_from_profile`` or ``wellpi.checks``.
 """
+
+import importlib
 
 from .constitutive import (
     REGIME_PRESETS,
@@ -18,13 +26,6 @@ from .constitutive import (
     pressure_gradient,
     preset_name,
     regime_preset,
-)
-from .fitting import (
-    FitResult,
-    FlowMeasurement,
-    fit_segments,
-    read_measurements_csv,
-    synthesize_measurements,
 )
 from .kinematics import (
     Geometry,
@@ -53,15 +54,28 @@ from .reference import (
     load_reference_entries,
     reference_scenario,
 )
-from .validation import (
-    ProfileSample,
-    StepSizeUnderflow,
-    compressible_velocity,
-    pi_from_energy,
-    pi_from_profile,
-    pressure_profile,
-    sample_profile,
-)
+
+#: The modules that import numpy, loaded together on first use.
+_NUMPY_MODULES = ("validation", "fitting", "checks")
+#: Exported names of the numpy modules, with the module of each.
+_LAZY_EXPORTS = {
+    **dict.fromkeys((
+        "ProfileSample",
+        "StepSizeUnderflow",
+        "compressible_velocity",
+        "pi_from_energy",
+        "pi_from_profile",
+        "pressure_profile",
+        "sample_profile",
+    ), "validation"),
+    **dict.fromkeys((
+        "FitResult",
+        "FlowMeasurement",
+        "fit_segments",
+        "read_measurements_csv",
+        "synthesize_measurements",
+    ), "fitting"),
+}
 
 __version__ = "0.1.0"
 
@@ -114,3 +128,19 @@ __all__ = [
     "compare_table",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Import the numpy modules on first access of one of them or of a name
+    they export, and bind all their exports here."""
+    if name not in _LAZY_EXPORTS and name not in _NUMPY_MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, not `from . import x`: that form probes this module's
+    # attributes first and would re-enter this function
+    modules = {m: importlib.import_module(f"{__name__}.{m}") for m in _NUMPY_MODULES}
+    globals().update({n: getattr(modules[m], n) for n, m in _LAZY_EXPORTS.items()})
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_NUMPY_MODULES, *_LAZY_EXPORTS})

@@ -9,21 +9,22 @@ produce byte-identical output.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical failure.
+
+``pi``, ``sweep`` with ``--values`` and ``table`` run without numpy; it is
+imported only by ``validate``, ``fit`` and ``sweep --log-range``.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import math
 import sys
 from dataclasses import replace
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__
 from .constitutive import FlowParameters, RegimeAssignment, ZoneLaw, preset_name, regime_preset
-from .fitting import fit_segments, model_curve, read_measurements_csv
 from .kinematics import Geometry, Scenario
 from .productivity import PiResult, compute_pi, compute_pis
 from .reference import (
@@ -39,7 +40,6 @@ from .reference import (
     REPRODUCTION_RTOL,
     compare_table,
 )
-from . import checks
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -261,8 +261,12 @@ def _axis_values(args: argparse.Namespace) -> list[float]:
             raise ConfigError(
                 f"--log-range: expected 'start,stop,points', got {args.log_range!r}"
             ) from None
-        if start <= 0 or stop <= 0 or count < 1:
-            raise ConfigError("--log-range: start and stop must be positive, points >= 1")
+        if not (0 < start < math.inf and 0 < stop < math.inf and count >= 1):
+            raise ConfigError(
+                "--log-range: start and stop must be positive and finite, points >= 1"
+            )
+        import numpy as np
+
         values = [float(v) for v in np.geomspace(start, stop, count)]
     if not values:
         raise ConfigError("sweep needs at least one axis value")
@@ -327,6 +331,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from . import checks
+
     fault = 1.0 + 1e-3 if args.inject_fault else 1.0
     results = checks.run_all(fault_scale=fault)
     failed = 0
@@ -339,6 +345,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .fitting import fit_segments, model_curve, read_measurements_csv
+
     try:
         data = read_measurements_csv(args.input_csv)
         fit = fit_segments(data)

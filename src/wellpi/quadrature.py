@@ -7,7 +7,9 @@ error meets the tolerance or the panel cap is hit.  Panels are kept in
 left-to-right order and summed with compensated addition, so results are
 deterministic regardless of how the work is scheduled.  Nothing on the PI
 path uses it: it is the independent oracle that the closed forms below are
-checked against.
+checked against.  numpy is imported, and the rule's node and weight arrays
+built, only when the oracle integrator first runs; the closed forms are
+plain ``math``, so the PI commands start without numpy.
 
 The zone integrals entering the productivity index are
 
@@ -29,20 +31,23 @@ all-positive series of u^(s/2-1) in x = 1 - u near the outer boundary.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .constitutive import ZoneLaw
 from .kinematics import Scenario, flux_density
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # ---------------------------------------------------------------------------
 # Gauss-Kronrod 7/15 pair
 # ---------------------------------------------------------------------------
 
-_XGK_HALF = np.array([
+_XGK_HALF = (
     0.991455371120812639206854697526329,
     0.949107912342758524526189684047851,
     0.864864423359769072789712788640926,
@@ -51,8 +56,8 @@ _XGK_HALF = np.array([
     0.405845151377397166906606412076961,
     0.207784955007898467600689403773245,
     0.0,
-])
-_WGK_HALF = np.array([
+)
+_WGK_HALF = (
     0.022935322010529224963732008058970,
     0.063092092629978553290700663189204,
     0.104790010322250183839876322541518,
@@ -61,20 +66,33 @@ _WGK_HALF = np.array([
     0.190350578064785409913256402421014,
     0.204432940075298892414161999234649,
     0.209482141084727828012999174891714,
-])
-_WG_HALF = np.array([
+)
+_WG_HALF = (
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
-])
+)
 
-_NODES = np.concatenate([-_XGK_HALF[:7], _XGK_HALF[::-1]])
-_W_KRONROD = np.concatenate([_WGK_HALF[:7], _WGK_HALF[::-1]])
-_W_GAUSS = np.zeros(15)
-_W_GAUSS[1:14:2] = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])
+_EPS = sys.float_info.epsilon
 
-_EPS = float(np.finfo(float).eps)
+
+@functools.cache
+def _rule():
+    """numpy, the 15 nodes on [-1, 1] and their Kronrod and Gauss weights.
+
+    Built on first use, so that importing this module (the closed forms on
+    the PI path) does not import numpy; only the oracle integrator needs it.
+    """
+    import numpy as np
+
+    xgk, wgk, wg = np.array(_XGK_HALF), np.array(_WGK_HALF), np.array(_WG_HALF)
+    nodes = np.concatenate([-xgk[:7], xgk[::-1]])
+    w_kronrod = np.concatenate([wgk[:7], wgk[::-1]])
+    w_gauss = np.zeros(15)
+    w_gauss[1:14:2] = np.concatenate([wg[:3], wg[::-1]])
+    return np, nodes, w_kronrod, w_gauss
+
 
 #: Default subdivision cap; plenty for smooth integrands on a bounded interval.
 DEFAULT_MAX_PANELS = 2000
@@ -107,18 +125,20 @@ def _panels(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray)
     ``f`` is called once, on the 15 * n nodes of all n panels flattened in
     interval order.
     """
+    np, rule_nodes, w_kronrod, w_gauss = _rule()
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    nodes = center[:, None] + half[:, None] * _NODES
+    nodes = center[:, None] + half[:, None] * rule_nodes
     fx = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    kronrod = half * (fx @ _W_KRONROD)
-    gauss = half * (fx @ _W_GAUSS)
-    resabs = np.abs(half) * (np.abs(fx) @ _W_KRONROD)
+    kronrod = half * (fx @ w_kronrod)
+    gauss = half * (fx @ w_gauss)
+    resabs = np.abs(half) * (np.abs(fx) @ w_kronrod)
     return kronrod, np.abs(kronrod - gauss), resabs
 
 
 def _panel_list(f: Callable[[np.ndarray], np.ndarray], a: list, b: list) -> list:
     """(a, b, value, error, resabs) of the panel on each [a[i], b[i]]."""
+    np = _rule()[0]
     values, errs, resabs = _panels(f, np.array(a, dtype=float), np.array(b, dtype=float))
     return list(zip(a, b, values.tolist(), errs.tolist(), resabs.tolist()))
 

@@ -202,6 +202,20 @@ def test_sweep_rejects_malformed_log_range(capsys):
     assert "log-range" in err
 
 
+@pytest.mark.parametrize("log_range", [
+    "1,inf,3", "inf,1,3", "1,-inf,3", "-inf,1,3", "nan,1,3", "1,nan,3",
+])
+def test_sweep_rejects_non_finite_log_range_end(capsys, log_range):
+    # the suite turns warnings into errors, so a numpy RuntimeWarning from
+    # np.geomspace on an infinite end would fail this test too
+    code, out, err = run_cli(
+        capsys, "sweep", "--axis", "q_over_h", f"--log-range={log_range}", "--regimes", "D"
+    )
+    assert code == 2
+    assert "--log-range" in err
+    assert out == ""
+
+
 def test_sweep_over_v_d_reproduces_small_reservoir_row(capsys):
     # FDpD over the v_D grid at r_e = 100 m, s = 0.05: published row values
     code, out, _ = run_cli(

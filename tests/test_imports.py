@@ -1,0 +1,80 @@
+"""Import contract: the PI commands start without numpy, and the names that
+need it load together on first use."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import wellpi
+
+SRC = str(Path(wellpi.__file__).resolve().parent.parent)
+NUMPY_MODULES = ("wellpi.validation", "wellpi.fitting", "wellpi.checks")
+
+
+def run_fresh(code: str):
+    """Run ``code`` in a fresh interpreter, with warnings as errors and this
+    wellpi first on the path; return what it printed, parsed as JSON."""
+    prelude = f"import json, sys\nsys.path.insert(0, {SRC!r})\n"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", prelude + code],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_pi_commands_and_reference_load_import_no_numpy():
+    got = run_fresh(
+        "import contextlib, io\n"
+        "from wellpi.cli import main\n"
+        "from wellpi.reference import load_reference_entries\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [main(['pi']), main(['table', '1']),\n"
+        "             main(['sweep', '--axis', 'q_over_h', '--values', '1e-4,1e-3'])]\n"
+        "entries = len(load_reference_entries())\n"
+        "print(json.dumps([codes, entries > 0, sorted(m for m in sys.modules\n"
+        "                  if m == 'numpy' or m in %r)]))\n" % (NUMPY_MODULES,)
+    )
+    assert got == [[0, 0, 0], True, []]
+
+
+def test_every_export_resolves_in_a_fresh_interpreter():
+    got = run_fresh(
+        "import wellpi\n"
+        "before = 'numpy' in sys.modules\n"
+        "listed = set(wellpi.__all__) <= set(dir(wellpi))\n"
+        "missing = [n for n in wellpi.__all__ if getattr(wellpi, n, None) is None]\n"
+        "namespace = {}\n"
+        "exec('from wellpi import *', namespace)\n"
+        "print(json.dumps([before, listed, missing, sorted(set(wellpi.__all__) - set(namespace))]))\n"
+    )
+    assert got == [False, True, [], []]
+
+
+def test_dir_lists_lazy_names_and_submodules():
+    names = dir(wellpi)
+    for name in ("pi_from_profile", "StepSizeUnderflow", "fit_segments", "FitResult",
+                 "validation", "fitting", "checks"):
+        assert name in names
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wellpi.no_such_name
+    assert not hasattr(wellpi, "numpy")
+
+
+def test_one_lazy_name_loads_the_whole_numpy_group():
+    got = run_fresh(
+        "import wellpi\n"
+        "before = [m in sys.modules for m in %r]\n"
+        "from wellpi import pi_from_profile\n"
+        "after = [m in sys.modules for m in %r]\n"
+        "bound = wellpi.pi_from_profile is wellpi.validation.pi_from_profile\n"
+        "print(json.dumps([before, after, bound, wellpi.checks.__name__]))\n"
+        % (NUMPY_MODULES, NUMPY_MODULES)
+    )
+    assert got == [[False] * 3, [True] * 3, True, "wellpi.checks"]

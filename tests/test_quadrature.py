@@ -16,7 +16,7 @@ from wellpi import (
     zone_integral,
 )
 
-from wellpi.quadrature import _panels
+from wellpi.quadrature import _WG_HALF, _WGK_HALF, _XGK_HALF, _panels, _rule
 
 from helpers import make_scenario
 
@@ -101,6 +101,46 @@ def test_batched_panels_match_single_panels_in_one_call():
         assert abs(batched[2][i] - resabs) <= 4 * ulp
         # the error is a difference of two estimates of size resabs
         assert abs(batched[1][i] - err) <= 4 * ulp
+
+
+def test_gauss_kronrod_weights_sum_to_two():
+    _, _, w_kronrod, w_gauss = _rule()
+    for weights in (w_kronrod, w_gauss):
+        assert abs(math.fsum(weights) - 2.0) <= 4 * math.ulp(2.0)
+
+
+def test_gauss_kronrod_rules_are_exact_on_monomials():
+    # 15-node Kronrod rule through degree 22, its 7-node Gauss rule through 13
+    _, nodes, w_kronrod, w_gauss = _rule()
+    for weights, degree in ((w_kronrod, 22), (w_gauss, 13)):
+        for k in range(degree + 1):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(math.fsum(weights * nodes**k) - exact) <= 1e-14
+
+
+def _reference_panels(f, a, b):
+    # the panel kernel with its arrays built the way the module once built
+    # them at import time, with np.concatenate over the half tables
+    xgk, wgk, wg = np.array(_XGK_HALF), np.array(_WGK_HALF), np.array(_WG_HALF)
+    nodes = np.concatenate([-xgk[:7], xgk[::-1]])
+    w_kronrod = np.concatenate([wgk[:7], wgk[::-1]])
+    w_gauss = np.zeros(15)
+    w_gauss[1:14:2] = np.concatenate([wg[:3], wg[::-1]])
+    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    x = center[:, None] + half[:, None] * nodes
+    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    kronrod = half * (fx @ w_kronrod)
+    gauss = half * (fx @ w_gauss)
+    return kronrod, np.abs(kronrod - gauss), np.abs(half) * (np.abs(fx) @ w_kronrod)
+
+
+@pytest.mark.parametrize("f", [np.exp, np.sqrt, lambda x: x**7 - 3.0 * x, lambda x: 1.0 / x])
+def test_panels_bit_identical_to_reference_construction(f):
+    rng = np.random.default_rng(11)
+    a = rng.uniform(0.1, 5.0, size=13)
+    b = a + rng.uniform(1e-9, 3.0, size=13)
+    for got, want in zip(_panels(f, a, b), _reference_panels(f, a, b)):
+        assert np.array_equal(got, want)
 
 
 def test_each_bisection_is_one_integrand_call():

@@ -264,3 +264,10 @@ def test_compressible_rejects_bad_inputs():
         compressible_velocity(scn, -1e-9)
     with pytest.raises(ValueError):
         compressible_velocity(scn, 0.0, [0.1, 10.0])
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_compressible_rejects_non_finite_gamma(gamma):
+    # nan and inf once slipped past `gamma < 0` and ended in StepSizeUnderflow
+    with pytest.raises(ValueError, match="gamma"):
+        compressible_velocity(scaled_scenario(), gamma)
