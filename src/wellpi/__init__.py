@@ -37,7 +37,14 @@ from .kinematics import (
     velocity_profile,
     zone_segments,
 )
-from .productivity import PiResult, compute_pi, compute_pis, darcy_ratio, dimensionless_factor
+from .productivity import (
+    PiResult,
+    compute_pi,
+    compute_pis,
+    darcy_ratio,
+    dimensionless_factor,
+    zone_contributions,
+)
 from .quadrature import (
     IntegralResult,
     QuadratureError,
@@ -109,6 +116,7 @@ __all__ = [
     "compute_pis",
     "darcy_ratio",
     "dimensionless_factor",
+    "zone_contributions",
     "ProfileSample",
     "pressure_profile",
     "sample_profile",

@@ -24,7 +24,7 @@ from .constitutive import (
     regime_preset,
 )
 from .kinematics import Geometry, Scenario, flux_density, radius_of_velocity, velocity_profile
-from .productivity import compute_pi, compute_pis
+from .productivity import compute_pi, compute_pis, zone_contributions
 from .quadrature import (
     darcy_zone_integral,
     forchheimer_zone_integral,
@@ -147,16 +147,17 @@ def check_oracle_equivalence(fault_scale: float = 1.0) -> CheckResult:
         for s in (0.3, 0.7):
             scn = _base_scenario("D", q_over_h=q_over_h, s=s)  # compute_pis ignores its regime
             for pi in compute_pis(scn, tuple(REGIME_PRESETS.values())):
+                scn_regime = replace(scn, regime=pi.regime)
                 if fault_scale != 1.0:
                     denom = math.fsum(
                         c * (fault_scale if law is ZoneLaw.FORCHHEIMER else 1.0)
-                        for c, law in zip(pi.contributions, pi.regime.laws())
+                        for c, law in zip(zone_contributions(scn_regime), pi.regime.laws())
                     )
                     geo = scn.geometry
                     j_closed = 2 * math.pi * geo.h * geo.radius_span_sq**2 / denom
                 else:
                     j_closed = pi.j_raw
-                j_profile = pi_from_profile(replace(scn, regime=pi.regime)).j_raw
+                j_profile = pi_from_profile(scn_regime).j_raw
                 worst = max(worst, abs(j_closed - j_profile) / abs(j_profile))
     return CheckResult("oracle-equivalence", worst <= 1e-6, worst, "1e-6")
 

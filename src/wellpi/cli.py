@@ -26,7 +26,7 @@ from typing import Sequence
 from . import __version__
 from .constitutive import FlowParameters, RegimeAssignment, ZoneLaw, preset_name, regime_preset
 from .kinematics import Geometry, Scenario
-from .productivity import PiResult, compute_pi, compute_pis
+from .productivity import PiResult, compute_pi, compute_pis, zone_contributions
 from .reference import (
     BASE_ALPHA,
     BASE_BETA,
@@ -146,10 +146,7 @@ def build_scenario(args: argparse.Namespace) -> Scenario:
                 except ValueError:
                     raise ConfigError(f"{key}: not a number: {text!r}") from None
             elif key == "regime.preset":
-                try:
-                    regime = regime_preset(text)
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from None
+                regime = regime_preset(text)
             else:
                 zone_laws[key.split(".", 1)[1]] = _parse_zone_law(text, key)
 
@@ -159,10 +156,7 @@ def build_scenario(args: argparse.Namespace) -> Scenario:
             values[field] = override
 
     if getattr(args, "regime", None) is not None:
-        try:
-            regime = regime_preset(args.regime)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        regime = regime_preset(args.regime)
     if zone_laws:
         base = regime or regime_preset(_DEFAULT_REGIME)
         regime = RegimeAssignment(
@@ -173,19 +167,14 @@ def build_scenario(args: argparse.Namespace) -> Scenario:
     if regime is None:
         regime = regime_preset(_DEFAULT_REGIME)
 
-    try:
-        params = FlowParameters(
-            alpha=values["alpha"], beta=values["beta"], lambda_=values["lambda_"],
-            s=values["s"], v_D=values["v_D"], v_F=values["v_F"],
-        )
-        if getattr(args, "continuous_predarcy", False):
-            params = params.with_continuous_predarcy()
-        geometry = Geometry(r_e=values["r_e"], r_w=values["r_w"], h=values["h"])
-        return Scenario(
-            geometry=geometry, params=params, regime=regime, q_over_h=values["q_over_h"]
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    params = FlowParameters(
+        alpha=values["alpha"], beta=values["beta"], lambda_=values["lambda_"],
+        s=values["s"], v_D=values["v_D"], v_F=values["v_F"],
+    )
+    if getattr(args, "continuous_predarcy", False):
+        params = params.with_continuous_predarcy()
+    geometry = Geometry(r_e=values["r_e"], r_w=values["r_w"], h=values["h"])
+    return Scenario(geometry=geometry, params=params, regime=regime, q_over_h=values["q_over_h"])
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +184,12 @@ def build_scenario(args: argparse.Namespace) -> Scenario:
 def _write_text(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path!r}: {exc}") from None
 
 
 def _sweep_rows(axis_name: str, axis_value: float, scn: Scenario,
@@ -237,7 +229,7 @@ def cmd_pi(args: argparse.Namespace) -> int:
                  + ("  (clamped)" if part.clamped_fast else ""))
     lines.append(f"r_D               = {_fmt(part.r_D)} m"
                  + ("  (clamped)" if part.clamped_slow else ""))
-    for label, value in zip(("near_well", "middle", "near_boundary"), pi.contributions):
+    for label, value in zip(("near_well", "middle", "near_boundary"), zone_contributions(scn)):
         lines.append(f"S_{label:<16}= {_fmt(value)}")
     print("\n".join(lines))
     if args.out:
@@ -284,10 +276,7 @@ def _scenario_with(scn: Scenario, axis: str, value: float) -> Scenario:
 
 def run_sweep(base: Scenario, axis: str, values: Sequence[float], regimes: Sequence[str]) -> str:
     """CSV text for the sweep, one row per (axis value, regime), axis-major."""
-    try:
-        presets = [regime_preset(name) for name in regimes]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    presets = [regime_preset(name) for name in regimes]
     names = [preset_name(preset) for preset in presets]
     buf = io.StringIO()
     buf.write(",".join(_SWEEP_COLUMNS) + "\n")
@@ -351,11 +340,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     try:
         data = read_measurements_csv(args.input_csv)
-        fit = fit_segments(data)
     except OSError as exc:
         raise ConfigError(f"cannot read {args.input_csv!r}: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    fit = fit_segments(data)
     print(f"s_hat             = {fit.s_hat:.6g}")
     print(f"lambda_hat        = {_fmt(fit.lambda_hat)}")
     print(f"alpha_hat         = {_fmt(fit.alpha_hat)}")
@@ -452,8 +439,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ConfigError, ValueError) as exc:
-        # a ValueError left unmapped is an input the library rejected, e.g.
-        # the continuous pre-Darcy rescaling of a table entry with v_D = 0
+        # a ValueError is an input the library rejected, e.g. an unknown
+        # preset, a Geometry field out of range or too few points to fit; its
+        # message already names the value
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RuntimeError, ArithmeticError) as exc:

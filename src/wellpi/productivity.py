@@ -11,7 +11,8 @@ as well as arbitrary triples.  The dimensionless index is J * alpha / (2 pi h).
 The zone partition does not depend on the regime, so ``compute_pis``
 evaluates several regimes at one scenario from one partition and takes each
 zone integral that two regimes share only once; ``compute_pi`` is its
-one-regime call.
+one-regime call.  ``zone_contributions`` gives the unmerged per-zone S
+values on demand; the PI itself never needs them.
 """
 
 from __future__ import annotations
@@ -27,19 +28,17 @@ from .quadrature import darcy_zone_integral, zone_integral
 
 @dataclass(frozen=True)
 class PiResult:
-    """Productivity index with its zone breakdown.
+    """Productivity index of one regime.
 
     j_raw:           PI in m^3/(Pa*s)
     j_dimensionless: j_raw * alpha / (2 pi h)
     zone_partition:  critical radii used for the zone split
-    contributions:   S values of (near-well, middle, near-boundary) zones
     regime:          the law assignment that produced the result
     """
 
     j_raw: float
     j_dimensionless: float
     zone_partition: ZonePartition
-    contributions: tuple[float, float, float]
     regime: RegimeAssignment
 
 
@@ -59,27 +58,38 @@ def finite_positive(what: str, x: float) -> float:
     return x
 
 
-def _zone_sums(
+def _denominator(
     scn: Scenario, part: ZonePartition, regime: RegimeAssignment, done: dict[Zone, float]
-) -> tuple[tuple[float, float, float], float]:
-    """Per-zone S values and the PI denominator of one regime.
+) -> float:
+    """PI denominator of one regime: the S values of its merged same-law
+    segments, summed.
 
-    The denominator sums the merged same-law segments: a one-zone segment is
-    that zone again, and a longer one is integrated as a whole, so an
-    all-Darcy regime always sums the one integral over [r_w, r_e] and its PI
-    does not depend on where the critical radii fall.  ``done`` maps each
-    zone or segment (lo, hi, law) already integrated at this partition to
-    its S value; nothing in it is integrated again, and new ones are added.
+    A one-zone segment is that zone again, and a longer one is integrated as
+    a whole, so an all-Darcy regime always sums the one integral over
+    [r_w, r_e] and its PI does not depend on where the critical radii fall.
+    ``done`` maps each segment (lo, hi, law) already integrated at this
+    partition to its S value; nothing in it is integrated again, and new
+    ones are added.
     """
-    zones = zone_bounds(scn, part, regime)
     values = []
-    for zone in (*zones, *merge_zones(zones)):
-        value = done.get(zone)
+    for segment in merge_zones(zone_bounds(scn, part, regime)):
+        value = done.get(segment)
         if value is None:
-            lo, hi, law = zone
-            value = done[zone] = zone_integral(scn, law, lo, hi) if lo < hi else 0.0
+            lo, hi, law = segment
+            value = done[segment] = zone_integral(scn, law, lo, hi)
         values.append(value)
-    return tuple(values[:3]), math.fsum(values[3:])
+    return math.fsum(values)
+
+
+def zone_contributions(scn: Scenario) -> tuple[float, float, float]:
+    """S values of the (near-well, middle, near-boundary) zones of the
+    scenario's regime, unmerged; exactly 0.0 for an empty zone.
+
+    Their sum is the PI denominator up to rounding: ``compute_pi`` integrates
+    a run of same-law zones as one segment instead.
+    """
+    zones = zone_bounds(scn, partition_zones(scn), scn.regime)
+    return tuple(zone_integral(scn, law, lo, hi) if lo < hi else 0.0 for lo, hi, law in zones)
 
 
 def compute_pis(scn: Scenario, regimes: Sequence[RegimeAssignment]) -> list[PiResult]:
@@ -91,8 +101,7 @@ def compute_pis(scn: Scenario, regimes: Sequence[RegimeAssignment]) -> list[PiRe
     equals what ``compute_pi`` gives for that regime alone, bit for bit.
 
     The denominator is accumulated over same-law merged segments, so an
-    all-Darcy regime is exactly independent of the flux; per-zone
-    contributions are reported unmerged.
+    all-Darcy regime is exactly independent of the flux.
 
     Raises FloatingPointError when an index or its dimensionless form
     overflows, underflows to zero or is NaN.
@@ -104,13 +113,11 @@ def compute_pis(scn: Scenario, regimes: Sequence[RegimeAssignment]) -> list[PiRe
     done: dict[Zone, float] = {}
     out = []
     for regime in regimes:
-        contributions, total = _zone_sums(scn, part, regime, done)
-        j_raw = finite_positive("PI j_raw", big_l / total)
+        j_raw = finite_positive("PI j_raw", big_l / _denominator(scn, part, regime, done))
         out.append(PiResult(
             j_raw=j_raw,
             j_dimensionless=finite_positive("PI j_dimensionless", j_raw * factor),
             zone_partition=part,
-            contributions=contributions,
             regime=regime,
         ))
     return out
@@ -130,6 +137,6 @@ def darcy_ratio(scn: Scenario) -> float:
     underflows to zero or is NaN.
     """
     geo = scn.geometry
-    _, denom = _zone_sums(scn, partition_zones(scn), scn.regime, {})
+    denom = _denominator(scn, partition_zones(scn), scn.regime, {})
     darcy = darcy_zone_integral(scn, geo.r_w, geo.r_e)
     return finite_positive("Darcy ratio", darcy / denom)

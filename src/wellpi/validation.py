@@ -35,7 +35,6 @@ import numpy as np
 from .constitutive import ZoneLaw, drag_power, pressure_gradient
 from .kinematics import (
     Scenario,
-    Zone,
     flux_density,
     merge_zones,
     partition_zones,
@@ -101,45 +100,18 @@ def _zone_energy(scn: Scenario, law: ZoneLaw, lo: float, hi: float, rel_tol: flo
     return integrate_adaptive(lambda r: r * grad(r) * speed(r), lo, hi, rel_tol=rel_tol).value
 
 
-def _energies(scn: Scenario, zones: Sequence[Zone], rel_tol: float,
-              done: dict[Zone, float]) -> list[float]:
-    """Drag energy of each zone (lo, hi, law), zero for an empty one.
-
-    ``done`` maps each zone already integrated to its energy; nothing in it
-    is integrated again, and new ones are added.
-    """
-    out = []
-    for zone in zones:
-        value = done.get(zone)
-        if value is None:
-            lo, hi, law = zone
-            value = done[zone] = _zone_energy(scn, law, lo, hi, rel_tol) if lo < hi else 0.0
-        out.append(value)
-    return out
-
-
-def _drag_energy(scn: Scenario, segments: Sequence[Zone], rel_tol: float,
-                 done: dict[Zone, float]) -> float:
-    """Sum of the drag energies of the merged segments (see ``_energies``)."""
-    total = 0.0
-    for energy in _energies(scn, segments, rel_tol, done):
-        total += energy
-    return total
-
-
-def _energy_pi(scn: Scenario, energy: float) -> float:
-    """Raw PI Q^2 / (2 pi h E) of the drag energy E over [r_w, r_e]."""
-    q = scn.q
-    return finite_positive("energy-route PI", q * q / (2.0 * math.pi * scn.geometry.h * energy))
-
-
 def pi_from_energy(scn: Scenario, rel_tol: float = 1e-10) -> float:
     """Raw PI from the energy identity J = Q^2 / (2 pi h int r g(v) v^2 dr).
 
+    The drag energy is summed left to right over the merged segments.
     Raises FloatingPointError when the PI overflows, underflows to zero or
     is NaN.
     """
-    return _energy_pi(scn, _drag_energy(scn, zone_segments(scn), rel_tol, {}))
+    energy = 0.0
+    for lo, hi, law in zone_segments(scn):
+        energy += _zone_energy(scn, law, lo, hi, rel_tol)
+    q = scn.q
+    return finite_positive("energy-route PI", q * q / (2.0 * math.pi * scn.geometry.h * energy))
 
 
 def pi_from_profile(
@@ -219,21 +191,11 @@ def pi_from_profile(
     j_raw = q * u_measure / (2.0 * 2.0 * math.pi * geo.h * total_rw)
     finite_positive("profile-route PI", j_raw)
 
-    # the energy route and the per-zone energies share each zone integral
-    energies: dict[Zone, float] = {}
-    j_energy = _energy_pi(scn, _drag_energy(scn, segments, inner_rel_tol, energies))
+    j_energy = pi_from_energy(scn, inner_rel_tol)
     if abs(j_raw - j_energy) > consistency_tol * abs(j_energy):
         raise RuntimeError(
             f"profile and energy routes disagree: {j_raw:.12e} vs {j_energy:.12e}"
         )
-
-    # implied per-zone S values from the energy route: E_zone = A^2 * S_zone
-    a_flux = flux_density(scn)
-    zones = zone_bounds(scn, part, scn.regime)
-    contributions = [
-        energy / (a_flux * a_flux) if lo < hi else 0.0
-        for (lo, hi, _), energy in zip(zones, _energies(scn, zones, inner_rel_tol, energies))
-    ]
 
     return PiResult(
         j_raw=j_raw,
@@ -241,7 +203,6 @@ def pi_from_profile(
             "profile-route PI j_dimensionless", j_raw * dimensionless_factor(scn)
         ),
         zone_partition=part,
-        contributions=tuple(contributions),
         regime=scn.regime,
     )
 

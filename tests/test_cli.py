@@ -1,9 +1,21 @@
 """Command-line interface: exit codes, output contracts, determinism."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from wellpi import compute_pi, load_reference_entries, reference_scenario, synthesize_measurements
+import wellpi
+from wellpi import (
+    RegimeAssignment,
+    ZoneLaw,
+    compute_pi,
+    load_reference_entries,
+    reference_scenario,
+    synthesize_measurements,
+)
 from wellpi.cli import main
 
 from helpers import make_scenario
@@ -93,10 +105,15 @@ def test_pi_out_of_float_range_is_a_numerical_failure(capsys, argv):
     assert "numerical failure" in err
 
 
-def test_invalid_regime(capsys):
+def test_invalid_regime(capsys, tmp_path):
     code, _, err = run_cli(capsys, "pi", "--regime", "bogus")
     assert code == 2
     assert "preset" in err
+    cfg = tmp_path / "bogus.cfg"
+    cfg.write_text("regime.preset = bogus\n")
+    code, out, err = run_cli(capsys, "pi", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown regime preset 'bogus'; expected one of: D, F,")
 
 
 def test_config_file_and_flag_precedence(capsys, tmp_path):
@@ -117,12 +134,36 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     assert "0.1358" in out
 
 
+@pytest.mark.parametrize("near_well, middle, near_boundary", [
+    ("pd", "F", "darcy"),
+    ("pre-darcy", "f", "D"),
+    ("PreDarcy", "Forchheimer", "d"),
+])
+def test_config_sets_the_law_of_each_zone(capsys, tmp_path, near_well, middle, near_boundary):
+    cfg = tmp_path / "zones.cfg"
+    cfg.write_text(
+        f"regime.near_well = {near_well}\n"
+        f"regime.middle = {middle}\n"
+        f"regime.near_boundary = {near_boundary}\n"
+    )
+    code, out, _ = run_cli(capsys, "pi", "--config", str(cfg))
+    assert code == 0
+    assert "regime            = pDFD" in out.splitlines()
+    triple = RegimeAssignment(ZoneLaw.PRE_DARCY, ZoneLaw.FORCHHEIMER, ZoneLaw.DARCY)
+    j = compute_pi(make_scenario(triple)).j_dimensionless
+    assert out.splitlines()[0] == f"j_dimensionless   = {j:.4g} ({j:.8e})"
+
+
 def test_unknown_config_key(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("geometry.radius = 10\n")
     code, _, err = run_cli(capsys, "pi", "--config", str(cfg))
     assert code == 2
     assert "geometry.radius" in err
+    cfg.write_text("regime.near_well = pd\nregime.middle = bogus\n")
+    code, out, err = run_cli(capsys, "pi", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: regime.middle: unknown zone law 'bogus'\n"
 
 
 def test_gamma_is_neither_a_flag_nor_a_config_key(capsys, tmp_path):
@@ -274,6 +315,9 @@ def test_sweep_rejects_unknown_axis_and_empty_lists(capsys):
     code, out, err = run_cli(capsys, "sweep", "--axis", "s", "--values", "0.5", "--regimes", ",")
     assert (code, out) == (2, "")
     assert "at least one regime" in err
+    code, out, err = run_cli(capsys, "sweep", "--axis", "s", "--values", "0.5", "--regimes", "D,bogus")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown regime preset 'bogus'; expected one of: D, F,")
 
 
 # ---------------------------------------------------------------------------
@@ -414,3 +458,31 @@ def test_fit_missing_file(capsys):
     code, _, err = run_cli(capsys, "fit", "/nonexistent/data.csv")
     assert code == 2
     assert "data.csv" in err
+
+
+# ---------------------------------------------------------------------------
+# output paths
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["pi", "sweep", "table", "fit"])
+def test_unwritable_output_path_is_a_config_error(tmp_path, command):
+    # a fresh interpreter, so that a traceback would show on stderr
+    target = str(tmp_path / "missing" / "out.csv")
+    measurements = tmp_path / "meas.csv"
+    _write_measurements(measurements, fit_params(), np.geomspace(1e-9, 1e-6, 20))
+    argv = {
+        "pi": ["pi", "--out", target],
+        "sweep": ["sweep", "--axis", "s", "--values", "0.5", "--out", target],
+        "table": ["table", "1", "--out", target],
+        "fit": ["fit", str(measurements), "--emit-model", target],
+    }[command]
+    src = str(Path(wellpi.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c",
+         f"import sys; sys.path.insert(0, {src!r}); from wellpi.cli import main; sys.exit(main())",
+         *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert f"error: cannot write '{target}'" in proc.stderr
+    assert "Traceback" not in proc.stderr

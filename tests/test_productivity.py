@@ -19,6 +19,7 @@ from wellpi import (
     darcy_ratio,
     regime_preset,
     velocity_profile,
+    zone_contributions,
 )
 
 from helpers import make_scenario
@@ -66,17 +67,25 @@ def test_dimensionless_scaling_is_exact():
 
 def test_contributions_are_nonnegative_and_positioned():
     scn = make_scenario("FDpD")
-    pi = compute_pi(scn)
-    assert len(pi.contributions) == 3
-    assert all(c >= 0.0 for c in pi.contributions)
-    assert pi.j_raw > 0
+    contributions = zone_contributions(scn)
+    assert len(contributions) == 3
+    assert all(c >= 0.0 for c in contributions)
     # slow pre-Darcy zone dominates the drawdown in this case
-    assert pi.contributions[2] > pi.contributions[0] > 0
+    assert contributions[2] > contributions[0] > 0
 
 
 def test_empty_zone_contributes_zero():
-    pi = compute_pi(make_scenario("FDpD", v_D=0.0))
-    assert pi.contributions[2] == 0.0
+    assert zone_contributions(make_scenario("FDpD", v_D=0.0))[2] == 0.0
+
+
+@pytest.mark.parametrize("regime, rel", [("FDpD", 0.0), ("D", 1e-12)])
+def test_zone_contributions_sum_to_the_pi_denominator(regime, rel):
+    # FDpD merges nothing, so its denominator is the same fsum of the same
+    # three integrals; D sums three zones where the PI takes one [r_w, r_e]
+    scn = make_scenario(regime)
+    geo = scn.geometry
+    j_raw = 2.0 * math.pi * geo.h * geo.radius_span_sq**2 / math.fsum(zone_contributions(scn))
+    assert j_raw == pytest.approx(compute_pi(scn).j_raw, rel=rel, abs=0.0)
 
 
 def test_pi_path_runs_no_quadrature(monkeypatch):
@@ -230,9 +239,10 @@ def test_compute_pis_equals_compute_pi_per_regime(s, v_D, v_F_over_v_D, log_q, r
 
 
 @pytest.mark.parametrize("presets, separate, shared", [
-    (("DDpD", "FDpD", "FpDpD", "pure-preDarcy"), 15, 9),
-    (("D", "F", "FDD"), 12, 9),
-], ids=["pre-Darcy", "closed"])
+    (("DDpD", "FDpD", "FpDpD", "pure-preDarcy"), 8, 6),
+    (("D", "F", "FDD"), 4, 4),
+    (("D",), 1, 1),  # the merged [r_w, r_e] only
+], ids=["pre-Darcy", "closed", "all-Darcy"])
 def test_regimes_at_one_scenario_share_zone_integrals(monkeypatch, presets, separate, shared):
     calls = []
     original = wellpi.productivity.zone_integral

@@ -15,15 +15,18 @@ from wellpi import (
     compute_pi,
     flux_density,
     integrate_adaptive,
+    partition_zones,
     pi_from_energy,
     pi_from_profile,
     pressure_profile,
     regime_preset,
     sample_profile,
     velocity_profile,
+    zone_contributions,
     zone_segments,
 )
 from wellpi.constitutive import drag_power
+from wellpi.kinematics import zone_bounds
 
 from helpers import make_scenario
 
@@ -143,10 +146,10 @@ def test_profile_pi_matches_fresh_profile_at_every_node(regime, monkeypatch):
     assert 0 < accepted.count(False) < accepted.count(True)
 
 
-@pytest.mark.parametrize("regime,calls", [("FDpD", 3), ("D", 4)])
+@pytest.mark.parametrize("regime,calls", [("FDpD", 3), ("D", 1)])
 def test_profile_pi_takes_each_zone_energy_once(regime, calls, monkeypatch):
-    # FDpD: three one-zone segments, which are also the three zones;
-    # D: the merged segment [r_w, r_e] and the three zones
+    # one energy per merged segment: FDpD has three one-zone segments,
+    # D the one segment [r_w, r_e]
     seen = []
     zone_energy = wellpi.validation._zone_energy
 
@@ -187,12 +190,15 @@ def test_profile_pi_out_of_float_range_raises():
         pi_from_profile(make_scenario("D", h=1e-320))
 
 
-def test_profile_pi_contributions_match_zone_integrals():
+def test_zone_energies_match_zone_contributions():
+    # a zone's drag energy is A^2 times its S value, so the quadrature energy
+    # of each zone cross-checks its closed-form contribution
     scn = make_scenario("FDpD")
-    by_profile = pi_from_profile(scn).contributions
-    by_integrals = compute_pi(scn).contributions
-    for a, b in zip(by_profile, by_integrals):
-        assert a == pytest.approx(b, rel=1e-8)
+    a_flux = flux_density(scn)
+    zones = zone_bounds(scn, partition_zones(scn), scn.regime)
+    for (lo, hi, law), contribution in zip(zones, zone_contributions(scn)):
+        energy = wellpi.validation._zone_energy(scn, law, lo, hi, 1e-10)
+        assert energy / (a_flux * a_flux) == pytest.approx(contribution, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
