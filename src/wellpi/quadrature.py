@@ -17,9 +17,14 @@ The zone integrals entering the productivity index are
     S_F[r1, r2]  = S_D + beta * A * int (r_e^2 - r^2)^3 / r^2 dr
     S_pD[r1, r2] = lambda * A^(-s) * int (r_e^2 - r^2)^(2-s) * r^(s-1) dr
 
-S_D and S_F have closed antiderivatives; those are evaluated through a
-power-series form near the outer boundary where the textbook expression
-loses most of its significant digits to cancellation.  S_pD has no
+S_D and S_F have closed antiderivatives.  They are written with the width
+d = r2 - r1 factored out of every term (log1p(d / r1) for log(r2 / r1), and
+r2^k - r1^k = d * sum_j r2^j r1^(k-1-j)), so a narrow interval keeps its
+significant digits.  Beyond 0.75 r_e, where the antiderivative loses most of
+its digits to cancellation, they are evaluated through a power series.  On
+[0.75 r_e, r_e] that series depends on r_e only through the factor r_e^4
+(r_e^5 for the inertial term), so a segment ending at r_e takes that part
+from a constant computed once at import.  S_pD has no
 elementary antiderivative for fractional s; the substitution u = r^2 / r_e^2
 turns it into the incomplete beta integral
 
@@ -27,6 +32,7 @@ turns it into the incomplete beta integral
 
 summed as the binomial series of (1-u)^(2-s) for small u and as the
 all-positive series of u^(s/2-1) in x = 1 - u near the outer boundary.
+Its part over u in [0.75^2, 1] depends on s alone and is cached per s.
 """
 
 from __future__ import annotations
@@ -249,11 +255,16 @@ def _darcy_series(r_e: float, r1: float, r2: float) -> float:
 
 
 def _darcy_closed(r_e: float, r1: float, r2: float) -> float:
-    return (
-        r_e**4 * math.log(r2 / r1)
-        - r_e**2 * (r2 - r1) * (r2 + r1)
-        + (r2**4 - r1**4) / 4.0
-    )
+    # every term carries d = r2 - r1 as a factor: log(r2/r1) = log1p(d/r1) and
+    # r2^4 - r1^4 = d (r1 + r2)(r1^2 + r2^2), so a narrow interval keeps its digits
+    d = r2 - r1
+    p = r1 + r2
+    return r_e**4 * math.log1p(d / r1) - d * p * (r_e**2 - (r1 * r1 + r2 * r2) / 4.0)
+
+
+# [_SERIES_CUT * r_e, r_e] spans x in [0, 1 - _SERIES_CUT^2] whatever r_e is, so
+# its series is r_e^4 (r_e^5 for the inertial bracket) times a constant.
+_DARCY_TAIL = _darcy_series(1.0, _SERIES_CUT, 1.0)
 
 
 def _darcy_bracket(r_e: float, r1: float, r2: float) -> float:
@@ -262,7 +273,8 @@ def _darcy_bracket(r_e: float, r1: float, r2: float) -> float:
         return _darcy_series(r_e, r1, r2)
     if r2 <= cut:
         return _darcy_closed(r_e, r1, r2)
-    return _darcy_closed(r_e, r1, cut) + _darcy_series(r_e, cut, r2)
+    tail = _DARCY_TAIL * r_e**4 if r2 == r_e else _darcy_series(r_e, cut, r2)
+    return _darcy_closed(r_e, r1, cut) + tail
 
 
 def _forch_series(r_e: float, r1: float, r2: float) -> float:
@@ -290,12 +302,16 @@ def _forch_series(r_e: float, r1: float, r2: float) -> float:
 
 
 def _forch_closed(r_e: float, r1: float, r2: float) -> float:
-    return (
-        -(r_e**6) * (1.0 / r2 - 1.0 / r1)
-        - 3.0 * r_e**4 * (r2 - r1)
-        + r_e**2 * (r2**3 - r1**3)
-        - (r2**5 - r1**5) / 5.0
-    )
+    # d = r2 - r1 factored out as in _darcy_closed: 1/r1 - 1/r2 = d/(r1 r2) and
+    # r2^k - r1^k = d sum_j r2^j r1^(k-1-j)
+    d = r2 - r1
+    a, b = r1 * r1, r2 * r2
+    cube = a + r1 * r2 + b
+    fifth = a * a + r1 * r2 * (a + b) + a * b + b * b
+    return r_e**6 / r2 * (d / r1) - d * (3.0 * r_e**4 - r_e**2 * cube + fifth / 5.0)
+
+
+_FORCH_TAIL = _forch_series(1.0, _SERIES_CUT, 1.0)
 
 
 def _forch_bracket(r_e: float, r1: float, r2: float) -> float:
@@ -304,7 +320,8 @@ def _forch_bracket(r_e: float, r1: float, r2: float) -> float:
         return _forch_series(r_e, r1, r2)
     if r2 <= cut:
         return _forch_closed(r_e, r1, r2)
-    return _forch_closed(r_e, r1, cut) + _forch_series(r_e, cut, r2)
+    tail = _FORCH_TAIL * r_e**5 if r2 == r_e else _forch_series(r_e, cut, r2)
+    return _forch_closed(r_e, r1, cut) + tail
 
 
 def _beta_series(p0: float, m: float, hi: float, lo: float, width: float) -> float:
@@ -355,6 +372,13 @@ def _predarcy_outer(r_e: float, s: float, r1: float, r2: float) -> float:
     return _beta_series(3.0 - s, -0.5 * s, x1, x2, dx)
 
 
+@functools.lru_cache(maxsize=256)
+def _predarcy_tail(s: float) -> float:
+    # the beta integral over u in [_SERIES_CUT^2, 1] depends on s alone, and a
+    # flux sweep holds s fixed
+    return _predarcy_outer(1.0, s, _SERIES_CUT, 1.0)
+
+
 def _predarcy_bracket(r_e: float, s: float, r1: float, r2: float) -> float:
     # int (r_e^2-r^2)^(2-s) r^(s-1) dr = (r_e^(4-s)/2) int u^(s/2-1) (1-u)^(2-s) du
     cut = _SERIES_CUT * r_e
@@ -363,7 +387,8 @@ def _predarcy_bracket(r_e: float, s: float, r1: float, r2: float) -> float:
     elif r2 <= cut:
         beta = _predarcy_inner(r_e, s, r1, r2)
     else:
-        beta = _predarcy_inner(r_e, s, r1, cut) + _predarcy_outer(r_e, s, cut, r2)
+        tail = _predarcy_tail(s) if r2 == r_e else _predarcy_outer(r_e, s, cut, r2)
+        beta = _predarcy_inner(r_e, s, r1, cut) + tail
     return 0.5 * r_e ** (4.0 - s) * beta
 
 

@@ -1,0 +1,73 @@
+"""Closed-form S_D and S_F against a 40-digit mpmath reference.
+
+As in ``test_predarcy_reference.py``, the reference integrates the same
+binary radii at 40 significant digits, split at the series cut.  The
+intervals cover each branch of the brackets: the closed form below the cut,
+the series above it, both across it, the precomputed tail [r1, r_e] for r1
+below the cut, and narrow intervals below the cut, where r2^k - r1^k and
+log(r2 / r1) of the textbook antiderivative cancel to a few digits.
+"""
+
+import pytest
+
+from wellpi import darcy_zone_integral, flux_density, forchheimer_zone_integral
+
+from helpers import make_scenario
+
+mp = pytest.importorskip("mpmath")
+
+R_E, R_W = 1000.0, 0.3
+INTERVALS = {
+    "whole-annulus": (R_W, R_E),  # also the tail [r_w, r_e]
+    "from-well": (R_W, 120.0),
+    "well-sliver": (R_W, R_W * (1.0 + 1e-8)),
+    "boundary-sliver": (R_E * (1.0 - 1e-6), R_E),
+    "tail-0.1": (0.1 * R_E, R_E),
+    "tail-0.5": (0.5 * R_E, R_E),
+    "tail-0.7499": (0.7499 * R_E, R_E),
+    "across-series-cut": (700.0, 800.0),
+    "outer-part": (760.0, 999.0),
+    "narrow-100-1e-9": (100.0, 100.0 * (1.0 + 1e-9)),
+    "narrow-100-1e-12": (100.0, 100.0 * (1.0 + 1e-12)),
+    "narrow-700-1e-9": (700.0, 700.0 * (1.0 + 1e-9)),
+    "narrow-700-1e-12": (700.0, 700.0 * (1.0 + 1e-12)),
+}
+
+
+def _quad(f, scn, r1, r2):
+    r_e = mp.mpf(scn.geometry.r_e)
+    nodes = [mp.mpf(r1)]
+    cut = mp.mpf(0.75) * r_e
+    if r1 < cut < r2:
+        nodes.append(cut)
+    nodes.append(mp.mpf(r2))
+    return mp.quad(lambda r: f(r_e, r), nodes)
+
+
+def _darcy_reference(scn, r1, r2):
+    return mp.mpf(scn.params.alpha) * _quad(lambda r_e, r: (r_e**2 - r**2) ** 2 / r, scn, r1, r2)
+
+
+def _forchheimer_reference(scn, r1, r2):
+    inertial = _quad(lambda r_e, r: (r_e**2 - r**2) ** 3 / r**2, scn, r1, r2)
+    scale = mp.mpf(scn.params.beta) * mp.mpf(flux_density(scn))
+    return _darcy_reference(scn, r1, r2) + scale * inertial
+
+
+CASES = {
+    "S_D": (darcy_zone_integral, _darcy_reference),
+    # at Q/h = 1 the inertial term is the larger part over the whole annulus
+    "S_F": (forchheimer_zone_integral, _forchheimer_reference),
+}
+
+
+@pytest.mark.parametrize("law", list(CASES))
+@pytest.mark.parametrize("name", list(INTERVALS))
+def test_closed_form_matches_mpmath(name, law):
+    scn = make_scenario("F" if law == "S_F" else "D", q_over_h=1.0)
+    closed, reference = CASES[law]
+    r1, r2 = INTERVALS[name]
+    got = closed(scn, r1, r2)
+    with mp.workdps(40):
+        want = reference(scn, r1, r2)
+        assert float(abs(got - want) / want) <= 1e-13

@@ -8,6 +8,7 @@ import pytest
 from wellpi import (
     QuadratureError,
     ZoneLaw,
+    compute_pi,
     darcy_zone_integral,
     flux_density,
     forchheimer_zone_integral,
@@ -16,6 +17,7 @@ from wellpi import (
     zone_integral,
 )
 
+from wellpi import quadrature
 from wellpi.quadrature import _WG_HALF, _WGK_HALF, _XGK_HALF, _panels, _rule
 
 from helpers import make_scenario
@@ -199,6 +201,62 @@ def test_closed_forms_survive_near_boundary_cancellation(r1, r2):
     assert forchheimer_zone_integral(scn, r1, r2) == pytest.approx(
         _quad_forch(scn, r1, r2), rel=1e-9
     )
+
+
+# ---------------------------------------------------------------------------
+# the precomputed tail [r1, r_e] for r1 below the series cut
+# ---------------------------------------------------------------------------
+
+TAIL_STARTS = (3e-4, 0.1, 0.5, 0.7499)  # r1 / r_e; 3e-4 is r_w / r_e of the baseline
+
+
+@pytest.mark.parametrize("regime", ["D", "F", "FDD"])
+def test_pi_at_base_scenario_runs_no_darcy_or_forchheimer_series(regime, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("series evaluated on a segment ending at r_e")
+
+    monkeypatch.setattr(quadrature, "_darcy_series", refuse)
+    monkeypatch.setattr(quadrature, "_forch_series", refuse)
+    assert compute_pi(make_scenario(regime)).j_raw > 0
+
+
+@pytest.mark.parametrize("r_e", [1.0, 10.0, 437.3, 1000.0, 1e5])
+@pytest.mark.parametrize("start", TAIL_STARTS)
+def test_tail_equals_split_closed_form_plus_series(r_e, start):
+    r1, cut = start * r_e, quadrature._SERIES_CUT * r_e
+    for bracket, closed, series in (
+        (quadrature._darcy_bracket, quadrature._darcy_closed, quadrature._darcy_series),
+        (quadrature._forch_bracket, quadrature._forch_closed, quadrature._forch_series),
+    ):
+        split = closed(r_e, r1, cut) + series(r_e, cut, r_e)
+        assert abs(bracket(r_e, r1, r_e) - split) <= 4 * math.ulp(split)
+
+
+@pytest.mark.parametrize("s", [0.0, 1e-9, 0.3, 0.5, 1.0 - 1e-9, 1.0])
+def test_predarcy_tail_equals_outer_series(s):
+    for r_e in (1.0, 437.3, 1000.0, 1e5):
+        outer = quadrature._predarcy_outer(r_e, s, quadrature._SERIES_CUT * r_e, r_e)
+        assert abs(quadrature._predarcy_tail(s) - outer) <= 4 * math.ulp(outer)
+
+
+def test_predarcy_tail_of_a_repeated_power_is_computed_once(monkeypatch):
+    calls = []
+    outer = quadrature._predarcy_outer
+
+    def spy(*args):
+        calls.append(args)
+        return outer(*args)
+
+    monkeypatch.setattr(quadrature, "_predarcy_outer", spy)
+    quadrature._predarcy_tail.cache_clear()
+    try:
+        for q_over_h in (1e-6, 1e-4, 1e-2):
+            predarcy_zone_integral(make_scenario(s=0.3, q_over_h=q_over_h), 0.3, 1000.0)
+        assert len(calls) == 1
+        predarcy_zone_integral(make_scenario(s=0.4), 0.3, 1000.0)
+        assert len(calls) == 2
+    finally:
+        quadrature._predarcy_tail.cache_clear()
 
 
 # ---------------------------------------------------------------------------
