@@ -93,15 +93,20 @@ def check_radius_roundtrip() -> CheckResult:
     return CheckResult("inverse-radius-roundtrip", worst <= 1e-10, worst, "1e-10")
 
 
-def check_closed_vs_quadrature(n_intervals: int = 100, seed: int = 20240814) -> CheckResult:
+# random subintervals of check_closed_vs_quadrature, and their seed
+_QUAD_INTERVALS = 100
+_QUAD_SEED = 20240814
+
+
+def check_closed_vs_quadrature() -> CheckResult:
     """Closed-form S_D, S_F and S_pD match adaptive quadrature on random
     subintervals; S_pD with s drawn per interval from [0, 1], both ends included."""
     scn = _base_scenario("D")
     geo = scn.geometry
     a_flux = flux_density(scn)
-    rng = np.random.default_rng(seed)
-    intervals = np.sort(rng.uniform(geo.r_w, geo.r_e, size=(n_intervals, 2)), axis=1)
-    powers = rng.uniform(0.0, 1.0, size=n_intervals)
+    rng = np.random.default_rng(_QUAD_SEED)
+    intervals = np.sort(rng.uniform(geo.r_w, geo.r_e, size=(_QUAD_INTERVALS, 2)), axis=1)
+    powers = rng.uniform(0.0, 1.0, size=_QUAD_INTERVALS)
     powers[:2] = (0.0, 1.0)
     worst = 0.0
     for (r1, r2), s in zip(intervals, powers):

@@ -196,12 +196,16 @@ def read_measurements_csv(path: str) -> list[FlowMeasurement]:
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            rows = iter(list(reader))
+        except csv.Error as exc:  # e.g. a field beyond the csv module's size limit
+            raise ValueError(f"row {reader.line_num}: {exc}") from None
+        header = next(rows, None)
         if header is None or [c.strip() for c in header] != list(CSV_COLUMNS):
             raise ValueError(
                 f"expected header '{', '.join(CSV_COLUMNS)}', got {header!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(rows, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != 2:

@@ -21,12 +21,15 @@ S_D and S_F have closed antiderivatives.  They are written with the width
 d = r2 - r1 factored out of every term (log1p(d / r1) for log(r2 / r1), and
 r2^k - r1^k = d * sum_j r2^j r1^(k-1-j)), so a narrow interval keeps its
 significant digits.  Beyond 0.75 r_e, where the antiderivative loses most of
-its digits to cancellation, they are evaluated through a power series.  On
-[0.75 r_e, r_e] that series depends on r_e only through the factor r_e^4
-(r_e^5 for the inertial term), so a segment ending at r_e takes that part
-from a constant computed once at import.  S_pD has no
-elementary antiderivative for fractional s; the substitution u = r^2 / r_e^2
-turns it into the incomplete beta integral
+its digits to cancellation, one series kernel in x = (r_e^2 - r^2) / r_e^2
+sums both: (r_e^degree / 2) sum_k c_k (x1^m - x2^m) / m, m = first + k, with
+c_k the coefficients of (1-x)^(-1) from m = 3 for S_D and of (1-x)^(-3/2)
+from m = 4 for the inertial term, each law with its table of c_k / m.  On
+[0.75 r_e, r_e] the series depends on r_e only through r_e^degree, so a
+segment ending at r_e takes that part from a constant computed at import.
+
+S_pD has no elementary antiderivative for fractional s; the substitution
+u = r^2 / r_e^2 turns it into the incomplete beta integral
 
     S_pD = lambda * A^(-s) * r_e^(4-s) / 2 * int u^(s/2-1) (1-u)^(2-s) du,
 
@@ -41,7 +44,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .constitutive import ZoneLaw
 from .kinematics import Scenario, flux_density
@@ -102,8 +105,8 @@ def _rule():
 
 #: Default subdivision cap; plenty for smooth integrands on a bounded interval.
 DEFAULT_MAX_PANELS = 2000
-#: Default absolute tolerance: in effect, the relative tolerance alone decides.
-DEFAULT_ABS_TOL = 1e-300
+# Absolute tolerance: in effect, the relative tolerance alone decides.
+_ABS_TOL = 1e-300
 
 
 @dataclass(frozen=True)
@@ -149,12 +152,12 @@ def _panel_list(f: Callable[[np.ndarray], np.ndarray], a: list, b: list) -> list
     return list(zip(a, b, values.tolist(), errs.tolist(), resabs.tolist()))
 
 
-def _converged(value: float, err: float, resabs: float, rel_tol: float, abs_tol: float) -> bool:
+def _converged(value: float, err: float, resabs: float, rel_tol: float) -> bool:
     """The acceptance test of integrate_adaptive: the error is finite and
-    within max(abs_tol, rel_tol * |value|), or at the roundoff floor of the
+    within max(1e-300, rel_tol * |value|), or at the roundoff floor of the
     integrand, where no further subdivision can help."""
     return math.isfinite(err) and (
-        err <= max(abs_tol, rel_tol * abs(value)) or err <= 100.0 * _EPS * resabs
+        err <= max(_ABS_TOL, rel_tol * abs(value)) or err <= 100.0 * _EPS * resabs
     )
 
 
@@ -163,10 +166,9 @@ def integrate_adaptive(
     a: float,
     b: float,
     rel_tol: float = 1e-10,
-    abs_tol: float = DEFAULT_ABS_TOL,
     max_panels: int = DEFAULT_MAX_PANELS,
 ) -> IntegralResult:
-    """Integrate f over [a, b] to max(abs_tol, rel_tol * |value|).
+    """Integrate f over [a, b] to max(1e-300, rel_tol * |value|).
 
     ``f`` receives one 1-D float array, the 15 * n Gauss-Kronrod nodes of
     the n panels evaluated together, and must return an array of the same
@@ -184,8 +186,8 @@ def integrate_adaptive(
     """
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
-    if rel_tol <= 0 or abs_tol <= 0:
-        raise ValueError("tolerances must be positive")
+    if rel_tol <= 0:
+        raise ValueError("rel_tol must be positive")
     if a == b:
         return IntegralResult(0.0, 0.0, 0)
 
@@ -200,7 +202,7 @@ def integrate_adaptive(
             )
         value = math.fsum(p[2] for p in panels)
         resabs = math.fsum(p[4] for p in panels)
-        if _converged(value, err, resabs, rel_tol, abs_tol):
+        if _converged(value, err, resabs, rel_tol):
             return IntegralResult(value, err, len(panels))
         if len(panels) >= max_panels:
             best = IntegralResult(value, err, len(panels))
@@ -234,71 +236,12 @@ def _check_interval(scn: Scenario, r1: float, r2: float) -> None:
         )
 
 
-def _darcy_series(r_e: float, r1: float, r2: float) -> float:
-    # int (r_e^2-r^2)^2/r dr = (r_e^4/2) sum_{m>=3} (x1^m - x2^m)/m, with
-    # x = (r_e^2 - r^2)/r_e^2;  x1^m - x2^m = dx * h_m keeps every term positive.
-    x1 = (r_e - r1) * (r_e + r1) / r_e**2
-    x2 = (r_e - r2) * (r_e + r2) / r_e**2
-    dx = (r2 - r1) * (r2 + r1) / r_e**2
-    h = 1.0  # h_m = sum_{j<m} x1^j x2^(m-1-j)
-    p2 = 1.0  # x2^m
-    total = 0.0
-    for m in range(1, 600):
-        if m >= 3:
-            term = h / m
-            total += term
-            if term < 1e-17 * total:
-                break
-        p2 *= x2
-        h = x1 * h + p2
-    return 0.5 * r_e**4 * dx * total
-
-
 def _darcy_closed(r_e: float, r1: float, r2: float) -> float:
     # every term carries d = r2 - r1 as a factor: log(r2/r1) = log1p(d/r1) and
     # r2^4 - r1^4 = d (r1 + r2)(r1^2 + r2^2), so a narrow interval keeps its digits
     d = r2 - r1
     p = r1 + r2
     return r_e**4 * math.log1p(d / r1) - d * p * (r_e**2 - (r1 * r1 + r2 * r2) / 4.0)
-
-
-# [_SERIES_CUT * r_e, r_e] spans x in [0, 1 - _SERIES_CUT^2] whatever r_e is, so
-# its series is r_e^4 (r_e^5 for the inertial bracket) times a constant.
-_DARCY_TAIL = _darcy_series(1.0, _SERIES_CUT, 1.0)
-
-
-def _darcy_bracket(r_e: float, r1: float, r2: float) -> float:
-    cut = _SERIES_CUT * r_e
-    if r1 >= cut:
-        return _darcy_series(r_e, r1, r2)
-    if r2 <= cut:
-        return _darcy_closed(r_e, r1, r2)
-    tail = _DARCY_TAIL * r_e**4 if r2 == r_e else _darcy_series(r_e, cut, r2)
-    return _darcy_closed(r_e, r1, cut) + tail
-
-
-def _forch_series(r_e: float, r1: float, r2: float) -> float:
-    # int (r_e^2-r^2)^3/r^2 dr = (r_e^5/2) sum_k c_k (x1^(k+4)-x2^(k+4))/(k+4)
-    # with c_k the series coefficients of (1-x)^(-3/2).
-    x1 = (r_e - r1) * (r_e + r1) / r_e**2
-    x2 = (r_e - r2) * (r_e + r2) / r_e**2
-    dx = (r2 - r1) * (r2 + r1) / r_e**2
-    h = 1.0
-    p2 = 1.0
-    total = 0.0
-    c = 1.0
-    for m in range(1, 800):
-        if m >= 4:
-            k = m - 4
-            if k > 0:
-                c *= (2 * k + 1) / (2 * k)
-            term = c * h / m
-            total += term
-            if term < 1e-17 * total:
-                break
-        p2 *= x2
-        h = x1 * h + p2
-    return 0.5 * r_e**5 * dx * total
 
 
 def _forch_closed(r_e: float, r1: float, r2: float) -> float:
@@ -311,17 +254,64 @@ def _forch_closed(r_e: float, r1: float, r2: float) -> float:
     return r_e**6 / r2 * (d / r1) - d * (3.0 * r_e**4 - r_e**2 * cube + fifth / 5.0)
 
 
-_FORCH_TAIL = _forch_series(1.0, _SERIES_CUT, 1.0)
+class _XLaw(NamedTuple):
+    """S_D or the inertial part of S_F: closed form and series terms."""
+
+    closed: Callable[[float, float, float], float]
+    degree: int
+    first: int
+    weights: tuple[float, ...]  # c_k / m for m = first, first + 1, ...
+    tail: float  # the series over [_SERIES_CUT, 1] on the unit reservoir
 
 
-def _forch_bracket(r_e: float, r1: float, r2: float) -> float:
+def _x_series(law: _XLaw, r_e: float, r1: float, r2: float) -> float:
+    # x = (r_e^2 - r^2)/r_e^2;  x1^m - x2^m = dx * h_m keeps every term positive
+    x1 = (r_e - r1) * (r_e + r1) / r_e**2
+    x2 = (r_e - r2) * (r_e + r2) / r_e**2
+    dx = (r2 - r1) * (r2 + r1) / r_e**2
+    h = 1.0  # h_m = sum_{j<m} x1^j x2^(m-1-j)
+    p2 = 1.0  # x2^m
+    for _ in range(law.first - 1):
+        p2 *= x2
+        h = x1 * h + p2
+    total = 0.0
+    for w in law.weights:
+        term = w * h
+        total += term
+        if term < 1e-17 * total:
+            break
+        p2 *= x2
+        h = x1 * h + p2
+    return 0.5 * r_e**law.degree * dx * total
+
+
+def _x_law(
+    closed: Callable[[float, float, float], float], degree: int, first: int, power: float, last: int
+) -> _XLaw:
+    # c_k of (1-x)^(-power): c_0 = 1, c_k = c_(k-1) (k - 1 + power) / k
+    weights, c = [], 1.0
+    for m in range(first, last):
+        k = m - first
+        if k > 0:
+            c *= (k - 1 + power) / k
+        weights.append(c / m)
+    law = _XLaw(closed, degree, first, tuple(weights), 0.0)
+    # [_SERIES_CUT * r_e, r_e] spans x in [0, 1 - _SERIES_CUT^2] whatever r_e is
+    return law._replace(tail=_x_series(law, 1.0, _SERIES_CUT, 1.0))
+
+
+_DARCY = _x_law(_darcy_closed, 4, 3, 1.0, 600)
+_FORCH = _x_law(_forch_closed, 5, 4, 1.5, 800)
+
+
+def _x_bracket(law: _XLaw, r_e: float, r1: float, r2: float) -> float:
     cut = _SERIES_CUT * r_e
     if r1 >= cut:
-        return _forch_series(r_e, r1, r2)
+        return _x_series(law, r_e, r1, r2)
     if r2 <= cut:
-        return _forch_closed(r_e, r1, r2)
-    tail = _FORCH_TAIL * r_e**5 if r2 == r_e else _forch_series(r_e, cut, r2)
-    return _forch_closed(r_e, r1, cut) + tail
+        return law.closed(r_e, r1, r2)
+    tail = law.tail * r_e**law.degree if r2 == r_e else _x_series(law, r_e, cut, r2)
+    return law.closed(r_e, r1, cut) + tail
 
 
 def _beta_series(p0: float, m: float, hi: float, lo: float, width: float) -> float:
@@ -397,7 +387,7 @@ def darcy_zone_integral(scn: Scenario, r1: float, r2: float) -> float:
     _check_interval(scn, r1, r2)
     if r1 == r2:
         return 0.0
-    return scn.params.alpha * _darcy_bracket(scn.geometry.r_e, r1, r2)
+    return scn.params.alpha * _x_bracket(_DARCY, scn.geometry.r_e, r1, r2)
 
 
 def forchheimer_zone_integral(scn: Scenario, r1: float, r2: float) -> float:
@@ -406,8 +396,8 @@ def forchheimer_zone_integral(scn: Scenario, r1: float, r2: float) -> float:
     if r1 == r2:
         return 0.0
     r_e = scn.geometry.r_e
-    darcy = scn.params.alpha * _darcy_bracket(r_e, r1, r2)
-    inertial = scn.params.beta * flux_density(scn) * _forch_bracket(r_e, r1, r2)
+    darcy = scn.params.alpha * _x_bracket(_DARCY, r_e, r1, r2)
+    inertial = scn.params.beta * flux_density(scn) * _x_bracket(_FORCH, r_e, r1, r2)
     return darcy + inertial
 
 

@@ -43,7 +43,15 @@ from .kinematics import (
     zone_segments,
 )
 from .productivity import PiResult, dimensionless_factor, finite_positive
-from .quadrature import DEFAULT_ABS_TOL, _converged, _panels, integrate_adaptive
+from .quadrature import _converged, _panels, integrate_adaptive
+
+# relative tolerances: W(r), zone energies and the inner integrals of
+# pi_from_profile; its outer integral of r W(r); the agreement of its two
+# routes; and the RK step controller of compressible_velocity
+_INNER_REL_TOL = 1e-10
+_OUTER_REL_TOL = 1e-9
+_CONSISTENCY_TOL = 1e-7
+_RK_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,7 +77,7 @@ def _grad_fun(scn: Scenario, law: ZoneLaw) -> Callable[[np.ndarray], np.ndarray]
     return lambda r: pressure_gradient(p, law, speed(r))
 
 
-def pressure_profile(scn: Scenario, r: float, rel_tol: float = 1e-10) -> float:
+def pressure_profile(scn: Scenario, r: float) -> float:
     """W(r) = int_{r_w}^{r} g(v) v drho, zero at the well, nondecreasing."""
     geo = scn.geometry
     if not geo.r_w <= r <= geo.r_e:
@@ -79,28 +87,26 @@ def pressure_profile(scn: Scenario, r: float, rel_tol: float = 1e-10) -> float:
         if r <= a:
             break
         hi = min(r, b)
-        total += integrate_adaptive(_grad_fun(scn, law), a, hi, rel_tol=rel_tol).value
+        total += integrate_adaptive(_grad_fun(scn, law), a, hi, rel_tol=_INNER_REL_TOL).value
     return total
 
 
-def sample_profile(
-    scn: Scenario, radii: Sequence[float], rel_tol: float = 1e-10
-) -> list[ProfileSample]:
+def sample_profile(scn: Scenario, radii: Sequence[float]) -> list[ProfileSample]:
     """Profile samples (r, W(r), v(r)) at the given radii."""
     return [
-        ProfileSample(r=float(r), w=pressure_profile(scn, float(r), rel_tol), v=velocity_profile(scn, float(r)))
+        ProfileSample(r=float(r), w=pressure_profile(scn, float(r)), v=velocity_profile(scn, float(r)))
         for r in radii
     ]
 
 
-def _zone_energy(scn: Scenario, law: ZoneLaw, lo: float, hi: float, rel_tol: float) -> float:
+def _zone_energy(scn: Scenario, law: ZoneLaw, lo: float, hi: float) -> float:
     """int_lo^hi r g(v) v^2 dr along one zone law."""
     grad = _grad_fun(scn, law)
     speed = _speed_fun(scn)
-    return integrate_adaptive(lambda r: r * grad(r) * speed(r), lo, hi, rel_tol=rel_tol).value
+    return integrate_adaptive(lambda r: r * grad(r) * speed(r), lo, hi, rel_tol=_INNER_REL_TOL).value
 
 
-def pi_from_energy(scn: Scenario, rel_tol: float = 1e-10) -> float:
+def pi_from_energy(scn: Scenario) -> float:
     """Raw PI from the energy identity J = Q^2 / (2 pi h int r g(v) v^2 dr).
 
     The drag energy is summed left to right over the merged segments.
@@ -109,17 +115,12 @@ def pi_from_energy(scn: Scenario, rel_tol: float = 1e-10) -> float:
     """
     energy = 0.0
     for lo, hi, law in zone_segments(scn):
-        energy += _zone_energy(scn, law, lo, hi, rel_tol)
+        energy += _zone_energy(scn, law, lo, hi)
     q = scn.q
     return finite_positive("energy-route PI", q * q / (2.0 * math.pi * scn.geometry.h * energy))
 
 
-def pi_from_profile(
-    scn: Scenario,
-    outer_rel_tol: float = 1e-9,
-    inner_rel_tol: float = 1e-10,
-    consistency_tol: float = 1e-7,
-) -> PiResult:
+def pi_from_profile(scn: Scenario) -> PiResult:
     """PI recomputed from the pressure profile by nested quadrature.
 
     The drawdown denominator int_U W dx is evaluated as
@@ -132,7 +133,7 @@ def pi_from_profile(
     in one integrand call; a gap whose panel fails the acceptance test of
     ``integrate_adaptive`` is integrated adaptively instead.  The result is
     cross-checked against the energy-identity route; disagreement beyond
-    ``consistency_tol`` signals a quadrature failure.  Raises
+    ``_CONSISTENCY_TOL`` signals a quadrature failure.  Raises
     FloatingPointError when the PI overflows, underflows to zero or is NaN,
     where both routes could agree on 0.
     """
@@ -143,7 +144,7 @@ def pi_from_profile(
     # cumulative W at segment starts
     w_base = [0.0]
     for a, b, law in segments:
-        piece = integrate_adaptive(_grad_fun(scn, law), a, b, rel_tol=inner_rel_tol)
+        piece = integrate_adaptive(_grad_fun(scn, law), a, b, rel_tol=_INNER_REL_TOL)
         w_base.append(w_base[-1] + piece.value)
 
     total_rw = 0.0
@@ -175,8 +176,8 @@ def pi_from_profile(
             for i, (r, lo, base, value, err, res) in enumerate(zip(
                 nodes, starts, bases, values.tolist(), errs.tolist(), resabs.tolist()
             )):
-                if not _converged(value, err, res, inner_rel_tol, DEFAULT_ABS_TOL):
-                    value = integrate_adaptive(grad, lo, r, rel_tol=inner_rel_tol).value
+                if not _converged(value, err, res, _INNER_REL_TOL):
+                    value = integrate_adaptive(grad, lo, r, rel_tol=_INNER_REL_TOL).value
                 w = (w if base is None else base) + value
                 k = bisect.bisect_right(known_r, r)
                 known_r.insert(k, r)
@@ -184,15 +185,15 @@ def pi_from_profile(
                 out[i] = r * (w0 + w)
             return out
 
-        total_rw += integrate_adaptive(outer_integrand, a, b, rel_tol=outer_rel_tol).value
+        total_rw += integrate_adaptive(outer_integrand, a, b, rel_tol=_OUTER_REL_TOL).value
 
     q = scn.q
     u_measure = 2.0 * math.pi * geo.h * geo.radius_span_sq
     j_raw = q * u_measure / (2.0 * 2.0 * math.pi * geo.h * total_rw)
     finite_positive("profile-route PI", j_raw)
 
-    j_energy = pi_from_energy(scn, inner_rel_tol)
-    if abs(j_raw - j_energy) > consistency_tol * abs(j_energy):
+    j_energy = pi_from_energy(scn)
+    if abs(j_raw - j_energy) > _CONSISTENCY_TOL * abs(j_energy):
         raise RuntimeError(
             f"profile and energy routes disagree: {j_raw:.12e} vs {j_energy:.12e}"
         )
@@ -234,7 +235,6 @@ def compressible_velocity(
     scn: Scenario,
     gamma: float,
     radii: Sequence[float] | None = None,
-    rel_tol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Speed profile v_gamma sampled at the given radii (ascending).
 
@@ -243,7 +243,7 @@ def compressible_velocity(
     incompressible profile.
 
     The controller bounds each step's local error only, so the outputs
-    reproduce to about 2e-11 of max v, not to ``rel_tol``: a change of a few
+    reproduce to about 2e-11 of max v, not to ``_RK_REL_TOL``: a change of a few
     ulp per right-hand-side evaluation moves ``v_gamma`` by that much (seen
     on the base FDpD scenario at gamma = 1e-8).  A gate on these outputs
     should be set from that floor.
@@ -268,7 +268,7 @@ def compressible_velocity(
     r, u = geo.r_e, 0.0
     values: dict[float, float] = {}
     h_prop = -(geo.r_e - geo.r_w) / 100.0  # proposed (negative) step
-    abs_floor = rel_tol * a_flux * geo.r_e**2  # scale of max |r v|
+    abs_floor = _RK_REL_TOL * a_flux * geo.r_e**2  # scale of max |r v|
 
     for target in targets[::-1]:
         if target == geo.r_e:
@@ -285,7 +285,7 @@ def compressible_velocity(
             u5 = u + h * sum(map(mul, _DP_B5, k))
             u4 = u + h * sum(map(mul, _DP_B4, k))
             err = abs(u5 - u4)
-            tol = abs_floor + rel_tol * max(abs(u), abs(u5))
+            tol = abs_floor + _RK_REL_TOL * max(abs(u), abs(u5))
             if err <= tol:
                 r = target if landing else r + h
                 u = u5

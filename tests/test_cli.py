@@ -454,6 +454,18 @@ def test_fit_nonpositive_velocity_names_row(capsys, tmp_path):
     assert "row 3" in err
 
 
+def test_fit_oversized_field_names_row(capsys, tmp_path):
+    # the csv module rejects a field over 131072 characters
+    path = tmp_path / "meas.csv"
+    path.write_text(
+        "v_m_per_s,grad_p_pa_per_m\n1e-7,1e3\n1e-6," + "1" * 200_000 + "\n"
+    )
+    code, _, err = run_cli(capsys, "fit", str(path))
+    assert code == 2
+    assert err.startswith("error: row 3: field larger than field limit")
+    assert "Traceback" not in err
+
+
 def test_fit_missing_file(capsys):
     code, _, err = run_cli(capsys, "fit", "/nonexistent/data.csv")
     assert code == 2

@@ -3,8 +3,9 @@
 As in ``test_predarcy_reference.py``, the reference integrates the same
 binary radii at 40 significant digits, split at the series cut.  The
 intervals cover each branch of the brackets: the closed form below the cut,
-the series above it, both across it, the precomputed tail [r1, r_e] for r1
-below the cut, and narrow intervals below the cut, where r2^k - r1^k and
+the series above it (from the cut itself, where it runs longest, and on a
+sliver there), both across it, the precomputed tail [r1, r_e] for r1 below
+the cut, and narrow intervals below the cut, where r2^k - r1^k and
 log(r2 / r1) of the textbook antiderivative cancel to a few digits.
 """
 
@@ -27,6 +28,9 @@ INTERVALS = {
     "tail-0.7499": (0.7499 * R_E, R_E),
     "across-series-cut": (700.0, 800.0),
     "outer-part": (760.0, 999.0),
+    # r1 on the cut: the series at its largest x1 = 1 - 0.75^2, not the tail
+    "from-series-cut": (0.75 * R_E, R_E),
+    "cut-sliver": (750.0, 750.0 * (1.0 + 1e-9)),
     "narrow-100-1e-9": (100.0, 100.0 * (1.0 + 1e-9)),
     "narrow-100-1e-12": (100.0, 100.0 * (1.0 + 1e-12)),
     "narrow-700-1e-9": (700.0, 700.0 * (1.0 + 1e-9)),

@@ -31,6 +31,9 @@ INTERVALS = {
     "boundary-sliver": (R_E * (1.0 - 1e-6), R_E),
     "across-series-cut": (700.0, 800.0),
     "outer-part": (760.0, 999.0),
+    # r1 on the cut: the series at its largest x1 = 1 - 0.75^2, not the tail
+    "from-series-cut": (0.75 * R_E, R_E),
+    "cut-sliver": (750.0, 750.0 * (1.0 + 1e-9)),
 }
 
 

@@ -215,8 +215,7 @@ def test_pi_at_base_scenario_runs_no_darcy_or_forchheimer_series(regime, monkeyp
     def refuse(*args):
         raise AssertionError("series evaluated on a segment ending at r_e")
 
-    monkeypatch.setattr(quadrature, "_darcy_series", refuse)
-    monkeypatch.setattr(quadrature, "_forch_series", refuse)
+    monkeypatch.setattr(quadrature, "_x_series", refuse)
     assert compute_pi(make_scenario(regime)).j_raw > 0
 
 
@@ -224,12 +223,9 @@ def test_pi_at_base_scenario_runs_no_darcy_or_forchheimer_series(regime, monkeyp
 @pytest.mark.parametrize("start", TAIL_STARTS)
 def test_tail_equals_split_closed_form_plus_series(r_e, start):
     r1, cut = start * r_e, quadrature._SERIES_CUT * r_e
-    for bracket, closed, series in (
-        (quadrature._darcy_bracket, quadrature._darcy_closed, quadrature._darcy_series),
-        (quadrature._forch_bracket, quadrature._forch_closed, quadrature._forch_series),
-    ):
-        split = closed(r_e, r1, cut) + series(r_e, cut, r_e)
-        assert abs(bracket(r_e, r1, r_e) - split) <= 4 * math.ulp(split)
+    for law in (quadrature._DARCY, quadrature._FORCH):
+        split = law.closed(r_e, r1, cut) + quadrature._x_series(law, r_e, cut, r_e)
+        assert abs(quadrature._x_bracket(law, r_e, r1, r_e) - split) <= 4 * math.ulp(split)
 
 
 @pytest.mark.parametrize("s", [0.0, 1e-9, 0.3, 0.5, 1.0 - 1e-9, 1.0])

@@ -153,9 +153,9 @@ def test_profile_pi_takes_each_zone_energy_once(regime, calls, monkeypatch):
     seen = []
     zone_energy = wellpi.validation._zone_energy
 
-    def spy(scn, law, lo, hi, rel_tol):
+    def spy(scn, law, lo, hi):
         seen.append((lo, hi, law))
-        return zone_energy(scn, law, lo, hi, rel_tol)
+        return zone_energy(scn, law, lo, hi)
 
     monkeypatch.setattr(wellpi.validation, "_zone_energy", spy)
     pi_from_profile(make_scenario(regime))
@@ -168,7 +168,7 @@ def test_profile_pi_uses_no_closed_form(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("closed-form zone integral called by the oracle")
 
-    for name in ("_darcy_bracket", "_forch_bracket", "_predarcy_bracket"):
+    for name in ("_x_bracket", "_predarcy_bracket"):
         monkeypatch.setattr(wellpi.quadrature, name, refuse)
     assert pi_from_profile(make_scenario("FDpD", q_over_h=1e-2)).j_raw > 0
 
@@ -197,7 +197,7 @@ def test_zone_energies_match_zone_contributions():
     a_flux = flux_density(scn)
     zones = zone_bounds(scn, partition_zones(scn), scn.regime)
     for (lo, hi, law), contribution in zip(zones, zone_contributions(scn)):
-        energy = wellpi.validation._zone_energy(scn, law, lo, hi, 1e-10)
+        energy = wellpi.validation._zone_energy(scn, law, lo, hi)
         assert energy / (a_flux * a_flux) == pytest.approx(contribution, rel=1e-8)
 
 
