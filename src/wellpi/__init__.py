@@ -41,7 +41,6 @@ from .productivity import (
     PiResult,
     compute_pi,
     compute_pis,
-    darcy_ratio,
     dimensionless_factor,
     zone_contributions,
 )
@@ -67,13 +66,11 @@ _NUMPY_MODULES = ("validation", "fitting", "checks")
 #: Exported names of the numpy modules, with the module of each.
 _LAZY_EXPORTS = {
     **dict.fromkeys((
-        "ProfileSample",
         "StepSizeUnderflow",
         "compressible_velocity",
         "pi_from_energy",
         "pi_from_profile",
         "pressure_profile",
-        "sample_profile",
     ), "validation"),
     **dict.fromkeys((
         "FitResult",
@@ -114,12 +111,9 @@ __all__ = [
     "PiResult",
     "compute_pi",
     "compute_pis",
-    "darcy_ratio",
     "dimensionless_factor",
     "zone_contributions",
-    "ProfileSample",
     "pressure_profile",
-    "sample_profile",
     "pi_from_profile",
     "pi_from_energy",
     "compressible_velocity",

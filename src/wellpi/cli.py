@@ -2,7 +2,9 @@
 self-validation and measurement fitting.
 
 Scenario parameters come from built-in defaults, overridden by an optional
-flat key/value config file, overridden in turn by command-line flags.  All
+flat key/value config file, overridden in turn by command-line flags.  The
+default, config key and flag of each of the ten scalar fields (geometry,
+flow parameters, flux) come from one table, ``_SCENARIO_FIELDS``.  All
 CSV output is UTF-8 with a header row, ``.`` decimal separator and
 scientific notation with at least six significant digits; identical inputs
 produce byte-identical output.
@@ -47,7 +49,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 _DEFAULT_REGIME = "FDpD"
-_DEFAULT_S = 0.7
 
 SWEEP_AXES = ("q_over_h", "s", "v_D", "v_F")
 
@@ -73,18 +74,23 @@ def _fmt(x: float) -> str:
 # Configuration
 # ---------------------------------------------------------------------------
 
-_SCALAR_KEYS = {
-    "geometry.r_e": "r_e",
-    "geometry.r_w": "r_w",
-    "geometry.h": "h",
-    "params.alpha": "alpha",
-    "params.beta": "beta",
-    "params.lambda": "lambda_",
-    "params.s": "s",
-    "params.v_D": "v_D",
-    "params.v_F": "v_F",
-    "flow.q_over_h": "q_over_h",
-}
+# One row per scalar scenario field: (field, config key, flag, default, help).
+# The config keys, the build_scenario defaults and the override flags all
+# come from it; each flag's dest is the field it overrides.
+_SCENARIO_FIELDS = (
+    ("r_e", "geometry.r_e", "--r-e", BASE_R_E, "reservoir radius, m"),
+    ("r_w", "geometry.r_w", "--r-w", BASE_R_W, "well radius, m"),
+    ("h", "geometry.h", "--h", BASE_H, "reservoir thickness, m"),
+    ("alpha", "params.alpha", "--alpha", BASE_ALPHA, "Darcy coefficient, Pa*s/m^2"),
+    ("beta", "params.beta", "--beta", BASE_BETA, "Forchheimer coefficient, Pa*s^2/m^3"),
+    ("lambda_", "params.lambda", "--lambda", BASE_LAMBDA,
+     "pre-Darcy coefficient, Pa*s^(1-s)/m^(2-s)"),
+    ("s", "params.s", "--s", 0.7, "pre-Darcy exponent in [0, 1]"),
+    ("v_D", "params.v_D", "--v-d", BASE_V_D, "Darcy/pre-Darcy transition, m/s"),
+    ("v_F", "params.v_F", "--v-f", BASE_V_F, "Darcy/Forchheimer transition, m/s"),
+    ("q_over_h", "flow.q_over_h", "--q-over-h", BASE_Q_OVER_H, "specific flux Q/h, m^2/s"),
+)
+_SCALAR_KEYS = {key: field for field, key, _, _, _ in _SCENARIO_FIELDS}
 _REGIME_KEYS = ("regime.preset", "regime.near_well", "regime.middle", "regime.near_boundary")
 
 _ZONE_LAW_NAMES = {
@@ -128,12 +134,7 @@ def load_config_file(path: str) -> dict[str, str]:
 
 def build_scenario(args: argparse.Namespace) -> Scenario:
     """Defaults < config file < command-line flags."""
-    values = {
-        "r_e": BASE_R_E, "r_w": BASE_R_W, "h": BASE_H,
-        "alpha": BASE_ALPHA, "beta": BASE_BETA, "lambda_": BASE_LAMBDA,
-        "s": _DEFAULT_S,
-        "v_D": BASE_V_D, "v_F": BASE_V_F, "q_over_h": BASE_Q_OVER_H,
-    }
+    values = {field: default for field, _, _, default, _ in _SCENARIO_FIELDS}
     regime: RegimeAssignment | None = None
     zone_laws: dict[str, ZoneLaw] = {}
 
@@ -150,7 +151,7 @@ def build_scenario(args: argparse.Namespace) -> Scenario:
             else:
                 zone_laws[key.split(".", 1)[1]] = _parse_zone_law(text, key)
 
-    for field in values:  # each flag's dest is the field it overrides
+    for field in values:
         override = getattr(args, field, None)
         if override is not None:
             values[field] = override
@@ -265,23 +266,27 @@ def _axis_values(args: argparse.Namespace) -> list[float]:
     return values
 
 
-def _scenario_with(scn: Scenario, axis: str, value: float) -> Scenario:
+def _scenario_with(scn: Scenario, axis: str, value: float, continuous_predarcy: bool) -> Scenario:
     try:
         if axis == "q_over_h":
             return replace(scn, q_over_h=value)
-        return replace(scn, params=replace(scn.params, **{axis: value}))
+        params = replace(scn.params, **{axis: value})
+        if continuous_predarcy:  # at the row's own s and v_D, as `pi` rescales
+            params = params.with_continuous_predarcy()
+        return replace(scn, params=params)
     except ValueError as exc:
         raise ConfigError(f"axis {axis}={value:g}: {exc}") from None
 
 
-def run_sweep(base: Scenario, axis: str, values: Sequence[float], regimes: Sequence[str]) -> str:
+def run_sweep(base: Scenario, axis: str, values: Sequence[float], regimes: Sequence[str],
+              continuous_predarcy: bool) -> str:
     """CSV text for the sweep, one row per (axis value, regime), axis-major."""
     presets = [regime_preset(name) for name in regimes]
     names = [preset_name(preset) for preset in presets]
     buf = io.StringIO()
     buf.write(",".join(_SWEEP_COLUMNS) + "\n")
     for value in values:
-        scn = _scenario_with(base, axis, value)
+        scn = _scenario_with(base, axis, value, continuous_predarcy)
         buf.write(_sweep_rows(axis, value, scn, compute_pis(scn, presets), names))
     return buf.getvalue()
 
@@ -292,7 +297,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     regimes = [tok.strip() for tok in args.regimes.split(",") if tok.strip()]
     if not regimes:
         raise ConfigError("sweep needs at least one regime preset")
-    _write_text(run_sweep(base, args.axis, values, regimes), args.out)
+    _write_text(run_sweep(base, args.axis, values, regimes, args.continuous_predarcy), args.out)
     return EXIT_OK
 
 
@@ -369,17 +374,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def _add_scenario_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="flat key = value config file")
     grp = sub.add_argument_group("scenario overrides")
-    grp.add_argument("--r-e", dest="r_e", type=float, help="reservoir radius, m")
-    grp.add_argument("--r-w", dest="r_w", type=float, help="well radius, m")
-    grp.add_argument("--h", dest="h", type=float, help="reservoir thickness, m")
-    grp.add_argument("--alpha", type=float, help="Darcy coefficient, Pa*s/m^2")
-    grp.add_argument("--beta", type=float, help="Forchheimer coefficient, Pa*s^2/m^3")
-    grp.add_argument("--lambda", dest="lambda_", type=float,
-                     help="pre-Darcy coefficient, Pa*s^(1-s)/m^(2-s)")
-    grp.add_argument("--s", type=float, help="pre-Darcy exponent in [0, 1]")
-    grp.add_argument("--v-d", dest="v_D", type=float, help="Darcy/pre-Darcy transition, m/s")
-    grp.add_argument("--v-f", dest="v_F", type=float, help="Darcy/Forchheimer transition, m/s")
-    grp.add_argument("--q-over-h", dest="q_over_h", type=float, help="specific flux Q/h, m^2/s")
+    for field, _, flag, _, help_text in _SCENARIO_FIELDS:
+        grp.add_argument(flag, dest=field, type=float, help=help_text)
     grp.add_argument("--regime", help="zone-law preset (D, F, FDD, DDpD, FDpD, FpDpD, pure-preDarcy)")
     grp.add_argument("--continuous-predarcy", action="store_true",
                      help="rescale lambda to alpha*v_D^s so the law is continuous at v_D")

@@ -10,6 +10,7 @@ breakpoint; the data sets are small enough that nothing smarter is needed.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -191,33 +192,42 @@ def read_measurements_csv(path: str) -> list[FlowMeasurement]:
     """Read measurements from a two-column CSV with the required header.
 
     Columns are ``v_m_per_s, grad_p_pa_per_m``; `.` is the decimal
-    separator.  Malformed rows are reported with their line number.
+    separator.  Malformed rows, and bytes that are not UTF-8, are reported
+    with their line number.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        # decoded whole, so the error's offset counts from the start of the file
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte ends the slice, so the last line split off is its row
+        lineno = len(raw[: exc.start + 1].splitlines())
+        raise ValueError(f"row {lineno}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = iter(list(reader))
+    except csv.Error as exc:  # e.g. a field beyond the csv module's size limit
+        raise ValueError(f"row {reader.line_num}: {exc}") from None
+    header = next(rows, None)
+    if header is None or [c.strip() for c in header] != list(CSV_COLUMNS):
+        raise ValueError(
+            f"expected header '{', '.join(CSV_COLUMNS)}', got {header!r}"
+        )
     out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    for lineno, row in enumerate(rows, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != 2:
+            raise ValueError(f"row {lineno}: expected 2 columns, got {len(row)}")
         try:
-            rows = iter(list(reader))
-        except csv.Error as exc:  # e.g. a field beyond the csv module's size limit
-            raise ValueError(f"row {reader.line_num}: {exc}") from None
-        header = next(rows, None)
-        if header is None or [c.strip() for c in header] != list(CSV_COLUMNS):
-            raise ValueError(
-                f"expected header '{', '.join(CSV_COLUMNS)}', got {header!r}"
-            )
-        for lineno, row in enumerate(rows, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"row {lineno}: expected 2 columns, got {len(row)}")
-            try:
-                v, grad_p = float(row[0]), float(row[1])
-            except ValueError as exc:
-                raise ValueError(f"row {lineno}: {exc}") from None
-            try:
-                out.append(FlowMeasurement(v=v, grad_p=grad_p))
-            except ValueError as exc:
-                raise ValueError(f"row {lineno}: {exc}") from None
+            v, grad_p = float(row[0]), float(row[1])
+        except ValueError as exc:
+            raise ValueError(f"row {lineno}: {exc}") from None
+        try:
+            out.append(FlowMeasurement(v=v, grad_p=grad_p))
+        except ValueError as exc:
+            raise ValueError(f"row {lineno}: {exc}") from None
     return out
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .constitutive import RegimeAssignment
 from .kinematics import Scenario, Zone, ZonePartition, merge_zones, partition_zones, zone_bounds
-from .quadrature import darcy_zone_integral, zone_integral
+from .quadrature import zone_integral
 
 
 @dataclass(frozen=True)
@@ -127,16 +127,3 @@ def compute_pi(scn: Scenario) -> PiResult:
     """Pseudo-steady-state productivity index for the scenario's regime:
     ``compute_pis`` for that one regime."""
     return compute_pis(scn, (scn.regime,))[0]
-
-
-def darcy_ratio(scn: Scenario) -> float:
-    """J_regime / J_Darcy = S_D[r_w, r_e] / sum_zones S_law[zone].
-
-    Multiplying the all-Darcy PI by this skin-style ratio reproduces the
-    regime's PI.  Raises FloatingPointError when the ratio overflows,
-    underflows to zero or is NaN.
-    """
-    geo = scn.geometry
-    denom = _denominator(scn, partition_zones(scn), scn.regime, {})
-    darcy = darcy_zone_integral(scn, geo.r_w, geo.r_e)
-    return finite_positive("Darcy ratio", darcy / denom)

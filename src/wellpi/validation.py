@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Sequence
 
@@ -38,7 +37,6 @@ from .kinematics import (
     flux_density,
     merge_zones,
     partition_zones,
-    velocity_profile,
     zone_bounds,
     zone_segments,
 )
@@ -52,15 +50,6 @@ _INNER_REL_TOL = 1e-10
 _OUTER_REL_TOL = 1e-9
 _CONSISTENCY_TOL = 1e-7
 _RK_REL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ProfileSample:
-    """Pressure profile value w = W(r) and speed v at one radius."""
-
-    r: float
-    w: float
-    v: float
 
 
 def _speed_fun(scn: Scenario) -> Callable[[np.ndarray], np.ndarray]:
@@ -89,14 +78,6 @@ def pressure_profile(scn: Scenario, r: float) -> float:
         hi = min(r, b)
         total += integrate_adaptive(_grad_fun(scn, law), a, hi, rel_tol=_INNER_REL_TOL).value
     return total
-
-
-def sample_profile(scn: Scenario, radii: Sequence[float]) -> list[ProfileSample]:
-    """Profile samples (r, W(r), v(r)) at the given radii."""
-    return [
-        ProfileSample(r=float(r), w=pressure_profile(scn, float(r)), v=velocity_profile(scn, float(r)))
-        for r in radii
-    ]
 
 
 def _zone_energy(scn: Scenario, law: ZoneLaw, lo: float, hi: float) -> float:

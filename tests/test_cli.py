@@ -9,14 +9,28 @@ import pytest
 
 import wellpi
 from wellpi import (
+    FlowParameters,
+    Geometry,
     RegimeAssignment,
     ZoneLaw,
     compute_pi,
     load_reference_entries,
     reference_scenario,
+    regime_preset,
     synthesize_measurements,
 )
-from wellpi.cli import main
+from wellpi.cli import build_parser, build_scenario, main
+from wellpi.reference import (
+    BASE_ALPHA,
+    BASE_BETA,
+    BASE_H,
+    BASE_LAMBDA,
+    BASE_Q_OVER_H,
+    BASE_R_E,
+    BASE_R_W,
+    BASE_V_D,
+    BASE_V_F,
+)
 
 from helpers import make_scenario
 from test_fitting import fit_params
@@ -178,6 +192,54 @@ def test_gamma_is_neither_a_flag_nor_a_config_key(capsys, tmp_path):
     assert "unknown key 'params.gamma'" in err
 
 
+_FIELD_KEYS = {
+    "r_e": "geometry.r_e", "r_w": "geometry.r_w", "h": "geometry.h",
+    "alpha": "params.alpha", "beta": "params.beta", "lambda_": "params.lambda",
+    "s": "params.s", "v_D": "params.v_D", "v_F": "params.v_F",
+    "q_over_h": "flow.q_over_h",
+}
+# a valid value off the default for each field
+_FIELD_VALUES = {
+    "r_e": "500", "r_w": "0.2", "h": "20", "alpha": "2e10", "beta": "1e11",
+    "lambda_": "3e9", "s": "0.4", "v_D": "2e-7", "v_F": "2e-5", "q_over_h": "3e-3",
+}
+
+
+def _scenario(*argv):
+    return build_scenario(build_parser().parse_args(["pi", *argv]))
+
+
+def _field(scn, field):
+    if field in ("r_e", "r_w", "h"):
+        return getattr(scn.geometry, field)
+    if field == "q_over_h":
+        return scn.q_over_h
+    return getattr(scn.params, field)
+
+
+@pytest.mark.parametrize("field", list(_FIELD_FLAGS))
+def test_config_key_sets_the_same_field_as_its_flag(tmp_path, field):
+    value = _FIELD_VALUES[field]
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{_FIELD_KEYS[field]} = {value}\n")
+    from_key = _scenario("--config", str(cfg))
+    assert from_key == _scenario(_FIELD_FLAGS[field], value)
+    assert _field(from_key, field) == float(value)
+    for other in _FIELD_FLAGS:
+        if other != field:
+            assert _field(from_key, other) == _field(_scenario(), other)
+
+
+def test_no_flag_and_no_key_gives_the_base_scenario():
+    scn = _scenario()
+    assert scn.geometry == Geometry(r_e=BASE_R_E, r_w=BASE_R_W, h=BASE_H)
+    assert scn.params == FlowParameters(
+        alpha=BASE_ALPHA, beta=BASE_BETA, lambda_=BASE_LAMBDA, s=0.7, v_D=BASE_V_D, v_F=BASE_V_F,
+    )
+    assert scn.q_over_h == BASE_Q_OVER_H
+    assert scn.regime == regime_preset("FDpD")
+
+
 def test_continuous_predarcy_flag_changes_result(capsys):
     code, out_default, _ = run_cli(capsys, "pi", "--regime", "DDpD", "--s", "0.5")
     assert code == 0
@@ -269,6 +331,33 @@ def test_sweep_over_v_d_reproduces_small_reservoir_row(capsys):
     got = [float(row.split(",")[-1]) for row in rows]
     published = [0.1976, 0.1754, 0.1502, 0.1296, 0.1214, 0.1208]
     assert got == pytest.approx(published, rel=0.01)
+
+
+@pytest.mark.parametrize("axis, flag, values", [
+    ("s", "--s", ["0", "0.3", "1"]),
+    ("v_D", "--v-d", ["1e-8", "1e-7", "5e-6"]),
+])
+def test_continuous_predarcy_sweep_row_equals_pi(capsys, tmp_path, axis, flag, values):
+    # lambda is rescaled at each row's s and v_D, not at the base values
+    code, out, _ = run_cli(capsys, "sweep", "--axis", axis, "--values", ",".join(values),
+                           "--regimes", "DDpD", "--continuous-predarcy")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == len(values)
+    pi_csv = tmp_path / "pi.csv"
+    for value, row in zip(values, rows):
+        code, _, _ = run_cli(capsys, "pi", "--regime", "DDpD", flag, value,
+                             "--continuous-predarcy", "--out", str(pi_csv))
+        assert code == 0
+        pi_row = pi_csv.read_text().splitlines()[1]
+        assert row.split(",")[2:] == pi_row.split(",")[2:]
+
+
+def test_continuous_predarcy_sweep_to_zero_v_d_is_a_config_error(capsys):
+    for argv in (("pi", "--v-d", "0"), ("sweep", "--axis", "v_D", "--values", "0")):
+        code, out, err = run_cli(capsys, *argv, "--continuous-predarcy")
+        assert (code, out) == (2, "")
+        assert "requires v_D > 0" in err
 
 
 def _cell(x):
@@ -464,6 +553,24 @@ def test_fit_oversized_field_names_row(capsys, tmp_path):
     assert code == 2
     assert err.startswith("error: row 3: field larger than field limit")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("row, newline", [(3, b"\n"), (1501, b"\n"), (3, b"\r")],
+                         ids=["row-3", "row-1501", "row-3-cr-endings"])
+def test_fit_invalid_utf8_names_row(capsys, tmp_path, row, newline):
+    # a 26-byte header and 2,000 26-byte rows, so row N starts at byte 26 (N - 1);
+    # row 1501 lies beyond the first chunk that a text-mode reader decodes
+    lines = [b"v_m_per_s,grad_p_pa_per_m" + newline]
+    lines += [f"{1e-9 * k:.6e},{1e3 * k:.6e}".encode() + newline for k in range(1, 2001)]
+    assert {len(line) for line in lines} == {26}
+    lines[row - 1] = b"\xff" + lines[row - 1][1:]
+    path = tmp_path / "meas.csv"
+    path.write_bytes(b"".join(lines))
+    code, out, err = run_cli(capsys, "fit", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        f"error: row {row}: 'utf-8' codec can't decode byte 0xff in position {26 * (row - 1)}:"
+    )
 
 
 def test_fit_missing_file(capsys):

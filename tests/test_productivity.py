@@ -16,7 +16,6 @@ from wellpi import (
     ZoneLaw,
     compute_pi,
     compute_pis,
-    darcy_ratio,
     regime_preset,
     velocity_profile,
     zone_contributions,
@@ -177,40 +176,11 @@ def test_fdpd_with_no_fast_and_no_slow_zone_equals_darcy():
     assert j1 == pytest.approx(j2, rel=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# skin-style ratio
-# ---------------------------------------------------------------------------
-
-def test_darcy_ratio_identity():
-    assert darcy_ratio(make_scenario("D")) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_darcy_ratio_collapsed_laws():
+def test_collapsed_laws_give_the_darcy_pi():
     # beta = 0 and s = 0 with lambda = alpha: every law is Darcy in disguise
     scn = make_scenario("FDpD", beta=0.0, s=0.0)
-    assert darcy_ratio(scn) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_darcy_ratio_reproduces_pi():
-    for regime in ("F", "FDD", "DDpD", "FDpD", "FpDpD", "pure-preDarcy"):
-        scn = make_scenario(regime, q_over_h=1e-2, s=0.5)
-        ratio = darcy_ratio(scn)
-        j_d = compute_pi(make_scenario("D", q_over_h=1e-2, s=0.5)).j_raw
-        assert ratio * j_d == pytest.approx(compute_pi(scn).j_raw, rel=1e-12)
-
-
-def test_darcy_ratio_forchheimer_published():
-    # ratio of the published entries 0.0497 / 0.1358 at Q/h = 1
-    ratio = darcy_ratio(make_scenario("F", q_over_h=1.0))
-    assert ratio == pytest.approx(0.0497 / 0.1358, rel=0.01)
-
-
-@pytest.mark.parametrize("overrides", [{"q_over_h": 1e300}, {"r_w": 1e-300}],
-                         ids=["huge-flux", "tiny-r-w"])
-def test_darcy_ratio_out_of_float_range_raises(overrides):
-    # the regime's denominator overflows, so the ratio would come out as 0.0
-    with pytest.raises(FloatingPointError):
-        darcy_ratio(make_scenario("FDpD", **overrides))
+    fdpd, darcy = compute_pis(scn, (scn.regime, regime_preset("D")))
+    assert fdpd.j_raw == pytest.approx(darcy.j_raw, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from wellpi import (
     pi_from_profile,
     pressure_profile,
     regime_preset,
-    sample_profile,
     velocity_profile,
     zone_contributions,
     zone_segments,
@@ -79,15 +78,6 @@ def test_profile_out_of_range():
     scn = make_scenario("D")
     with pytest.raises(ValueError):
         pressure_profile(scn, 0.1)
-
-
-def test_sample_profile_fields():
-    scn = make_scenario("FDpD")
-    samples = sample_profile(scn, [0.3, 10.0, 1000.0])
-    assert samples[0].w == 0.0
-    assert samples[-1].v == 0.0
-    for smp in samples:
-        assert smp.v == velocity_profile(scn, smp.r)
 
 
 # ---------------------------------------------------------------------------
