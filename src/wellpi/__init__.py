@@ -56,6 +56,7 @@ from .quadrature import (
 from .reference import (
     ReferenceEntry,
     TableComparison,
+    base_scenario,
     compare_table,
     load_reference_entries,
     reference_scenario,
@@ -127,6 +128,7 @@ __all__ = [
     "TableComparison",
     "load_reference_entries",
     "reference_scenario",
+    "base_scenario",
     "compare_table",
     "__version__",
 ]

@@ -15,15 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constitutive import (
-    REGIME_PRESETS,
-    FlowParameters,
-    ZoneLaw,
-    mobility,
-    pressure_gradient,
-    regime_preset,
-)
-from .kinematics import Geometry, Scenario, flux_density, radius_of_velocity, velocity_profile
+from .constitutive import REGIME_PRESETS, ZoneLaw, mobility, pressure_gradient, regime_preset
+from .kinematics import Scenario, flux_density, radius_of_velocity, velocity_profile
 from .productivity import compute_pi, compute_pis, zone_contributions
 from .quadrature import (
     darcy_zone_integral,
@@ -31,16 +24,7 @@ from .quadrature import (
     integrate_adaptive,
     predarcy_zone_integral,
 )
-from .reference import (
-    BASE_ALPHA,
-    BASE_BETA,
-    BASE_H,
-    BASE_LAMBDA,
-    BASE_R_E,
-    BASE_R_W,
-    BASE_V_D,
-    BASE_V_F,
-)
+from .reference import base_scenario
 from .validation import compressible_velocity, pi_from_profile, pressure_profile
 
 
@@ -54,25 +38,9 @@ class CheckResult:
     tolerance: str
 
 
-def _base_params(s: float = 0.7, v_D: float = BASE_V_D, v_F: float = BASE_V_F) -> FlowParameters:
-    return FlowParameters(
-        alpha=BASE_ALPHA, beta=BASE_BETA, lambda_=BASE_LAMBDA, s=s, v_D=v_D, v_F=v_F
-    )
-
-
-def _base_scenario(regime: str, q_over_h: float = 1e-4, s: float = 0.7,
-                   v_D: float = BASE_V_D, r_e: float = BASE_R_E) -> Scenario:
-    return Scenario(
-        geometry=Geometry(r_e=r_e, r_w=BASE_R_W, h=BASE_H),
-        params=_base_params(s=s, v_D=v_D),
-        regime=regime_preset(regime),
-        q_over_h=q_over_h,
-    )
-
-
 def check_constitutive_inverse() -> CheckResult:
     """mobility(grad p) * grad p recovers v, where grad p = pressure_gradient(v)."""
-    params = _base_params(s=0.3)
+    params = base_scenario("D", s=0.3).params
     worst = 0.0
     for law in (ZoneLaw.PRE_DARCY, ZoneLaw.DARCY, ZoneLaw.FORCHHEIMER):
         for xi in np.geomspace(1e-12, 1e2, 60):
@@ -86,8 +54,8 @@ def check_radius_roundtrip() -> CheckResult:
     """radius_of_velocity(velocity_profile(r)) = r on log grids, both sizes."""
     worst = 0.0
     for r_e in (1000.0, 100.0):
-        scn = _base_scenario("D", r_e=r_e)
-        for r in np.geomspace(BASE_R_W, r_e, 100):
+        scn = base_scenario("D", r_e=r_e)
+        for r in np.geomspace(scn.geometry.r_w, r_e, 100):
             back = radius_of_velocity(scn, velocity_profile(scn, float(r)))
             worst = max(worst, abs(back - r) / r)
     return CheckResult("inverse-radius-roundtrip", worst <= 1e-10, worst, "1e-10")
@@ -101,7 +69,7 @@ _QUAD_SEED = 20240814
 def check_closed_vs_quadrature() -> CheckResult:
     """Closed-form S_D, S_F and S_pD match adaptive quadrature on random
     subintervals; S_pD with s drawn per interval from [0, 1], both ends included."""
-    scn = _base_scenario("D")
+    scn = base_scenario("D")
     geo = scn.geometry
     a_flux = flux_density(scn)
     rng = np.random.default_rng(_QUAD_SEED)
@@ -120,7 +88,7 @@ def check_closed_vs_quadrature() -> CheckResult:
             lambda r: ((geo.r_e - r) * (geo.r_e + r)) ** 3 / r**2, r1, r2, rel_tol=1e-12
         ).value
         worst = max(worst, abs(closed_f - quad_f) / abs(quad_f))
-        scn_p = _base_scenario("DDpD", s=float(s))
+        scn_p = base_scenario("DDpD", s=float(s))
         closed_p = predarcy_zone_integral(scn_p, r1, r2)
         quad_p = scn_p.params.lambda_ * a_flux ** (-s) * integrate_adaptive(
             lambda r: ((geo.r_e - r) * (geo.r_e + r)) ** (2.0 - s) * r ** (s - 1.0),
@@ -132,7 +100,7 @@ def check_closed_vs_quadrature() -> CheckResult:
 
 def check_darcy_profile() -> CheckResult:
     """Quadrature pressure profile matches the all-Darcy antiderivative."""
-    scn = _base_scenario("D")
+    scn = base_scenario("D")
     geo = scn.geometry
     a_flux = flux_density(scn)
     worst = 0.0
@@ -150,7 +118,7 @@ def check_oracle_equivalence(fault_scale: float = 1.0) -> CheckResult:
     worst = 0.0
     for q_over_h in (1e-4, 1e-2):
         for s in (0.3, 0.7):
-            scn = _base_scenario("D", q_over_h=q_over_h, s=s)  # compute_pis ignores its regime
+            scn = base_scenario("D", q_over_h=q_over_h, s=s)  # compute_pis ignores its regime
             for pi in compute_pis(scn, tuple(REGIME_PRESETS.values())):
                 scn_regime = replace(scn, regime=pi.regime)
                 if fault_scale != 1.0:
@@ -170,7 +138,7 @@ def check_oracle_equivalence(fault_scale: float = 1.0) -> CheckResult:
 def check_darcy_flux_independence() -> CheckResult:
     """All-Darcy dimensionless PI is bit-identical across eleven flux decades."""
     values = {
-        compute_pi(_base_scenario("D", q_over_h=q)).j_dimensionless
+        compute_pi(base_scenario("D", q_over_h=q)).j_dimensionless
         for q in (2e-7, 1e-4, 1e-3, 5.95e-3, 1e-2, 3.18e-2, 1e-1, 1.0, 1e1, 1e4)
     }
     spread = max(values) - min(values)
@@ -180,7 +148,7 @@ def check_darcy_flux_independence() -> CheckResult:
 def check_forchheimer_monotonicity() -> CheckResult:
     """All-Forchheimer PI strictly decreases with flux."""
     grid = (2e-7, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e4)
-    js = [compute_pi(_base_scenario("F", q_over_h=q)).j_dimensionless for q in grid]
+    js = [compute_pi(base_scenario("F", q_over_h=q)).j_dimensionless for q in grid]
     drops = [a - b for a, b in zip(js, js[1:])]
     return CheckResult("forchheimer-flux-monotonicity", min(drops) > 0, min(drops), "> 0")
 
@@ -189,7 +157,7 @@ def check_predarcy_monotonicity() -> CheckResult:
     """DDpD and FDpD PIs are nonincreasing in s for lambda = alpha, v_D < 1."""
     regimes = (regime_preset("DDpD"), regime_preset("FDpD"))
     js = [
-        [pi.j_dimensionless for pi in compute_pis(_base_scenario("DDpD", s=s), regimes)]
+        [pi.j_dimensionless for pi in compute_pis(base_scenario("DDpD", s=s), regimes)]
         for s in np.linspace(0.0, 1.0, 11)
     ]
     worst = max(b - a for prev, cur in zip(js, js[1:]) for a, b in zip(prev, cur))
@@ -200,7 +168,7 @@ def check_fdpd_limit() -> CheckResult:
     """FDpD collapses to FDD when the slow zone vanishes (v_D = 0)."""
     j_fdpd, j_fdd = (
         pi.j_raw for pi in compute_pis(
-            _base_scenario("FDpD", v_D=0.0), (regime_preset("FDpD"), regime_preset("FDD"))
+            base_scenario("FDpD", v_D=0.0), (regime_preset("FDpD"), regime_preset("FDD"))
         )
     )
     dev = abs(j_fdpd - j_fdd) / j_fdd
@@ -209,13 +177,8 @@ def check_fdpd_limit() -> CheckResult:
 
 def gamma_scaled_scenario() -> Scenario:
     """Unit-scale coefficients keep the compressible correction perturbative."""
-    return Scenario(
-        geometry=Geometry(r_e=BASE_R_E, r_w=BASE_R_W, h=BASE_H),
-        params=FlowParameters(
-            alpha=1.0, beta=100.0, lambda_=1.0, s=0.7, v_D=1e-6, v_F=1e-4
-        ),
-        regime=regime_preset("FDpD"),
-        q_over_h=1e-2,
+    return base_scenario(
+        "FDpD", alpha=1.0, beta=100.0, lambda_=1.0, v_D=1e-6, v_F=1e-4, q_over_h=1e-2
     )
 
 

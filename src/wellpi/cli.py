@@ -3,8 +3,9 @@ self-validation and measurement fitting.
 
 Scenario parameters come from built-in defaults, overridden by an optional
 flat key/value config file, overridden in turn by command-line flags.  The
-default, config key and flag of each of the ten scalar fields (geometry,
-flow parameters, flux) come from one table, ``_SCENARIO_FIELDS``.  All
+config key and flag of each of the ten scalar fields (geometry, flow
+parameters, flux) come from one table, ``_SCENARIO_FIELDS``; their defaults
+are those of ``reference.base_scenario``.  All
 CSV output is UTF-8 with a header row, ``.`` decimal separator and
 scientific notation with at least six significant digits; identical inputs
 produce byte-identical output.
@@ -26,22 +27,10 @@ from dataclasses import replace
 from typing import Sequence
 
 from . import __version__
-from .constitutive import FlowParameters, RegimeAssignment, ZoneLaw, preset_name, regime_preset
-from .kinematics import Geometry, Scenario
+from .constitutive import RegimeAssignment, ZoneLaw, preset_name, regime_preset
+from .kinematics import Scenario
 from .productivity import PiResult, compute_pi, compute_pis, zone_contributions
-from .reference import (
-    BASE_ALPHA,
-    BASE_BETA,
-    BASE_H,
-    BASE_LAMBDA,
-    BASE_Q_OVER_H,
-    BASE_R_E,
-    BASE_R_W,
-    BASE_V_D,
-    BASE_V_F,
-    REPRODUCTION_RTOL,
-    compare_table,
-)
+from .reference import REPRODUCTION_RTOL, base_scenario, compare_table
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -74,23 +63,22 @@ def _fmt(x: float) -> str:
 # Configuration
 # ---------------------------------------------------------------------------
 
-# One row per scalar scenario field: (field, config key, flag, default, help).
-# The config keys, the build_scenario defaults and the override flags all
-# come from it; each flag's dest is the field it overrides.
+# One row per scalar scenario field: (field, config key, flag, help).  The
+# config keys and the override flags both come from it; each flag's dest is
+# the field it overrides, which is also a keyword of ``base_scenario``.
 _SCENARIO_FIELDS = (
-    ("r_e", "geometry.r_e", "--r-e", BASE_R_E, "reservoir radius, m"),
-    ("r_w", "geometry.r_w", "--r-w", BASE_R_W, "well radius, m"),
-    ("h", "geometry.h", "--h", BASE_H, "reservoir thickness, m"),
-    ("alpha", "params.alpha", "--alpha", BASE_ALPHA, "Darcy coefficient, Pa*s/m^2"),
-    ("beta", "params.beta", "--beta", BASE_BETA, "Forchheimer coefficient, Pa*s^2/m^3"),
-    ("lambda_", "params.lambda", "--lambda", BASE_LAMBDA,
-     "pre-Darcy coefficient, Pa*s^(1-s)/m^(2-s)"),
-    ("s", "params.s", "--s", 0.7, "pre-Darcy exponent in [0, 1]"),
-    ("v_D", "params.v_D", "--v-d", BASE_V_D, "Darcy/pre-Darcy transition, m/s"),
-    ("v_F", "params.v_F", "--v-f", BASE_V_F, "Darcy/Forchheimer transition, m/s"),
-    ("q_over_h", "flow.q_over_h", "--q-over-h", BASE_Q_OVER_H, "specific flux Q/h, m^2/s"),
+    ("r_e", "geometry.r_e", "--r-e", "reservoir radius, m"),
+    ("r_w", "geometry.r_w", "--r-w", "well radius, m"),
+    ("h", "geometry.h", "--h", "reservoir thickness, m"),
+    ("alpha", "params.alpha", "--alpha", "Darcy coefficient, Pa*s/m^2"),
+    ("beta", "params.beta", "--beta", "Forchheimer coefficient, Pa*s^2/m^3"),
+    ("lambda_", "params.lambda", "--lambda", "pre-Darcy coefficient, Pa*s^(1-s)/m^(2-s)"),
+    ("s", "params.s", "--s", "pre-Darcy exponent in [0, 1]"),
+    ("v_D", "params.v_D", "--v-d", "Darcy/pre-Darcy transition, m/s"),
+    ("v_F", "params.v_F", "--v-f", "Darcy/Forchheimer transition, m/s"),
+    ("q_over_h", "flow.q_over_h", "--q-over-h", "specific flux Q/h, m^2/s"),
 )
-_SCALAR_KEYS = {key: field for field, key, _, _, _ in _SCENARIO_FIELDS}
+_SCALAR_KEYS = {key: field for field, key, _, _ in _SCENARIO_FIELDS}
 _REGIME_KEYS = ("regime.preset", "regime.near_well", "regime.middle", "regime.near_boundary")
 
 _ZONE_LAW_NAMES = {
@@ -114,7 +102,8 @@ def _parse_zone_law(text: str, key: str) -> ZoneLaw:
 def load_config_file(path: str) -> dict[str, str]:
     """Flat ``key = value`` file; ``#`` starts a comment."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig: a byte-order mark, as some editors save it, is not part of the first key
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
@@ -133,8 +122,8 @@ def load_config_file(path: str) -> dict[str, str]:
 
 
 def build_scenario(args: argparse.Namespace) -> Scenario:
-    """Defaults < config file < command-line flags."""
-    values = {field: default for field, _, _, default, _ in _SCENARIO_FIELDS}
+    """Defaults of ``base_scenario`` < config file < command-line flags."""
+    values: dict[str, float] = {}
     regime: RegimeAssignment | None = None
     zone_laws: dict[str, ZoneLaw] = {}
 
@@ -151,31 +140,17 @@ def build_scenario(args: argparse.Namespace) -> Scenario:
             else:
                 zone_laws[key.split(".", 1)[1]] = _parse_zone_law(text, key)
 
-    for field in values:
+    for field, _, _, _ in _SCENARIO_FIELDS:
         override = getattr(args, field, None)
         if override is not None:
             values[field] = override
 
     if getattr(args, "regime", None) is not None:
         regime = regime_preset(args.regime)
-    if zone_laws:
-        base = regime or regime_preset(_DEFAULT_REGIME)
-        regime = RegimeAssignment(
-            near_well=zone_laws.get("near_well", base.near_well),
-            middle=zone_laws.get("middle", base.middle),
-            near_boundary=zone_laws.get("near_boundary", base.near_boundary),
-        )
-    if regime is None:
-        regime = regime_preset(_DEFAULT_REGIME)
-
-    params = FlowParameters(
-        alpha=values["alpha"], beta=values["beta"], lambda_=values["lambda_"],
-        s=values["s"], v_D=values["v_D"], v_F=values["v_F"],
-    )
-    if getattr(args, "continuous_predarcy", False):
-        params = params.with_continuous_predarcy()
-    geometry = Geometry(r_e=values["r_e"], r_w=values["r_w"], h=values["h"])
-    return Scenario(geometry=geometry, params=params, regime=regime, q_over_h=values["q_over_h"])
+    regime = regime or regime_preset(_DEFAULT_REGIME)
+    if zone_laws:  # keyed by the RegimeAssignment field each one sets
+        regime = replace(regime, **zone_laws)
+    return base_scenario(regime, getattr(args, "continuous_predarcy", False), **values)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +349,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def _add_scenario_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="flat key = value config file")
     grp = sub.add_argument_group("scenario overrides")
-    for field, _, flag, _, help_text in _SCENARIO_FIELDS:
+    for field, _, flag, help_text in _SCENARIO_FIELDS:
         grp.add_argument(flag, dest=field, type=float, help=help_text)
     grp.add_argument("--regime", help="zone-law preset (D, F, FDD, DDpD, FDpD, FpDpD, pure-preDarcy)")
     grp.add_argument("--continuous-predarcy", action="store_true",

@@ -9,6 +9,7 @@ breakpoint; the data sets are small enough that nothing smarter is needed.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -196,9 +197,11 @@ def read_measurements_csv(path: str) -> list[FlowMeasurement]:
     with their line number.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
+        # a byte-order mark, as some editors save it, is not part of the header
+        raw = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
-        # decoded whole, so the error's offset counts from the start of the file
+        # decoded whole, so the error's offset indexes raw; utf-8-sig would
+        # count it from after a mark that raw still held
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the bad byte ends the slice, so the last line split off is its row

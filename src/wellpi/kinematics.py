@@ -78,9 +78,26 @@ class ZonePartition:
     clamped_slow: bool
 
 
+def finite_positive(what: str, x: float) -> float:
+    """x itself when 0 < x < inf.
+
+    Raises FloatingPointError naming ``what`` when x overflowed, underflowed
+    to zero or is NaN, so that no such value is reported as a result.
+    """
+    if not 0.0 < x < math.inf:
+        raise FloatingPointError(f"{what} out of the floating-point range: {x!r}")
+    return x
+
+
 def flux_density(scn: Scenario) -> float:
-    """A = Q / (2 pi h (r_e^2 - r_w^2)), the volumetric source density (1/s)."""
-    return scn.q_over_h / (2.0 * math.pi * scn.geometry.radius_span_sq)
+    """A = Q / (2 pi h (r_e^2 - r_w^2)), the volumetric source density (1/s).
+
+    Raises FloatingPointError naming A unless 0 < A < inf: Q/h and
+    r_e^2 - r_w^2 can each leave the float range, and the zone radii divide
+    by A.
+    """
+    span = 2.0 * math.pi * scn.geometry.radius_span_sq
+    return finite_positive("flux density A", scn.q_over_h / span if span else math.inf)
 
 
 def velocity_profile(scn: Scenario, r: float) -> float:

@@ -22,7 +22,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .constitutive import RegimeAssignment
-from .kinematics import Scenario, Zone, ZonePartition, merge_zones, partition_zones, zone_bounds
+from .kinematics import (
+    Scenario,
+    Zone,
+    ZonePartition,
+    finite_positive,
+    merge_zones,
+    partition_zones,
+    zone_bounds,
+)
 from .quadrature import zone_integral
 
 
@@ -45,17 +53,6 @@ class PiResult:
 def dimensionless_factor(scn: Scenario) -> float:
     """alpha / (2 pi h), the scaling that makes the PI dimensionless."""
     return scn.params.alpha / (2.0 * math.pi * scn.geometry.h)
-
-
-def finite_positive(what: str, x: float) -> float:
-    """x itself when 0 < x < inf.
-
-    Raises FloatingPointError naming ``what`` when x overflowed, underflowed
-    to zero or is NaN, so that no such value is reported as a result.
-    """
-    if not 0.0 < x < math.inf:
-        raise FloatingPointError(f"{what} out of the floating-point range: {x!r}")
-    return x
 
 
 def _denominator(

@@ -5,6 +5,10 @@ parameter-study tables (PI vs flux, vs pre-Darcy power, vs transition
 velocity, and the small-reservoir study).  ``compare_table`` recomputes
 every entry with this package and reports relative deviations; entries
 beyond the 1% reproduction tolerance are flagged.
+
+All four studies vary a few values of one shared case, the ``BASE_*``
+constants below; ``base_scenario`` is the one builder of that case, and
+``reference_scenario`` and the CLI defaults go through it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import csv
 from dataclasses import dataclass
 from importlib import resources
 
-from .constitutive import FlowParameters, regime_preset
+from .constitutive import FlowParameters, RegimeAssignment, regime_preset
 from .kinematics import Geometry, Scenario
 from .productivity import compute_pis
 
@@ -24,6 +28,7 @@ BASE_H = 10.0
 BASE_ALPHA = 1.01e10
 BASE_LAMBDA = 1.01e10
 BASE_BETA = 2.4318e11
+BASE_S = 0.7
 BASE_V_F = 1e-5
 BASE_V_D = 1e-7
 BASE_Q_OVER_H = 1e-4
@@ -84,24 +89,37 @@ def load_reference_entries(table: int | None = None) -> list[ReferenceEntry]:
     return out
 
 
-def reference_scenario(entry: ReferenceEntry, continuous_predarcy: bool = False) -> Scenario:
-    """Scenario reproducing one reference entry."""
-    params = FlowParameters(
-        alpha=BASE_ALPHA,
-        beta=BASE_BETA,
-        lambda_=BASE_LAMBDA,
-        s=entry.s,
-        v_D=entry.v_d,
-        v_F=BASE_V_F,
-    )
+def base_scenario(
+    regime: str | RegimeAssignment,
+    continuous_predarcy: bool = False,
+    *,
+    r_e: float = BASE_R_E, r_w: float = BASE_R_W, h: float = BASE_H,
+    alpha: float = BASE_ALPHA, beta: float = BASE_BETA, lambda_: float = BASE_LAMBDA,
+    s: float = BASE_S, v_D: float = BASE_V_D, v_F: float = BASE_V_F,
+    q_over_h: float = BASE_Q_OVER_H,
+) -> Scenario:
+    """The shared case of the reference studies with any of its ten scalar
+    fields replaced, under ``regime`` (a preset name or an assignment).
+
+    ``continuous_predarcy`` rescales lambda to alpha * v_D**s.  Inputs are
+    validated in the order flow parameters, rescaling, geometry, regime,
+    flux.
+    """
+    params = FlowParameters(alpha=alpha, beta=beta, lambda_=lambda_, s=s, v_D=v_D, v_F=v_F)
     if continuous_predarcy:
         params = params.with_continuous_predarcy()
     return Scenario(
-        geometry=Geometry(r_e=entry.r_e, r_w=BASE_R_W, h=BASE_H),
+        geometry=Geometry(r_e=r_e, r_w=r_w, h=h),
         params=params,
-        regime=regime_preset(entry.regime),
-        q_over_h=entry.q_over_h,
+        regime=regime_preset(regime) if isinstance(regime, str) else regime,
+        q_over_h=q_over_h,
     )
+
+
+def reference_scenario(entry: ReferenceEntry, continuous_predarcy: bool = False) -> Scenario:
+    """Scenario reproducing one reference entry."""
+    return base_scenario(entry.regime, continuous_predarcy, s=entry.s, v_D=entry.v_d,
+                         q_over_h=entry.q_over_h, r_e=entry.r_e)
 
 
 def compare_table(table: int, continuous_predarcy: bool = False) -> list[TableComparison]:

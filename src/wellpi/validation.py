@@ -34,13 +34,14 @@ import numpy as np
 from .constitutive import ZoneLaw, drag_power, pressure_gradient
 from .kinematics import (
     Scenario,
+    finite_positive,
     flux_density,
     merge_zones,
     partition_zones,
     zone_bounds,
     zone_segments,
 )
-from .productivity import PiResult, dimensionless_factor, finite_positive
+from .productivity import PiResult, dimensionless_factor
 from .quadrature import _converged, _panels, integrate_adaptive
 
 # relative tolerances: W(r), zone energies and the inner integrals of

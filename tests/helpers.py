@@ -1,37 +1,11 @@
 """Shared scenario builders for the test suite."""
 
-from wellpi import FlowParameters, Geometry, Scenario, regime_preset
-
-# Baseline parameter set used throughout the published studies (strict SI).
-BASE = dict(
-    r_e=1000.0,
-    r_w=0.3,
-    h=10.0,
-    alpha=1.01e10,
-    beta=2.4318e11,
-    lambda_=1.01e10,
-    s=0.7,
-    v_D=1e-7,
-    v_F=1e-5,
-    q_over_h=1e-4,
-)
+from wellpi import base_scenario
 
 
 def make_scenario(regime="D", **overrides):
-    knobs = {**BASE, **overrides}
-    return Scenario(
-        geometry=Geometry(r_e=knobs["r_e"], r_w=knobs["r_w"], h=knobs["h"]),
-        params=FlowParameters(
-            alpha=knobs["alpha"],
-            beta=knobs["beta"],
-            lambda_=knobs["lambda_"],
-            s=knobs["s"],
-            v_D=knobs["v_D"],
-            v_F=knobs["v_F"],
-        ),
-        regime=regime_preset(regime) if isinstance(regime, str) else regime,
-        q_over_h=knobs["q_over_h"],
-    )
+    """The reference studies' shared case, all-Darcy unless ``regime`` says."""
+    return base_scenario(regime, **overrides)
 
 
 def bisect_inverse(fun, target, lo, hi, iterations=200):

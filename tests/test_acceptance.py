@@ -4,11 +4,9 @@ Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the
 per-criterion lines immediately).
 """
 
-import math
 import time
 
 import numpy as np
-import pytest
 
 from wellpi import (
     FlowMeasurement,

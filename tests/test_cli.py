@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output contracts, determinism."""
 
+import codecs
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,9 @@ from wellpi import (
     FlowParameters,
     Geometry,
     RegimeAssignment,
+    Scenario,
     ZoneLaw,
+    base_scenario,
     compute_pi,
     load_reference_entries,
     reference_scenario,
@@ -117,6 +120,17 @@ def test_pi_out_of_float_range_is_a_numerical_failure(capsys, argv):
     assert code == 3
     assert out == ""
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--q-over-h", "1e-320"),  # A underflows to 0
+    ("--r-e", "1e200", "--r-w", "1e-200"),  # r_e^2 - r_w^2 overflows, so A = 0
+    ("--r-e", "1e-170", "--r-w", "1e-171", "--h", "1"),  # r_e^2 - r_w^2 underflows to 0
+], ids=["tiny-flux", "overflowing-span", "vanishing-span"])
+def test_flux_density_out_of_float_range_is_named(capsys, argv):
+    code, out, err = run_cli(capsys, "pi", *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: flux density A out of the floating-point range: ")
 
 
 def test_invalid_regime(capsys, tmp_path):
@@ -238,6 +252,43 @@ def test_no_flag_and_no_key_gives_the_base_scenario():
     )
     assert scn.q_over_h == BASE_Q_OVER_H
     assert scn.regime == regime_preset("FDpD")
+
+
+def test_no_flag_and_no_key_gives_the_base_builder_at_fdpd():
+    assert _scenario() == base_scenario("FDpD")
+
+
+@pytest.mark.parametrize("table", [1, 2, 3, 4])
+def test_reference_scenario_is_the_base_case_at_the_entry(table):
+    e = load_reference_entries(table)[-1]
+    assert reference_scenario(e) == Scenario(
+        geometry=Geometry(r_e=e.r_e, r_w=BASE_R_W, h=BASE_H),
+        params=FlowParameters(
+            alpha=BASE_ALPHA, beta=BASE_BETA, lambda_=BASE_LAMBDA, s=e.s, v_D=e.v_d, v_F=BASE_V_F,
+        ),
+        regime=regime_preset(e.regime),
+        q_over_h=e.q_over_h,
+    )
+
+
+def test_base_scenario_rejects_a_misspelt_field():
+    with pytest.raises(TypeError):
+        base_scenario("D", r_E=500.0)
+    with pytest.raises(TypeError):
+        base_scenario("D", False, 500.0)
+
+
+def test_continuous_rescaling_is_checked_before_the_geometry(capsys):
+    # r_w > r_e is a Geometry error too, but the flow parameters come first
+    code, out, err = run_cli(capsys, "pi", "--r-w", "2000", "--v-d", "0", "--continuous-predarcy")
+    assert (code, out) == (2, "")
+    assert err == "error: continuous pre-Darcy rescaling requires v_D > 0\n"
+
+
+def test_config_file_may_start_with_a_byte_order_mark(capsys, tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(codecs.BOM_UTF8 + b"geometry.r_e = 500\n")
+    assert run_cli(capsys, "pi", "--config", str(cfg)) == run_cli(capsys, "pi", "--r-e", "500")
 
 
 def test_continuous_predarcy_flag_changes_result(capsys):
@@ -571,6 +622,26 @@ def test_fit_invalid_utf8_names_row(capsys, tmp_path, row, newline):
     assert err.startswith(
         f"error: row {row}: 'utf-8' codec can't decode byte 0xff in position {26 * (row - 1)}:"
     )
+
+
+def test_fit_reads_a_file_with_a_byte_order_mark(capsys, tmp_path):
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    _write_measurements(plain, fit_params(), np.geomspace(1e-9, 1e-6, 20))
+    bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    code, out, err = run_cli(capsys, "fit", str(bom))
+    assert (code, out, err) == run_cli(capsys, "fit", str(plain))
+    assert code == 0
+
+
+@pytest.mark.parametrize("row", [2, 3])
+def test_fit_invalid_utf8_after_a_byte_order_mark_names_row(capsys, tmp_path, row):
+    lines = [b"v_m_per_s,grad_p_pa_per_m\n", b"1e-7,1e3\n", b"1e-6,1e4\n"]
+    lines[row - 1] = b"\xff" + lines[row - 1][1:]
+    path = tmp_path / "meas.csv"
+    path.write_bytes(codecs.BOM_UTF8 + b"".join(lines))
+    code, out, err = run_cli(capsys, "fit", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: row {row}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_fit_missing_file(capsys):

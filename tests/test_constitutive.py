@@ -6,8 +6,8 @@ import pytest
 
 from wellpi import (
     REGIME_PRESETS,
-    FlowParameters,
     ZoneLaw,
+    base_scenario,
     law_for_speed,
     mobility,
     pressure_gradient,
@@ -17,10 +17,8 @@ from wellpi import (
 from wellpi.constitutive import drag_power
 
 
-def params(**overrides):
-    knobs = dict(alpha=1.01e10, beta=2.4318e11, lambda_=1.01e10, s=0.3, v_D=1e-7, v_F=1e-5)
-    knobs.update(overrides)
-    return FlowParameters(**knobs)
+def params(s=0.3, **overrides):
+    return base_scenario("D", s=s, **overrides).params
 
 
 # ---------------------------------------------------------------------------

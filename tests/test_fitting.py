@@ -8,7 +8,7 @@ import pytest
 
 from wellpi import (
     FlowMeasurement,
-    FlowParameters,
+    base_scenario,
     fit_segments,
     read_measurements_csv,
     synthesize_measurements,
@@ -16,15 +16,9 @@ from wellpi import (
 from wellpi.fitting import model_curve
 
 
-def fit_params(s=0.6562, v_D=5e-8, lambda_=None, alpha=1.01e10):
-    return FlowParameters(
-        alpha=alpha,
-        beta=2.4318e11,
-        lambda_=lambda_ if lambda_ is not None else alpha,
-        s=s,
-        v_D=v_D,
-        v_F=1e-5,
-    )
+def fit_params(s=0.6562, v_D=5e-8):
+    """The base flow parameters (lambda = alpha) at the fitting studies' s and v_D."""
+    return base_scenario("D", s=s, v_D=v_D).params
 
 
 GRID = np.geomspace(1e-9, 1e-6, 20)

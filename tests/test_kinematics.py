@@ -7,7 +7,6 @@ import pytest
 
 from wellpi import (
     Geometry,
-    Scenario,
     ZoneLaw,
     flux_density,
     partition_zones,

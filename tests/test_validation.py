@@ -8,9 +8,6 @@ import pytest
 import wellpi.quadrature
 import wellpi.validation
 from wellpi import (
-    FlowParameters,
-    Geometry,
-    Scenario,
     compressible_velocity,
     compute_pi,
     flux_density,
@@ -19,31 +16,15 @@ from wellpi import (
     pi_from_energy,
     pi_from_profile,
     pressure_profile,
-    regime_preset,
     velocity_profile,
     zone_contributions,
     zone_segments,
 )
+from wellpi.checks import gamma_scaled_scenario
 from wellpi.constitutive import drag_power
 from wellpi.kinematics import zone_bounds
 
 from helpers import make_scenario
-
-
-def scaled_scenario(**overrides):
-    """Unit-scale coefficients: the compressible correction stays perturbative."""
-    knobs = dict(alpha=1.0, beta=100.0, lambda_=1.0, s=0.7, v_D=1e-6, v_F=1e-4,
-                 q_over_h=1e-2)
-    knobs.update(overrides)
-    return Scenario(
-        geometry=Geometry(r_e=1000.0, r_w=0.3, h=10.0),
-        params=FlowParameters(
-            alpha=knobs["alpha"], beta=knobs["beta"], lambda_=knobs["lambda_"],
-            s=knobs["s"], v_D=knobs["v_D"], v_F=knobs["v_F"],
-        ),
-        regime=regime_preset(knobs.get("regime", "FDpD")),
-        q_over_h=knobs["q_over_h"],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +177,7 @@ def test_zone_energies_match_zone_contributions():
 # ---------------------------------------------------------------------------
 
 def test_gamma_zero_returns_incompressible_profile():
-    scn = scaled_scenario()
+    scn = gamma_scaled_scenario()
     radii = np.linspace(0.3, 1000.0, 101)
     _, v0 = compressible_velocity(scn, 0.0, radii)
     expected = np.array([velocity_profile(scn, float(r)) for r in radii])
@@ -205,7 +186,7 @@ def test_gamma_zero_returns_incompressible_profile():
 
 
 def test_gamma_error_scales_linearly():
-    scn = scaled_scenario()
+    scn = gamma_scaled_scenario()
     radii = np.linspace(0.3, 1000.0, 201)
     expected = np.array([velocity_profile(scn, float(r)) for r in radii])
     errs = {}
@@ -217,7 +198,7 @@ def test_gamma_error_scales_linearly():
 
 def test_compressible_exceeds_incompressible():
     # the gamma source only adds inflow, so v_gamma >= v everywhere
-    scn = scaled_scenario()
+    scn = gamma_scaled_scenario()
     radii = np.linspace(0.3, 1000.0, 101)
     _, v_gamma = compressible_velocity(scn, 1e-3, radii)
     expected = np.array([velocity_profile(scn, float(r)) for r in radii])
@@ -255,7 +236,7 @@ def test_compressible_physical_fdpd_is_finite_and_ordered():
 
 
 def test_compressible_rejects_bad_inputs():
-    scn = scaled_scenario()
+    scn = gamma_scaled_scenario()
     with pytest.raises(ValueError):
         compressible_velocity(scn, -1e-9)
     with pytest.raises(ValueError):
@@ -266,4 +247,4 @@ def test_compressible_rejects_bad_inputs():
 def test_compressible_rejects_non_finite_gamma(gamma):
     # nan and inf once slipped past `gamma < 0` and ended in StepSizeUnderflow
     with pytest.raises(ValueError, match="gamma"):
-        compressible_velocity(scaled_scenario(), gamma)
+        compressible_velocity(gamma_scaled_scenario(), gamma)
