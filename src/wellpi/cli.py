@@ -20,6 +20,7 @@ imported only by ``validate``, ``fit`` and ``sweep --log-range``.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import sys
@@ -356,7 +357,14 @@ def _add_scenario_options(sub: argparse.ArgumentParser) -> None:
                      help="rescale lambda to alpha*v_D^s so the law is continuous at v_D")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``wellpi`` argument parser, built on the first call.
+
+    Every later call in the process returns the same parser, so ``main``
+    builds it once however often it is called.  It is shared: callers must
+    not change it (add arguments, set defaults).
+    """
     parser = argparse.ArgumentParser(
         prog="wellpi",
         description="Pseudo-steady-state well productivity index under "

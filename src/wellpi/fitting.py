@@ -194,7 +194,7 @@ def read_measurements_csv(path: str) -> list[FlowMeasurement]:
 
     Columns are ``v_m_per_s, grad_p_pa_per_m``; `.` is the decimal
     separator.  Malformed rows, and bytes that are not UTF-8, are reported
-    with their line number.
+    with their line number, and an empty file with its path.
     """
     with open(path, "rb") as fh:
         # a byte-order mark, as some editors save it, is not part of the header
@@ -213,10 +213,11 @@ def read_measurements_csv(path: str) -> list[FlowMeasurement]:
     except csv.Error as exc:  # e.g. a field beyond the csv module's size limit
         raise ValueError(f"row {reader.line_num}: {exc}") from None
     header = next(rows, None)
-    if header is None or [c.strip() for c in header] != list(CSV_COLUMNS):
-        raise ValueError(
-            f"expected header '{', '.join(CSV_COLUMNS)}', got {header!r}"
-        )
+    expected = ", ".join(CSV_COLUMNS)
+    if header is None:
+        raise ValueError(f"{path!r} is empty: expected header '{expected}'")
+    if [c.strip() for c in header] != list(CSV_COLUMNS):
+        raise ValueError(f"expected header '{expected}', got {header!r}")
     out = []
     for lineno, row in enumerate(rows, start=2):
         if not row or all(not cell.strip() for cell in row):

@@ -101,16 +101,25 @@ def compute_pis(scn: Scenario, regimes: Sequence[RegimeAssignment]) -> list[PiRe
     all-Darcy regime is exactly independent of the flux.
 
     Raises FloatingPointError when an index or its dimensionless form
-    overflows, underflows to zero or is NaN.
+    overflows, underflows to zero or is NaN, or when L or the zone integrals
+    leave the float range on the way to it.
     """
     geo = scn.geometry
     part = partition_zones(scn)
-    big_l = 2.0 * math.pi * geo.h * geo.radius_span_sq**2
     factor = dimensionless_factor(scn)
     done: dict[Zone, float] = {}
     out = []
     for regime in regimes:
-        j_raw = finite_positive("PI j_raw", big_l / _denominator(scn, part, regime, done))
+        try:
+            j_raw = 2.0 * math.pi * geo.h * geo.radius_span_sq**2 / _denominator(
+                scn, part, regime, done
+            )
+        except (OverflowError, ZeroDivisionError):
+            # a float ** raises where * would give inf: at a huge r_e the
+            # powers in L and in the zone integrals overflow, and at a tiny one
+            # both underflow to 0, so J is a ratio the float range cannot hold
+            j_raw = math.nan
+        j_raw = finite_positive("PI j_raw", j_raw)
         out.append(PiResult(
             j_raw=j_raw,
             j_dimensionless=finite_positive("PI j_dimensionless", j_raw * factor),

@@ -37,6 +37,7 @@ from wellpi.reference import (
 
 from helpers import make_scenario
 from test_fitting import fit_params
+from test_imports import run_fresh
 
 
 def run_cli(capsys, *argv):
@@ -114,12 +115,15 @@ def test_overflowing_geometry_is_a_numerical_failure(capsys, regime):
     ("--regime", "FDpD", "--q-over-h", "1e300"),  # S_F overflows, J = 0
     ("--h", "1e-320"),  # J underflows to 0, alpha / (2 pi h) overflows: 0 * inf = nan
     ("--r-w", "1e-300"),  # S_F overflows near the well, J = 0
-], ids=["huge-flux", "subnormal-h", "tiny-r-w"])
+    ("--r-e", "1e150", "--r-w", "1e149"),  # r_e^4 in L and the zone integrals overflows
+    ("--r-e", "1e-150", "--r-w", "1e-151"),  # L and the zone integrals underflow to 0
+], ids=["huge-flux", "subnormal-h", "tiny-r-w", "huge-annulus", "tiny-annulus"])
 def test_pi_out_of_float_range_is_a_numerical_failure(capsys, argv):
     code, out, err = run_cli(capsys, "pi", *argv)
     assert code == 3
     assert out == ""
-    assert "numerical failure" in err
+    assert err.startswith("numerical failure: PI j_")
+    assert " out of the floating-point range: " in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -644,10 +648,70 @@ def test_fit_invalid_utf8_after_a_byte_order_mark_names_row(capsys, tmp_path, ro
     assert err.startswith(f"error: row {row}: 'utf-8' codec can't decode byte 0xff")
 
 
+@pytest.mark.parametrize("content", [b"", codecs.BOM_UTF8], ids=["empty", "byte-order-mark-only"])
+def test_fit_empty_file_is_named(capsys, tmp_path, content):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "fit", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {str(path)!r} is empty: expected header 'v_m_per_s, grad_p_pa_per_m'\n"
+    )
+
+
 def test_fit_missing_file(capsys):
     code, _, err = run_cli(capsys, "fit", "/nonexistent/data.csv")
     assert code == 2
     assert "data.csv" in err
+
+
+# ---------------------------------------------------------------------------
+# parser reuse
+# ---------------------------------------------------------------------------
+
+# successes, help, version, argparse errors and a library error, with the
+# mutually exclusive sweep values given one way and then the other
+_REUSE_CALLS = (
+    ("pi", "--raw"), ("pi",), ("-h",), ("pi", "--help"), ("--version",),
+    ("pi", "--bogus"), ("pi", "--s", "2"),
+    ("sweep", "--axis", "q_over_h", "--values", "1e-4,1e-3"),
+    ("sweep", "--axis", "q_over_h", "--log-range", "1e-4,1e-2,3"),
+    ("sweep", "--values", "1e-4"), ("table", "5"), ("table", "1"),
+)
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse ends help, --version and its errors this way
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_answers_as_a_fresh_one(capsys):
+    reused = [_outcome(capsys, argv) for argv in _REUSE_CALLS]
+    fresh = []
+    for argv in _REUSE_CALLS:
+        build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert reused == fresh
+    assert {code for code, _, _ in reused} == {0, 2}
+
+
+def test_main_builds_the_parser_once(capsys):
+    build_parser.cache_clear()
+    for argv in (["pi"], ["pi", "--raw"], ["table", "2"]):
+        run_cli(capsys, *argv)
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_importing_the_cli_builds_no_parser():
+    assert run_fresh(
+        "import wellpi.cli\n"
+        "print(json.dumps(wellpi.cli.build_parser.cache_info().misses))\n"
+    ) == 0
 
 
 # ---------------------------------------------------------------------------
