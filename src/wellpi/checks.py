@@ -18,14 +18,9 @@ import numpy as np
 from .constitutive import REGIME_PRESETS, ZoneLaw, mobility, pressure_gradient, regime_preset
 from .kinematics import Scenario, flux_density, radius_of_velocity, velocity_profile
 from .productivity import compute_pi, compute_pis, zone_contributions
-from .quadrature import (
-    darcy_zone_integral,
-    forchheimer_zone_integral,
-    integrate_adaptive,
-    predarcy_zone_integral,
-)
+from .quadrature import zone_integral
 from .reference import base_scenario
-from .validation import compressible_velocity, pi_from_profile, pressure_profile
+from .validation import _zone_energy, compressible_velocity, pi_from_profile, pressure_profile
 
 
 @dataclass(frozen=True)
@@ -67,34 +62,21 @@ _QUAD_SEED = 20240814
 
 
 def check_closed_vs_quadrature() -> CheckResult:
-    """Closed-form S_D, S_F and S_pD match adaptive quadrature on random
-    subintervals; S_pD with s drawn per interval from [0, 1], both ends included."""
-    scn = base_scenario("D")
-    geo = scn.geometry
-    a_flux = flux_density(scn)
+    """Closed-form S_D, S_F and S_pD match quadrature of each law's drag energy,
+    divided by A^2, on random subintervals; s is drawn per interval from
+    [0, 1], both ends included."""
     rng = np.random.default_rng(_QUAD_SEED)
+    geo = base_scenario("D").geometry
     intervals = np.sort(rng.uniform(geo.r_w, geo.r_e, size=(_QUAD_INTERVALS, 2)), axis=1)
     powers = rng.uniform(0.0, 1.0, size=_QUAD_INTERVALS)
     powers[:2] = (0.0, 1.0)
     worst = 0.0
     for (r1, r2), s in zip(intervals, powers):
-        closed_d = darcy_zone_integral(scn, r1, r2)
-        quad_d = scn.params.alpha * integrate_adaptive(
-            lambda r: ((geo.r_e - r) * (geo.r_e + r)) ** 2 / r, r1, r2, rel_tol=1e-12
-        ).value
-        worst = max(worst, abs(closed_d - quad_d) / abs(quad_d))
-        closed_f = forchheimer_zone_integral(scn, r1, r2)
-        quad_f = quad_d + scn.params.beta * a_flux * integrate_adaptive(
-            lambda r: ((geo.r_e - r) * (geo.r_e + r)) ** 3 / r**2, r1, r2, rel_tol=1e-12
-        ).value
-        worst = max(worst, abs(closed_f - quad_f) / abs(quad_f))
-        scn_p = base_scenario("DDpD", s=float(s))
-        closed_p = predarcy_zone_integral(scn_p, r1, r2)
-        quad_p = scn_p.params.lambda_ * a_flux ** (-s) * integrate_adaptive(
-            lambda r: ((geo.r_e - r) * (geo.r_e + r)) ** (2.0 - s) * r ** (s - 1.0),
-            r1, r2, rel_tol=1e-12,
-        ).value
-        worst = max(worst, abs(closed_p - quad_p) / abs(quad_p))
+        case = base_scenario("D", s=float(s))
+        a_sq = flux_density(case) ** 2
+        for law in ZoneLaw:
+            quad = _zone_energy(case, law, r1, r2) / a_sq
+            worst = max(worst, abs(zone_integral(case, law, r1, r2) - quad) / abs(quad))
     return CheckResult("closed-form-vs-quadrature", worst <= 1e-9, worst, "1e-9")
 
 
@@ -114,22 +96,22 @@ def check_darcy_profile() -> CheckResult:
 
 
 def check_oracle_equivalence(fault_scale: float = 1.0) -> CheckResult:
-    """Zone-integral PI and nested pressure-profile PI agree to 1e-6."""
+    """Zone-integral PI and nested pressure-profile PI agree to 1e-6; a fault
+    scale other than 1 multiplies the Forchheimer zones' S values first."""
+    regimes = tuple(REGIME_PRESETS.values())
     worst = 0.0
     for q_over_h in (1e-4, 1e-2):
         for s in (0.3, 0.7):
             scn = base_scenario("D", q_over_h=q_over_h, s=s)  # compute_pis ignores its regime
-            for pi in compute_pis(scn, tuple(REGIME_PRESETS.values())):
-                scn_regime = replace(scn, regime=pi.regime)
+            for regime, pi in zip(regimes, compute_pis(scn, regimes)):
+                scn_regime = replace(scn, regime=regime)
+                j_closed = pi.j_raw
                 if fault_scale != 1.0:
-                    denom = math.fsum(
-                        c * (fault_scale if law is ZoneLaw.FORCHHEIMER else 1.0)
-                        for c, law in zip(zone_contributions(scn_regime), pi.regime.laws())
+                    contributions = zone_contributions(scn_regime)
+                    j_closed *= math.fsum(contributions) / math.fsum(
+                        c * fault_scale if law is ZoneLaw.FORCHHEIMER else c
+                        for c, law in zip(contributions, regime.laws())
                     )
-                    geo = scn.geometry
-                    j_closed = 2 * math.pi * geo.h * geo.radius_span_sq**2 / denom
-                else:
-                    j_closed = pi.j_raw
                 j_profile = pi_from_profile(scn_regime).j_raw
                 worst = max(worst, abs(j_closed - j_profile) / abs(j_profile))
     return CheckResult("oracle-equivalence", worst <= 1e-6, worst, "1e-6")

@@ -7,7 +7,7 @@ config key and flag of each of the ten scalar fields (geometry, flow
 parameters, flux) come from one table, ``_SCENARIO_FIELDS``; their defaults
 are those of ``reference.base_scenario``.  All
 CSV output is UTF-8 with a header row, ``.`` decimal separator and
-scientific notation with at least six significant digits; identical inputs
+scientific notation with nine significant digits; identical inputs
 produce byte-identical output.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
@@ -20,6 +20,7 @@ imported only by ``validate``, ``fit`` and ``sweep --log-range``.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import io
 import math
@@ -38,7 +39,7 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_DEFAULT_REGIME = "FDpD"
+_DEFAULT_REGIME = regime_preset("FDpD")
 
 SWEEP_AXES = ("q_over_h", "s", "v_D", "v_F")
 
@@ -79,8 +80,9 @@ _SCENARIO_FIELDS = (
     ("v_F", "params.v_F", "--v-f", "Darcy/Forchheimer transition, m/s"),
     ("q_over_h", "flow.q_over_h", "--q-over-h", "specific flux Q/h, m^2/s"),
 )
-_SCALAR_KEYS = {key: field for field, key, _, _ in _SCENARIO_FIELDS}
-_REGIME_KEYS = ("regime.preset", "regime.near_well", "regime.middle", "regime.near_boundary")
+_SCALAR_KEYS = {key for _, key, _, _ in _SCENARIO_FIELDS}
+# each zone-law key ends in the RegimeAssignment field it sets
+_ZONE_KEYS = ("regime.near_well", "regime.middle", "regime.near_boundary")
 
 _ZONE_LAW_NAMES = {
     "darcy": ZoneLaw.DARCY,
@@ -93,65 +95,63 @@ _ZONE_LAW_NAMES = {
 }
 
 
-def _parse_zone_law(text: str, key: str) -> ZoneLaw:
-    law = _ZONE_LAW_NAMES.get(text.strip().lower())
+def _config_value(key: str, text: str) -> float | RegimeAssignment | ZoneLaw:
+    if key in _SCALAR_KEYS:
+        try:
+            return float(text)
+        except ValueError:
+            raise ConfigError(f"{key}: not a number: {text!r}") from None
+    if key == "regime.preset":
+        return regime_preset(text)
+    if key not in _ZONE_KEYS:
+        raise ConfigError(f"unknown key {key!r}")
+    law = _ZONE_LAW_NAMES.get(text.lower())
     if law is None:
         raise ConfigError(f"{key}: unknown zone law {text!r}")
     return law
 
 
-def load_config_file(path: str) -> dict[str, str]:
-    """Flat ``key = value`` file; ``#`` starts a comment."""
+def load_config_file(path: str) -> dict[str, float | RegimeAssignment | ZoneLaw]:
+    """Flat ``key = value`` file; ``#`` starts a comment.
+
+    Each value is converted as its line is read, to a float, a regime preset
+    or a zone law by its key; an error names the file and the line.
+    """
     try:
-        # utf-8-sig: a byte-order mark, as some editors save it, is not part of the first key
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            # a byte-order mark, as some editors save it, is not part of the first key
+            lines = fh.read().removeprefix(codecs.BOM_UTF8).splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
-    out: dict[str, str] = {}
+    out = {}
     for lineno, line in enumerate(lines, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
-        key, value = (part.strip() for part in text.split("=", 1))
-        if key not in _SCALAR_KEYS and key not in _REGIME_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = value
+        try:  # a UnicodeDecodeError is a ValueError
+            text = line.decode("utf-8").split("#", 1)[0].strip()
+            if not text:
+                continue
+            if "=" not in text:
+                raise ConfigError(f"expected 'key = value', got {text!r}")
+            key, value = (part.strip() for part in text.split("=", 1))
+            out[key] = _config_value(key, value)
+        except (ConfigError, ValueError) as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
 def build_scenario(args: argparse.Namespace) -> Scenario:
     """Defaults of ``base_scenario`` < config file < command-line flags."""
-    values: dict[str, float] = {}
-    regime: RegimeAssignment | None = None
-    zone_laws: dict[str, ZoneLaw] = {}
-
-    if getattr(args, "config", None):
-        fields = load_config_file(args.config)
-        for key, text in fields.items():
-            if key in _SCALAR_KEYS:
-                try:
-                    values[_SCALAR_KEYS[key]] = float(text)
-                except ValueError:
-                    raise ConfigError(f"{key}: not a number: {text!r}") from None
-            elif key == "regime.preset":
-                regime = regime_preset(text)
-            else:
-                zone_laws[key.split(".", 1)[1]] = _parse_zone_law(text, key)
-
+    config = load_config_file(args.config) if args.config else {}
+    values = {field: config[key] for field, key, _, _ in _SCENARIO_FIELDS if key in config}
     for field, _, _, _ in _SCENARIO_FIELDS:
-        override = getattr(args, field, None)
-        if override is not None:
-            values[field] = override
-
-    if getattr(args, "regime", None) is not None:
+        if getattr(args, field) is not None:
+            values[field] = getattr(args, field)
+    regime = config.get("regime.preset", _DEFAULT_REGIME)
+    if args.regime is not None:
         regime = regime_preset(args.regime)
-    regime = regime or regime_preset(_DEFAULT_REGIME)
-    if zone_laws:  # keyed by the RegimeAssignment field each one sets
+    zone_laws = {key.split(".", 1)[1]: config[key] for key in _ZONE_KEYS if key in config}
+    if zone_laws:
         regime = replace(regime, **zone_laws)
-    return base_scenario(regime, getattr(args, "continuous_predarcy", False), **values)
+    return base_scenario(regime, args.continuous_predarcy, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +317,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .fitting import fit_segments, model_curve, read_measurements_csv
+    from .fitting import CSV_COLUMNS, fit_segments, model_curve, read_measurements_csv
 
     try:
         data = read_measurements_csv(args.input_csv)
@@ -336,7 +336,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.emit_model:
         v_values = np.geomspace(min(m.v for m in data), max(m.v for m in data), 200)
         buf = io.StringIO()
-        buf.write("v_m_per_s,grad_p_pa_per_m\n")
+        buf.write(",".join(CSV_COLUMNS) + "\n")
         for v, grad_p in model_curve(fit, v_values):
             buf.write(f"{_fmt(v)},{_fmt(grad_p)}\n")
         _write_text(buf.getvalue(), args.emit_model)

@@ -133,17 +133,17 @@ def fit_segments(data: Iterable[FlowMeasurement]) -> FitResult:
     x = np.log([m.v for m in points])
     y = np.log([m.grad_p for m in points])
 
-    best = None  # (sse, split_index)
+    best = None  # (sse, split_index, slope_low, icept_low, icept_up)
     for i in range(_MIN_SEGMENT - 1, n - _MIN_SEGMENT):
         # lower = points[: i + 1], upper = points[i + 1 :]
         xl = x[: i + 1]
         if xl[0] == xl[-1]:
             continue  # zero velocity spread below the split
-        _, _, sse_low = _slope_fit(xl, y[: i + 1])
-        _, sse_up = _unit_slope_fit(x[i + 1 :], y[i + 1 :])
+        slope_low, icept_low, sse_low = _slope_fit(xl, y[: i + 1])
+        icept_up, sse_up = _unit_slope_fit(x[i + 1 :], y[i + 1 :])
         sse = sse_low + sse_up
         if best is None or sse < best[0]:
-            best = (sse, i)
+            best = (sse, i, slope_low, icept_low, icept_up)
     if best is None:
         raise ValueError("no admissible breakpoint: velocity spread too degenerate")
 
@@ -164,9 +164,7 @@ def fit_segments(data: Iterable[FlowMeasurement]) -> FitResult:
             darcy_slope=slope_all,
         )
 
-    sse, i = best
-    slope_low, icept_low, _ = _slope_fit(x[: i + 1], y[: i + 1])
-    icept_up, _ = _unit_slope_fit(x[i + 1 :], y[i + 1 :])
+    sse, i, slope_low, icept_low, icept_up = best
     if x[i + 1] == x[-1]:  # no velocity spread above the split
         slope_up_free = math.nan
     else:
@@ -194,7 +192,8 @@ def read_measurements_csv(path: str) -> list[FlowMeasurement]:
 
     Columns are ``v_m_per_s, grad_p_pa_per_m``; `.` is the decimal
     separator.  Malformed rows, and bytes that are not UTF-8, are reported
-    with their line number, and an empty file with its path.
+    with their line number, and a file with no rows but blank ones with its
+    path.
     """
     with open(path, "rb") as fh:
         # a byte-order mark, as some editors save it, is not part of the header
@@ -209,19 +208,18 @@ def read_measurements_csv(path: str) -> list[FlowMeasurement]:
         raise ValueError(f"row {lineno}: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        rows = iter(list(reader))
+        # blank rows are skipped, before the header as after it
+        rows = [(n, row) for n, row in enumerate(reader, start=1) if any(c.strip() for c in row)]
     except csv.Error as exc:  # e.g. a field beyond the csv module's size limit
         raise ValueError(f"row {reader.line_num}: {exc}") from None
-    header = next(rows, None)
     expected = ", ".join(CSV_COLUMNS)
-    if header is None:
+    if not rows:
         raise ValueError(f"{path!r} is empty: expected header '{expected}'")
+    header = rows[0][1]
     if [c.strip() for c in header] != list(CSV_COLUMNS):
         raise ValueError(f"expected header '{expected}', got {header!r}")
     out = []
-    for lineno, row in enumerate(rows, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    for lineno, row in rows[1:]:
         if len(row) != 2:
             raise ValueError(f"row {lineno}: expected 2 columns, got {len(row)}")
         try:

@@ -41,13 +41,11 @@ class PiResult:
     j_raw:           PI in m^3/(Pa*s)
     j_dimensionless: j_raw * alpha / (2 pi h)
     zone_partition:  critical radii used for the zone split
-    regime:          the law assignment that produced the result
     """
 
     j_raw: float
     j_dimensionless: float
     zone_partition: ZonePartition
-    regime: RegimeAssignment
 
 
 def dimensionless_factor(scn: Scenario) -> float:
@@ -124,7 +122,6 @@ def compute_pis(scn: Scenario, regimes: Sequence[RegimeAssignment]) -> list[PiRe
             j_raw=j_raw,
             j_dimensionless=finite_positive("PI j_dimensionless", j_raw * factor),
             zone_partition=part,
-            regime=regime,
         ))
     return out
 

@@ -103,8 +103,8 @@ def _rule():
     return np, nodes, w_kronrod, w_gauss
 
 
-#: Default subdivision cap; plenty for smooth integrands on a bounded interval.
-DEFAULT_MAX_PANELS = 2000
+# Subdivision cap; plenty for smooth integrands on a bounded interval.
+_MAX_PANELS = 2000
 # Absolute tolerance: in effect, the relative tolerance alone decides.
 _ABS_TOL = 1e-300
 
@@ -166,7 +166,6 @@ def integrate_adaptive(
     a: float,
     b: float,
     rel_tol: float = 1e-10,
-    max_panels: int = DEFAULT_MAX_PANELS,
 ) -> IntegralResult:
     """Integrate f over [a, b] to max(1e-300, rel_tol * |value|).
 
@@ -204,10 +203,10 @@ def integrate_adaptive(
         resabs = math.fsum(p[4] for p in panels)
         if _converged(value, err, resabs, rel_tol):
             return IntegralResult(value, err, len(panels))
-        if len(panels) >= max_panels:
+        if len(panels) >= _MAX_PANELS:
             best = IntegralResult(value, err, len(panels))
             raise QuadratureError(
-                f"no convergence within {max_panels} panels "
+                f"no convergence within {_MAX_PANELS} panels "
                 f"(value={value:.6e}, err={err:.2e})",
                 best,
             )

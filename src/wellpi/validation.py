@@ -186,7 +186,6 @@ def pi_from_profile(scn: Scenario) -> PiResult:
             "profile-route PI j_dimensionless", j_raw * dimensionless_factor(scn)
         ),
         zone_partition=part,
-        regime=scn.regime,
     )
 
 
@@ -216,7 +215,7 @@ class StepSizeUnderflow(RuntimeError):
 def compressible_velocity(
     scn: Scenario,
     gamma: float,
-    radii: Sequence[float] | None = None,
+    radii: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Speed profile v_gamma sampled at the given radii (ascending).
 
@@ -235,8 +234,6 @@ def compressible_velocity(
     if not 0.0 <= gamma < math.inf:
         raise ValueError(f"gamma must be nonnegative and finite, got {gamma}")
     geo = scn.geometry
-    if radii is None:
-        radii = np.geomspace(geo.r_w, geo.r_e, 201)
     targets = np.unique(np.asarray(radii, dtype=float))
     if targets[0] < geo.r_w or targets[-1] > geo.r_e:
         raise ValueError("sample radii must lie in [r_w, r_e]")

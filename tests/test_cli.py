@@ -145,7 +145,7 @@ def test_invalid_regime(capsys, tmp_path):
     cfg.write_text("regime.preset = bogus\n")
     code, out, err = run_cli(capsys, "pi", "--config", str(cfg))
     assert (code, out) == (2, "")
-    assert err.startswith("error: unknown regime preset 'bogus'; expected one of: D, F,")
+    assert err.startswith(f"error: {cfg}:1: unknown regime preset 'bogus'; expected one of: D, F,")
 
 
 def test_config_file_and_flag_precedence(capsys, tmp_path):
@@ -195,7 +195,21 @@ def test_unknown_config_key(capsys, tmp_path):
     cfg.write_text("regime.near_well = pd\nregime.middle = bogus\n")
     code, out, err = run_cli(capsys, "pi", "--config", str(cfg))
     assert (code, out) == (2, "")
-    assert err == "error: regime.middle: unknown zone law 'bogus'\n"
+    assert err == f"error: {cfg}:2: regime.middle: unknown zone law 'bogus'\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"# comment\n\ngeometry.r_e 500\n", "3: expected 'key = value', got 'geometry.r_e 500'"),
+    (b"geometry.r_e = abc\n", "1: geometry.r_e: not a number: 'abc'"),
+    (codecs.BOM_UTF8 + b"geometry.r_e = 500\nparams.s = 0.3 # \xff\n",
+     "2: 'utf-8' codec can't decode byte 0xff in position 17: invalid start byte"),
+], ids=["no-equals-sign", "not-a-number", "invalid-utf8"])
+def test_config_error_names_file_and_line(capsys, tmp_path, content, message):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_bytes(content)
+    code, out, err = run_cli(capsys, "pi", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: {cfg}:{message}\n"
 
 
 def test_gamma_is_neither_a_flag_nor_a_config_key(capsys, tmp_path):
@@ -456,6 +470,9 @@ def test_sweep_rejects_unknown_axis_and_empty_lists(capsys):
     code, out, err = run_cli(capsys, "sweep", "--axis", "s", "--values", ",")
     assert (code, out) == (2, "")
     assert "at least one axis value" in err
+    code, out, err = run_cli(capsys, "sweep", "--axis", "s", "--values", "0.5,abc")
+    assert (code, out) == (2, "")
+    assert err == "error: --values: could not convert string to float: 'abc'\n"
     code, out, err = run_cli(capsys, "sweep", "--axis", "s", "--values", "0.5", "--regimes", ",")
     assert (code, out) == (2, "")
     assert "at least one regime" in err
@@ -567,6 +584,14 @@ def test_fit_recovers_power(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "fit", str(path))
     assert code == 0
     assert "s_hat             = 0.5772" in out
+    assert "note:" not in out
+    # every velocity in the Darcy range: no breakpoint
+    _write_measurements(path, fit_params(v_D=1e-12), np.geomspace(1e-8, 5e-6, 12))
+    code, out, _ = run_cli(capsys, "fit", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "note: single Darcy segment explains the data; no breakpoint reported"
+    )
 
 
 def test_fit_emit_model(capsys, tmp_path):
@@ -648,7 +673,9 @@ def test_fit_invalid_utf8_after_a_byte_order_mark_names_row(capsys, tmp_path, ro
     assert err.startswith(f"error: row {row}: 'utf-8' codec can't decode byte 0xff")
 
 
-@pytest.mark.parametrize("content", [b"", codecs.BOM_UTF8], ids=["empty", "byte-order-mark-only"])
+@pytest.mark.parametrize("content", [
+    b"", codecs.BOM_UTF8, b"\n", codecs.BOM_UTF8 + b"\r\n \n,\n",
+], ids=["empty", "byte-order-mark-only", "blank-line", "blank-rows"])
 def test_fit_empty_file_is_named(capsys, tmp_path, content):
     path = tmp_path / "empty.csv"
     path.write_bytes(content)
@@ -657,6 +684,11 @@ def test_fit_empty_file_is_named(capsys, tmp_path, content):
     assert err == (
         f"error: {str(path)!r} is empty: expected header 'v_m_per_s, grad_p_pa_per_m'\n"
     )
+    # the same rows before a header are skipped
+    plain = tmp_path / "plain.csv"
+    _write_measurements(plain, fit_params(), np.geomspace(1e-9, 1e-6, 20))
+    path.write_bytes(content + plain.read_bytes())
+    assert run_cli(capsys, "fit", str(path)) == run_cli(capsys, "fit", str(plain))
 
 
 def test_fit_missing_file(capsys):

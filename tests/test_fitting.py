@@ -176,6 +176,9 @@ def test_csv_bad_row_is_named(tmp_path):
     _write_csv(path, [(1e-7, 1e3), ("oops", 1e3)])
     with pytest.raises(ValueError, match="row 3"):
         read_measurements_csv(str(path))
+    _write_csv(path, [(1e-7, 1e3), (2e-7, 1e3, 5.0)])
+    with pytest.raises(ValueError, match="^row 3: expected 2 columns, got 3$"):
+        read_measurements_csv(str(path))
 
 
 def test_csv_nonpositive_velocity_is_named(tmp_path):

@@ -238,7 +238,7 @@ def test_compressible_physical_fdpd_is_finite_and_ordered():
 def test_compressible_rejects_bad_inputs():
     scn = gamma_scaled_scenario()
     with pytest.raises(ValueError):
-        compressible_velocity(scn, -1e-9)
+        compressible_velocity(scn, -1e-9, [0.3, 1000.0])
     with pytest.raises(ValueError):
         compressible_velocity(scn, 0.0, [0.1, 10.0])
 
@@ -247,4 +247,4 @@ def test_compressible_rejects_bad_inputs():
 def test_compressible_rejects_non_finite_gamma(gamma):
     # nan and inf once slipped past `gamma < 0` and ended in StepSizeUnderflow
     with pytest.raises(ValueError, match="gamma"):
-        compressible_velocity(gamma_scaled_scenario(), gamma)
+        compressible_velocity(gamma_scaled_scenario(), gamma, [0.3, 1000.0])
