@@ -140,7 +140,7 @@ def load_config_file(path: str) -> dict[str, float | RegimeAssignment | ZoneLaw]
 
 def build_scenario(args: argparse.Namespace) -> Scenario:
     """Defaults of ``base_scenario`` < config file < command-line flags."""
-    config = load_config_file(args.config) if args.config else {}
+    config = load_config_file(args.config) if args.config is not None else {}
     values = {field: config[key] for field, key, _, _ in _SCENARIO_FIELDS if key in config}
     for field, _, _, _ in _SCENARIO_FIELDS:
         if getattr(args, field) is not None:
@@ -303,8 +303,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     from . import checks
 
-    fault = 1.0 + 1e-3 if args.inject_fault else 1.0
-    results = checks.run_all(fault_scale=fault)
+    results = checks.run_all(inject_fault=args.inject_fault)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"

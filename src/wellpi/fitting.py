@@ -223,11 +223,7 @@ def read_measurements_csv(path: str) -> list[FlowMeasurement]:
         if len(row) != 2:
             raise ValueError(f"row {lineno}: expected 2 columns, got {len(row)}")
         try:
-            v, grad_p = float(row[0]), float(row[1])
-        except ValueError as exc:
-            raise ValueError(f"row {lineno}: {exc}") from None
-        try:
-            out.append(FlowMeasurement(v=v, grad_p=grad_p))
+            out.append(FlowMeasurement(v=float(row[0]), grad_p=float(row[1])))
         except ValueError as exc:
             raise ValueError(f"row {lineno}: {exc}") from None
     return out

@@ -121,7 +121,7 @@ def radius_of_velocity(scn: Scenario, v: float) -> float:
 
     v must lie in [0, v(r_w)]; v = 0 maps to r_e.
     """
-    if v < 0:
+    if not v >= 0:
         raise ValueError(f"v must be nonnegative, got {v}")
     v_max = velocity_profile(scn, scn.geometry.r_w)
     if v > v_max:

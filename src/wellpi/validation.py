@@ -32,16 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constitutive import ZoneLaw, drag_power, pressure_gradient
-from .kinematics import (
-    Scenario,
-    finite_positive,
-    flux_density,
-    merge_zones,
-    partition_zones,
-    zone_bounds,
-    zone_segments,
-)
-from .productivity import PiResult, dimensionless_factor
+from .kinematics import Scenario, finite_positive, flux_density, zone_segments
 from .quadrature import _converged, _panels, integrate_adaptive
 
 # relative tolerances: W(r), zone energies and the inner integrals of
@@ -102,35 +93,27 @@ def pi_from_energy(scn: Scenario) -> float:
     return finite_positive("energy-route PI", q * q / (2.0 * math.pi * scn.geometry.h * energy))
 
 
-def pi_from_profile(scn: Scenario) -> PiResult:
-    """PI recomputed from the pressure profile by nested quadrature.
+def pi_from_profile(scn: Scenario) -> float:
+    """Raw PI recomputed from the pressure profile by nested quadrature.
 
     The drawdown denominator int_U W dx is evaluated as
     2 * 2 pi h * int r W(r) dr (the factor matching the |U| convention used
     throughout).  W at every outer node comes from its own inner quadrature
     of g(v) v, taken from the nearest radius below the node where W is
     already known (the segment start, an earlier node or the previous node
-    of the same batch) and accumulated onto the W found there.  The first
-    Gauss-Kronrod panel of every gap in a batch of outer nodes is evaluated
-    in one integrand call; a gap whose panel fails the acceptance test of
-    ``integrate_adaptive`` is integrated adaptively instead.  The result is
-    cross-checked against the energy-identity route; disagreement beyond
-    ``_CONSISTENCY_TOL`` signals a quadrature failure.  Raises
-    FloatingPointError when the PI overflows, underflows to zero or is NaN,
-    where both routes could agree on 0.
+    of the same batch) and accumulated onto the W found there; W at each
+    segment start is ``pressure_profile``.  The first Gauss-Kronrod panel of
+    every gap in a batch of outer nodes is evaluated in one integrand call;
+    a gap whose panel fails the acceptance test of ``integrate_adaptive`` is
+    integrated adaptively instead.  The result is cross-checked against the
+    energy-identity route; disagreement beyond ``_CONSISTENCY_TOL`` signals
+    a quadrature failure.  Raises FloatingPointError when the PI overflows,
+    underflows to zero or is NaN, where both routes could agree on 0.
     """
     geo = scn.geometry
-    part = partition_zones(scn)
-    segments = merge_zones(zone_bounds(scn, part, scn.regime))
-
-    # cumulative W at segment starts
-    w_base = [0.0]
-    for a, b, law in segments:
-        piece = integrate_adaptive(_grad_fun(scn, law), a, b, rel_tol=_INNER_REL_TOL)
-        w_base.append(w_base[-1] + piece.value)
-
     total_rw = 0.0
-    for (a, b, law), w0 in zip(segments, w_base):
+    for a, b, law in zone_segments(scn):
+        w0 = pressure_profile(scn, a)
         grad = _grad_fun(scn, law)
         # radii in [a, b] where W - w0 is known, ascending, with those values
         known_r = [a]
@@ -179,14 +162,7 @@ def pi_from_profile(scn: Scenario) -> PiResult:
         raise RuntimeError(
             f"profile and energy routes disagree: {j_raw:.12e} vs {j_energy:.12e}"
         )
-
-    return PiResult(
-        j_raw=j_raw,
-        j_dimensionless=finite_positive(
-            "profile-route PI j_dimensionless", j_raw * dimensionless_factor(scn)
-        ),
-        zone_partition=part,
-    )
+    return j_raw
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +205,14 @@ def compressible_velocity(
     on the base FDpD scenario at gamma = 1e-8).  A gate on these outputs
     should be set from that floor.
 
-    Raises ValueError unless 0 <= gamma < inf.
+    Raises ValueError unless 0 <= gamma < inf, or when the radii are empty,
+    NaN or outside [r_w, r_e].
     """
     if not 0.0 <= gamma < math.inf:
         raise ValueError(f"gamma must be nonnegative and finite, got {gamma}")
     geo = scn.geometry
     targets = np.unique(np.asarray(radii, dtype=float))
-    if targets[0] < geo.r_w or targets[-1] > geo.r_e:
+    if not (targets.size and geo.r_w <= targets[0] and targets[-1] <= geo.r_e):
         raise ValueError("sample radii must lie in [r_w, r_e]")
 
     a_flux = flux_density(scn)
@@ -245,14 +222,12 @@ def compressible_velocity(
         return -2.0 * a_flux * r - gamma * r * drag_power(params, regime, u / r)
 
     r, u = geo.r_e, 0.0
-    values: dict[float, float] = {}
+    speeds = np.empty_like(targets)
     h_prop = -(geo.r_e - geo.r_w) / 100.0  # proposed (negative) step
     abs_floor = _RK_REL_TOL * a_flux * geo.r_e**2  # scale of max |r v|
 
-    for target in targets[::-1]:
-        if target == geo.r_e:
-            values[target] = 0.0
-            continue
+    for n in range(targets.size - 1, -1, -1):
+        target = targets[n]
         while r > target:
             h = max(h_prop, target - r)  # never step past the next sample
             landing = h == target - r
@@ -277,7 +252,5 @@ def compressible_velocity(
                 h_prop = h * max(0.2, 0.9 * (tol / err) ** 0.2)
                 if abs(h_prop) < 1e-14 * geo.r_e:
                     raise StepSizeUnderflow(f"step underflow at r={r}")
-        values[target] = u / r
-
-    speeds = np.array([values[t] for t in targets])
+        speeds[n] = u / r
     return targets, speeds

@@ -133,7 +133,7 @@ def test_c06_oracle_equivalence_105_cases():
             for s in (0.3, 0.5, 0.7):
                 scn = make_scenario(regime, q_over_h=q_over_h, s=s)
                 j_closed = compute_pi(scn).j_raw
-                j_profile = pi_from_profile(scn).j_raw
+                j_profile = pi_from_profile(scn)
                 worst = max(worst, abs(j_closed - j_profile) / abs(j_profile))
                 cases += 1
     elapsed = time.perf_counter() - start

@@ -77,6 +77,10 @@ def test_missing_config_file(capsys):
     code, _, err = run_cli(capsys, "pi", "--config", "/nonexistent/path.cfg")
     assert code == 2
     assert "config" in err
+    # an empty path is a path too, not "no config file"
+    code, _, err = run_cli(capsys, "pi", "--config", "")
+    assert code == 2
+    assert "cannot read config file ''" in err
 
 
 def test_nonpositive_flux_names_field(capsys):

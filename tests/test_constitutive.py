@@ -94,6 +94,8 @@ def test_mobility_domain_errors():
         mobility(params(s=0.5), ZoneLaw.PRE_DARCY, 0.0)
     with pytest.raises(ValueError):
         mobility(params(), ZoneLaw.DARCY, -1.0)
+    with pytest.raises(ValueError):
+        mobility(params(), ZoneLaw.DARCY, math.nan)
 
 
 @pytest.mark.parametrize("law", [ZoneLaw.PRE_DARCY, ZoneLaw.DARCY, ZoneLaw.FORCHHEIMER])

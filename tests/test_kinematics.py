@@ -121,6 +121,8 @@ def test_radius_rejects_out_of_range_velocity():
         radius_of_velocity(scn, -1e-9)
     with pytest.raises(ValueError):
         radius_of_velocity(scn, v_max * 1.01)
+    with pytest.raises(ValueError):
+        radius_of_velocity(scn, math.nan)
 
 
 @pytest.mark.parametrize("r_e", [1000.0, 100.0])

@@ -10,6 +10,7 @@ import wellpi.validation
 from wellpi import (
     compressible_velocity,
     compute_pi,
+    dimensionless_factor,
     flux_density,
     integrate_adaptive,
     partition_zones,
@@ -66,18 +67,18 @@ def test_profile_out_of_range():
 # ---------------------------------------------------------------------------
 
 def test_profile_pi_darcy_published():
-    pi = pi_from_profile(make_scenario("D"))
-    assert pi.j_dimensionless == pytest.approx(0.1358, rel=0.01)
+    scn = make_scenario("D")
+    assert pi_from_profile(scn) * dimensionless_factor(scn) == pytest.approx(0.1358, rel=0.01)
 
 
 def test_profile_pi_fdpd_published():
-    pi = pi_from_profile(make_scenario("FDpD", s=0.7))
-    assert pi.j_dimensionless == pytest.approx(5.65e-6, rel=0.01)
+    scn = make_scenario("FDpD", s=0.7)
+    assert pi_from_profile(scn) * dimensionless_factor(scn) == pytest.approx(5.65e-6, rel=0.01)
 
 
 def test_profile_pi_beta_zero_equals_darcy():
-    j_f = pi_from_profile(make_scenario("F", beta=0.0)).j_raw
-    j_d = pi_from_profile(make_scenario("D", beta=0.0)).j_raw
+    j_f = pi_from_profile(make_scenario("F", beta=0.0))
+    j_d = pi_from_profile(make_scenario("D", beta=0.0))
     assert j_f == pytest.approx(j_d, rel=1e-9)
 
 
@@ -85,7 +86,7 @@ def test_profile_pi_beta_zero_equals_darcy():
 def test_profile_pi_agrees_with_zone_integrals(regime):
     scn = make_scenario(regime, q_over_h=1e-2, s=0.5)
     j_closed = compute_pi(scn).j_raw
-    j_profile = pi_from_profile(scn).j_raw
+    j_profile = pi_from_profile(scn)
     assert j_profile == pytest.approx(j_closed, rel=1e-6)
 
 
@@ -112,7 +113,7 @@ def test_profile_pi_matches_fresh_profile_at_every_node(regime, monkeypatch):
         for a, b, _ in zone_segments(scn)
     )
     reference = scn.q * geo.radius_span_sq / (2.0 * total_rw)
-    assert pi_from_profile(scn).j_raw == pytest.approx(reference, rel=1e-9)
+    assert pi_from_profile(scn) == pytest.approx(reference, rel=1e-9)
     # both the batched first panels and the adaptive fallback were exercised
     assert 0 < accepted.count(False) < accepted.count(True)
 
@@ -141,12 +142,12 @@ def test_profile_pi_uses_no_closed_form(monkeypatch):
 
     for name in ("_x_bracket", "_predarcy_bracket"):
         monkeypatch.setattr(wellpi.quadrature, name, refuse)
-    assert pi_from_profile(make_scenario("FDpD", q_over_h=1e-2)).j_raw > 0
+    assert pi_from_profile(make_scenario("FDpD", q_over_h=1e-2)) > 0
 
 
 def test_energy_route_agrees_with_profile_route():
     scn = make_scenario("FDpD", s=0.3)
-    assert pi_from_energy(scn) == pytest.approx(pi_from_profile(scn).j_raw, rel=1e-8)
+    assert pi_from_energy(scn) == pytest.approx(pi_from_profile(scn), rel=1e-8)
 
 
 def test_energy_pi_out_of_float_range_raises():
@@ -241,6 +242,10 @@ def test_compressible_rejects_bad_inputs():
         compressible_velocity(scn, -1e-9, [0.3, 1000.0])
     with pytest.raises(ValueError):
         compressible_velocity(scn, 0.0, [0.1, 10.0])
+    # no radius, and NaN radii, which the range test once let through
+    for radii in ([], [math.nan], [0.3, math.nan, 500.0]):
+        with pytest.raises(ValueError):
+            compressible_velocity(scn, 1e-3, radii)
 
 
 @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
