@@ -47,10 +47,7 @@ from .productivity import (
 from .quadrature import (
     IntegralResult,
     QuadratureError,
-    darcy_zone_integral,
-    forchheimer_zone_integral,
     integrate_adaptive,
-    predarcy_zone_integral,
     zone_integral,
 )
 from .reference import (
@@ -105,9 +102,6 @@ __all__ = [
     "IntegralResult",
     "QuadratureError",
     "integrate_adaptive",
-    "darcy_zone_integral",
-    "forchheimer_zone_integral",
-    "predarcy_zone_integral",
     "zone_integral",
     "PiResult",
     "compute_pi",

@@ -53,10 +53,6 @@ _TABLE_COLUMNS = (
 )
 
 
-class ConfigError(Exception):
-    """Anything wrong with the requested configuration."""
-
-
 def _fmt(x: float) -> str:
     return f"{x:.8e}"
 
@@ -100,14 +96,14 @@ def _config_value(key: str, text: str) -> float | RegimeAssignment | ZoneLaw:
         try:
             return float(text)
         except ValueError:
-            raise ConfigError(f"{key}: not a number: {text!r}") from None
+            raise ValueError(f"{key}: not a number: {text!r}") from None
     if key == "regime.preset":
         return regime_preset(text)
     if key not in _ZONE_KEYS:
-        raise ConfigError(f"unknown key {key!r}")
+        raise ValueError(f"unknown key {key!r}")
     law = _ZONE_LAW_NAMES.get(text.lower())
     if law is None:
-        raise ConfigError(f"{key}: unknown zone law {text!r}")
+        raise ValueError(f"{key}: unknown zone law {text!r}")
     return law
 
 
@@ -122,7 +118,7 @@ def load_config_file(path: str) -> dict[str, float | RegimeAssignment | ZoneLaw]
             # a byte-order mark, as some editors save it, is not part of the first key
             lines = fh.read().removeprefix(codecs.BOM_UTF8).splitlines()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
+        raise ValueError(f"cannot read config file {path!r}: {exc}") from None
     out = {}
     for lineno, line in enumerate(lines, start=1):
         try:  # a UnicodeDecodeError is a ValueError
@@ -130,11 +126,11 @@ def load_config_file(path: str) -> dict[str, float | RegimeAssignment | ZoneLaw]
             if not text:
                 continue
             if "=" not in text:
-                raise ConfigError(f"expected 'key = value', got {text!r}")
+                raise ValueError(f"expected 'key = value', got {text!r}")
             key, value = (part.strip() for part in text.split("=", 1))
             out[key] = _config_value(key, value)
-        except (ConfigError, ValueError) as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -166,7 +162,7 @@ def _write_text(text: str, out_path: str | None) -> None:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write {out_path!r}: {exc}") from None
+        raise ValueError(f"cannot write {out_path!r}: {exc}") from None
 
 
 def _sweep_rows(axis_name: str, axis_value: float, scn: Scenario,
@@ -221,24 +217,27 @@ def _axis_values(args: argparse.Namespace) -> list[float]:
         try:
             values = [float(tok) for tok in args.values.split(",") if tok.strip()]
         except ValueError as exc:
-            raise ConfigError(f"--values: {exc}") from None
+            raise ValueError(f"--values: {exc}") from None
     else:
         try:
             start_s, stop_s, count_s = args.log_range.split(",")
             start, stop, count = float(start_s), float(stop_s), int(count_s)
         except ValueError:
-            raise ConfigError(
+            raise ValueError(
                 f"--log-range: expected 'start,stop,points', got {args.log_range!r}"
             ) from None
         if not (0 < start < math.inf and 0 < stop < math.inf and count >= 1):
-            raise ConfigError(
+            raise ValueError(
                 "--log-range: start and stop must be positive and finite, points >= 1"
             )
         import numpy as np
 
-        values = [float(v) for v in np.geomspace(start, stop, count)]
+        try:
+            values = [float(v) for v in np.geomspace(start, stop, count)]
+        except MemoryError:
+            raise ValueError(f"--log-range: {count} points do not fit in memory") from None
     if not values:
-        raise ConfigError("sweep needs at least one axis value")
+        raise ValueError("sweep needs at least one axis value")
     return values
 
 
@@ -251,7 +250,7 @@ def _scenario_with(scn: Scenario, axis: str, value: float, continuous_predarcy: 
             params = params.with_continuous_predarcy()
         return replace(scn, params=params)
     except ValueError as exc:
-        raise ConfigError(f"axis {axis}={value:g}: {exc}") from None
+        raise ValueError(f"axis {axis}={value:g}: {exc}") from None
 
 
 def run_sweep(base: Scenario, axis: str, values: Sequence[float], regimes: Sequence[str],
@@ -272,7 +271,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = _axis_values(args)
     regimes = [tok.strip() for tok in args.regimes.split(",") if tok.strip()]
     if not regimes:
-        raise ConfigError("sweep needs at least one regime preset")
+        raise ValueError("sweep needs at least one regime preset")
     _write_text(run_sweep(base, args.axis, values, regimes, args.continuous_predarcy), args.out)
     return EXIT_OK
 
@@ -321,7 +320,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     try:
         data = read_measurements_csv(args.input_csv)
     except OSError as exc:
-        raise ConfigError(f"cannot read {args.input_csv!r}: {exc}") from None
+        raise ValueError(f"cannot read {args.input_csv!r}: {exc}") from None
     fit = fit_segments(data)
     print(f"s_hat             = {fit.s_hat:.6g}")
     print(f"lambda_hat        = {_fmt(fit.lambda_hat)}")
@@ -416,10 +415,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
-        # a ValueError is an input the library rejected, e.g. an unknown
-        # preset, a Geometry field out of range or too few points to fit; its
-        # message already names the value
+    except ValueError as exc:
+        # a ValueError is an input the CLI or the library rejected, e.g. a bad
+        # config line, an unknown preset, a Geometry field out of range or too
+        # few points to fit; its message already names the value
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RuntimeError, ArithmeticError) as exc:

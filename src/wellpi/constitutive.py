@@ -149,8 +149,8 @@ def mobility(params: FlowParameters, law: ZoneLaw, grad_p: float) -> float:
     Inverse of ``pressure_gradient`` along each branch.  Undefined for the
     pre-Darcy branch at s = 1 (the forward law becomes flux-independent).
     """
-    if not grad_p >= 0:
-        raise ValueError(f"grad_p must be nonnegative, got {grad_p}")
+    if not 0 <= grad_p < math.inf:
+        raise ValueError(f"grad_p must be nonnegative and finite, got {grad_p}")
     if law is ZoneLaw.DARCY:
         return 1.0 / params.alpha
     if law is ZoneLaw.FORCHHEIMER:

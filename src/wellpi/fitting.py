@@ -79,8 +79,8 @@ def synthesize_measurements(
     factor exp(noise_rel * N(0,1)) from a seeded generator, so output is
     bit-reproducible for a fixed seed.
     """
-    if noise_rel < 0:
-        raise ValueError(f"noise_rel must be nonnegative, got {noise_rel}")
+    if not 0 <= noise_rel < math.inf:
+        raise ValueError(f"noise_rel must be nonnegative and finite, got {noise_rel}")
     rng = np.random.default_rng(seed)
     out = []
     for v in v_grid:

@@ -84,7 +84,7 @@ def zone_contributions(scn: Scenario) -> tuple[float, float, float]:
     a run of same-law zones as one segment instead.
     """
     zones = zone_bounds(scn, partition_zones(scn), scn.regime)
-    return tuple(zone_integral(scn, law, lo, hi) if lo < hi else 0.0 for lo, hi, law in zones)
+    return tuple(zone_integral(scn, law, lo, hi) for lo, hi, law in zones)
 
 
 def compute_pis(scn: Scenario, regimes: Sequence[RegimeAssignment]) -> list[PiResult]:

@@ -17,6 +17,9 @@ The zone integrals entering the productivity index are
     S_F[r1, r2]  = S_D + beta * A * int (r_e^2 - r^2)^3 / r^2 dr
     S_pD[r1, r2] = lambda * A^(-s) * int (r_e^2 - r^2)^(2-s) * r^(s-1) dr
 
+``zone_integral(scn, law, r1, r2)`` is their one entry: it checks the
+interval, gives exactly 0.0 for an empty one, then calls the law's closed form.
+
 S_D and S_F have closed antiderivatives.  They are written with the width
 d = r2 - r1 factored out of every term (log1p(d / r1) for log(r2 / r1), and
 r2^k - r1^k = d * sum_j r2^j r1^(k-1-j)), so a narrow interval keeps its
@@ -185,8 +188,8 @@ def integrate_adaptive(
     """
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
+    if not 0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     if a == b:
         return IntegralResult(0.0, 0.0, 0)
 
@@ -225,14 +228,6 @@ def integrate_adaptive(
 # this fraction of r_e they are replaced by an all-positive series in
 # x = (r_e^2 - r^2) / r_e^2 <= 1 - _SERIES_CUT^2.
 _SERIES_CUT = 0.75
-
-
-def _check_interval(scn: Scenario, r1: float, r2: float) -> None:
-    geo = scn.geometry
-    if not geo.r_w <= r1 <= r2 <= geo.r_e:
-        raise ValueError(
-            f"integration interval [{r1}, {r2}] not within [{geo.r_w}, {geo.r_e}]"
-        )
 
 
 def _darcy_closed(r_e: float, r1: float, r2: float) -> float:
@@ -382,18 +377,12 @@ def _predarcy_bracket(r_e: float, s: float, r1: float, r2: float) -> float:
 
 
 def darcy_zone_integral(scn: Scenario, r1: float, r2: float) -> float:
-    """S_D[r1, r2] in closed form (Pa-weighted)."""
-    _check_interval(scn, r1, r2)
-    if r1 == r2:
-        return 0.0
+    """S_D[r1, r2] in closed form (Pa-weighted); ``zone_integral`` checks the interval."""
     return scn.params.alpha * _x_bracket(_DARCY, scn.geometry.r_e, r1, r2)
 
 
 def forchheimer_zone_integral(scn: Scenario, r1: float, r2: float) -> float:
-    """S_F[r1, r2] in closed form: the Darcy part plus the inertial term."""
-    _check_interval(scn, r1, r2)
-    if r1 == r2:
-        return 0.0
+    """S_F[r1, r2] = S_D + inertial term, closed; ``zone_integral`` checks the interval."""
     r_e = scn.geometry.r_e
     darcy = scn.params.alpha * _x_bracket(_DARCY, r_e, r1, r2)
     inertial = scn.params.beta * flux_density(scn) * _x_bracket(_FORCH, r_e, r1, r2)
@@ -401,21 +390,25 @@ def forchheimer_zone_integral(scn: Scenario, r1: float, r2: float) -> float:
 
 
 def predarcy_zone_integral(scn: Scenario, r1: float, r2: float) -> float:
-    """S_pD[r1, r2] in closed form, as an incomplete beta series.
+    """S_pD[r1, r2] as an incomplete beta series; ``zone_integral`` checks the interval.
 
     For s = 0 with lambda = alpha this reduces to the Darcy integral; for
     s = 1 the integrand is the polynomial r_e^2 - r^2.
     """
-    _check_interval(scn, r1, r2)
-    if r1 == r2:
-        return 0.0
     s = scn.params.s
     bracket = _predarcy_bracket(scn.geometry.r_e, s, r1, r2)
     return scn.params.lambda_ * flux_density(scn) ** (-s) * bracket
 
 
 def zone_integral(scn: Scenario, law: ZoneLaw, r1: float, r2: float) -> float:
-    """Dispatch S_law[r1, r2] for the given constitutive law."""
+    """S_law[r1, r2], exactly 0.0 if r1 == r2; ValueError unless r_w <= r1 <= r2 <= r_e."""
+    geo = scn.geometry
+    if not geo.r_w <= r1 <= r2 <= geo.r_e:
+        raise ValueError(
+            f"integration interval [{r1}, {r2}] not within [{geo.r_w}, {geo.r_e}]"
+        )
+    if r1 == r2:
+        return 0.0
     if law is ZoneLaw.DARCY:
         return darcy_zone_integral(scn, r1, r2)
     if law is ZoneLaw.FORCHHEIMER:

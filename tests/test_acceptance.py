@@ -10,11 +10,10 @@ import numpy as np
 
 from wellpi import (
     FlowMeasurement,
+    ZoneLaw,
     compute_pi,
-    darcy_zone_integral,
     fit_segments,
     flux_density,
-    forchheimer_zone_integral,
     integrate_adaptive,
     load_reference_entries,
     pi_from_profile,
@@ -22,6 +21,7 @@ from wellpi import (
     reference_scenario,
     synthesize_measurements,
     velocity_profile,
+    zone_integral,
 )
 from wellpi.checks import check_gamma_linearity
 
@@ -156,12 +156,12 @@ def test_c07_closed_forms_vs_quadrature():
         quad_d = scn.params.alpha * integrate_adaptive(
             lambda r: ((geo.r_e - r) * (geo.r_e + r)) ** 2 / r, r1, r2, rel_tol=1e-12
         ).value
-        worst = max(worst, abs(darcy_zone_integral(scn, r1, r2) - quad_d) / abs(quad_d))
+        worst = max(worst, abs(zone_integral(scn, ZoneLaw.DARCY, r1, r2) - quad_d) / abs(quad_d))
         quad_f = quad_d + scn.params.beta * a_flux * integrate_adaptive(
             lambda r: ((geo.r_e - r) * (geo.r_e + r)) ** 3 / r**2, r1, r2, rel_tol=1e-12
         ).value
         worst = max(
-            worst, abs(forchheimer_zone_integral(scn, r1, r2) - quad_f) / abs(quad_f)
+            worst, abs(zone_integral(scn, ZoneLaw.FORCHHEIMER, r1, r2) - quad_f) / abs(quad_f)
         )
     _report(7, worst <= 1e-9, f"100 random subintervals, worst deviation {worst:.2e} <= 1e-9")
 

@@ -392,6 +392,21 @@ def test_sweep_rejects_non_finite_log_range_end(capsys, log_range):
     assert out == ""
 
 
+def test_sweep_log_range_too_large_to_allocate_is_a_config_error(capsys, monkeypatch):
+    # numpy raises MemoryError (e.g. 7.28 TiB for 1e12 points); no test allocates it
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(np, "geomspace", refuse)
+    code, out, err = run_cli(
+        capsys, "sweep", "--axis", "q_over_h", "--log-range", "1e-4,1e-2,1000000000000",
+        "--regimes", "D",
+    )
+    assert code == 2
+    assert err == "error: --log-range: 1000000000000 points do not fit in memory\n"
+    assert out == ""
+
+
 def test_sweep_over_v_d_reproduces_small_reservoir_row(capsys):
     # FDpD over the v_D grid at r_e = 100 m, s = 0.05: published row values
     code, out, _ = run_cli(

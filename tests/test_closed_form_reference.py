@@ -11,7 +11,7 @@ log(r2 / r1) of the textbook antiderivative cancel to a few digits.
 
 import pytest
 
-from wellpi import darcy_zone_integral, flux_density, forchheimer_zone_integral
+from wellpi import ZoneLaw, flux_density, zone_integral
 
 from helpers import make_scenario
 
@@ -59,9 +59,9 @@ def _forchheimer_reference(scn, r1, r2):
 
 
 CASES = {
-    "S_D": (darcy_zone_integral, _darcy_reference),
+    "S_D": (ZoneLaw.DARCY, _darcy_reference),
     # at Q/h = 1 the inertial term is the larger part over the whole annulus
-    "S_F": (forchheimer_zone_integral, _forchheimer_reference),
+    "S_F": (ZoneLaw.FORCHHEIMER, _forchheimer_reference),
 }
 
 
@@ -69,9 +69,9 @@ CASES = {
 @pytest.mark.parametrize("name", list(INTERVALS))
 def test_closed_form_matches_mpmath(name, law):
     scn = make_scenario("F" if law == "S_F" else "D", q_over_h=1.0)
-    closed, reference = CASES[law]
+    zone_law, reference = CASES[law]
     r1, r2 = INTERVALS[name]
-    got = closed(scn, r1, r2)
+    got = zone_integral(scn, zone_law, r1, r2)
     with mp.workdps(40):
         want = reference(scn, r1, r2)
         assert float(abs(got - want) / want) <= 1e-13

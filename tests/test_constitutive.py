@@ -98,6 +98,13 @@ def test_mobility_domain_errors():
         mobility(params(), ZoneLaw.DARCY, math.nan)
 
 
+@pytest.mark.parametrize("law", [ZoneLaw.DARCY, ZoneLaw.FORCHHEIMER, ZoneLaw.PRE_DARCY])
+def test_mobility_rejects_infinite_gradient(law):
+    # inf once gave 1/alpha, 0.0 and inf on the three branches
+    with pytest.raises(ValueError, match="grad_p"):
+        mobility(params(s=0.5), law, math.inf)
+
+
 @pytest.mark.parametrize("law", [ZoneLaw.PRE_DARCY, ZoneLaw.DARCY, ZoneLaw.FORCHHEIMER])
 @pytest.mark.parametrize("s", [0.0, 0.3, 0.6562, 0.99])
 def test_inverse_consistency(law, s):

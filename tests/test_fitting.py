@@ -138,6 +138,35 @@ def test_equal_velocities_rejected():
         fit_segments(data)
 
 
+@pytest.mark.parametrize("noise_rel", [-0.1, math.inf, math.nan])
+def test_noise_outside_zero_to_inf_rejected(noise_rel):
+    # nan once gave noise-free data, and inf failed later naming the gradient
+    with pytest.raises(ValueError, match="noise_rel"):
+        synthesize_measurements(fit_params(), GRID, noise_rel=noise_rel)
+
+
+def test_split_with_no_velocity_spread_below_is_skipped():
+    # the first admissible split has three equal velocities below it
+    v = [1e-9] * 3 + list(np.geomspace(2e-9, 3e-8, 3)) + list(np.geomspace(1e-7, 1e-6, 4))
+    fit = fit_segments(synthesize_measurements(fit_params(), v))
+    assert fit.points_per_segment == (6, 4)
+    assert fit.s_hat == pytest.approx(0.6562, rel=1e-9)
+
+
+def test_no_split_with_velocity_spread_below_rejected():
+    # every split of six points leaves only equal velocities below it
+    data = synthesize_measurements(fit_params(), [1e-7] * 5 + [2e-7])
+    with pytest.raises(ValueError, match="no admissible breakpoint"):
+        fit_segments(data)
+
+
+def test_darcy_segment_of_one_velocity_has_no_slope():
+    v = list(np.geomspace(1e-9, 3e-8, 5)) + [1e-6] * 3
+    fit = fit_segments(synthesize_measurements(fit_params(), v))
+    assert fit.points_per_segment == (5, 3)
+    assert math.isnan(fit.darcy_slope)
+
+
 def test_measurement_invariants():
     with pytest.raises(ValueError):
         FlowMeasurement(v=0.0, grad_p=1.0)

@@ -4,6 +4,7 @@ need it load together on first use."""
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,16 @@ def test_dir_lists_lazy_names_and_submodules():
     for name in ("pi_from_profile", "StepSizeUnderflow", "fit_segments", "FitResult",
                  "validation", "fitting", "checks"):
         assert name in names
+
+
+def test_all_lists_exactly_the_exports():
+    # an export dropped from only one of its two lists (the import or the
+    # lazy table, and __all__) fails here
+    public = {
+        name for name, value in vars(wellpi).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(wellpi.__all__) == sorted(public | set(wellpi._LAZY_EXPORTS) | {"__version__"})
 
 
 def test_unknown_attribute_raises_attribute_error():

@@ -16,7 +16,7 @@ holds the closed form to 1e-13.
 
 import pytest
 
-from wellpi import flux_density, predarcy_zone_integral
+from wellpi import ZoneLaw, flux_density, zone_integral
 
 from helpers import make_scenario
 
@@ -55,6 +55,6 @@ def _reference(scn, r1, r2):
 def test_predarcy_closed_form_matches_mpmath(name, s):
     scn = make_scenario("pure-preDarcy", s=s)
     r1, r2 = INTERVALS[name]
-    got = predarcy_zone_integral(scn, r1, r2)
+    got = zone_integral(scn, ZoneLaw.PRE_DARCY, r1, r2)
     want = _reference(scn, r1, r2)
     assert float(abs(got - want) / want) <= 1e-13

@@ -9,11 +9,8 @@ from wellpi import (
     QuadratureError,
     ZoneLaw,
     compute_pi,
-    darcy_zone_integral,
     flux_density,
-    forchheimer_zone_integral,
     integrate_adaptive,
-    predarcy_zone_integral,
     zone_integral,
 )
 
@@ -58,6 +55,14 @@ def test_bad_arguments():
         integrate_adaptive(lambda x: x, 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate_adaptive(lambda x: x, 0.0, 1.0, rel_tol=-1.0)
+
+
+@pytest.mark.parametrize("rel_tol", [math.inf, math.nan])
+def test_non_finite_rel_tol_rejected(rel_tol):
+    # rel_tol = inf once accepted the first panel of 1/sqrt(x) as converged:
+    # 1.9543 for the true value 2, with an error estimate of 0.07
+    with pytest.raises(ValueError, match="rel_tol"):
+        integrate_adaptive(lambda x: 1.0 / np.sqrt(x), 1e-12, 1.0, rel_tol=rel_tol)
 
 
 def test_panel_cap_raises_with_best_estimate(monkeypatch):
@@ -186,10 +191,10 @@ def test_closed_forms_match_quadrature_on_random_subintervals():
     rng = np.random.default_rng(7)
     for _ in range(100):
         r1, r2 = sorted(rng.uniform(0.3, 1000.0, size=2))
-        assert darcy_zone_integral(scn, r1, r2) == pytest.approx(
+        assert zone_integral(scn, ZoneLaw.DARCY, r1, r2) == pytest.approx(
             _quad_darcy(scn, r1, r2), rel=1e-9
         )
-        assert forchheimer_zone_integral(scn, r1, r2) == pytest.approx(
+        assert zone_integral(scn, ZoneLaw.FORCHHEIMER, r1, r2) == pytest.approx(
             _quad_forch(scn, r1, r2), rel=1e-9
         )
 
@@ -198,8 +203,10 @@ def test_closed_forms_match_quadrature_on_random_subintervals():
 def test_closed_forms_survive_near_boundary_cancellation(r1, r2):
     # the textbook antiderivative loses ~10 digits here; the series path must not
     scn = make_scenario()
-    assert darcy_zone_integral(scn, r1, r2) == pytest.approx(_quad_darcy(scn, r1, r2), rel=1e-9)
-    assert forchheimer_zone_integral(scn, r1, r2) == pytest.approx(
+    assert zone_integral(scn, ZoneLaw.DARCY, r1, r2) == pytest.approx(
+        _quad_darcy(scn, r1, r2), rel=1e-9
+    )
+    assert zone_integral(scn, ZoneLaw.FORCHHEIMER, r1, r2) == pytest.approx(
         _quad_forch(scn, r1, r2), rel=1e-9
     )
 
@@ -248,9 +255,10 @@ def test_predarcy_tail_of_a_repeated_power_is_computed_once(monkeypatch):
     quadrature._predarcy_tail.cache_clear()
     try:
         for q_over_h in (1e-6, 1e-4, 1e-2):
-            predarcy_zone_integral(make_scenario(s=0.3, q_over_h=q_over_h), 0.3, 1000.0)
+            scn = make_scenario(s=0.3, q_over_h=q_over_h)
+            zone_integral(scn, ZoneLaw.PRE_DARCY, 0.3, 1000.0)
         assert len(calls) == 1
-        predarcy_zone_integral(make_scenario(s=0.4), 0.3, 1000.0)
+        zone_integral(make_scenario(s=0.4), ZoneLaw.PRE_DARCY, 0.3, 1000.0)
         assert len(calls) == 2
     finally:
         quadrature._predarcy_tail.cache_clear()
@@ -262,19 +270,19 @@ def test_predarcy_tail_of_a_repeated_power_is_computed_once(monkeypatch):
 
 def test_empty_zone_integrals_are_zero():
     scn = make_scenario()
-    assert darcy_zone_integral(scn, 5.0, 5.0) == 0.0
-    assert forchheimer_zone_integral(scn, 5.0, 5.0) == 0.0
-    assert predarcy_zone_integral(scn, 5.0, 5.0) == 0.0
+    assert zone_integral(scn, ZoneLaw.DARCY, 5.0, 5.0) == 0.0
+    assert zone_integral(scn, ZoneLaw.FORCHHEIMER, 5.0, 5.0) == 0.0
+    assert zone_integral(scn, ZoneLaw.PRE_DARCY, 5.0, 5.0) == 0.0
 
 
 def test_out_of_range_interval_rejected():
     scn = make_scenario()
     with pytest.raises(ValueError):
-        darcy_zone_integral(scn, 0.1, 5.0)
+        zone_integral(scn, ZoneLaw.DARCY, 0.1, 5.0)
     with pytest.raises(ValueError):
-        predarcy_zone_integral(scn, 5.0, 1001.0)
+        zone_integral(scn, ZoneLaw.PRE_DARCY, 5.0, 1001.0)
     with pytest.raises(ValueError):
-        forchheimer_zone_integral(scn, 7.0, 5.0)
+        zone_integral(scn, ZoneLaw.FORCHHEIMER, 7.0, 5.0)
 
 
 @pytest.mark.parametrize("law", [ZoneLaw.DARCY, ZoneLaw.FORCHHEIMER, ZoneLaw.PRE_DARCY])
@@ -290,16 +298,20 @@ def test_additivity(law):
 
 def test_interval_monotonicity_and_ordering():
     scn = make_scenario(s=0.7)
-    assert darcy_zone_integral(scn, 1.0, 10.0) <= darcy_zone_integral(scn, 1.0, 100.0)
-    assert forchheimer_zone_integral(scn, 1.0, 100.0) >= darcy_zone_integral(scn, 1.0, 100.0)
-    assert predarcy_zone_integral(scn, 1.0, 10.0) <= predarcy_zone_integral(scn, 1.0, 100.0)
+
+    def s_law(law, r2):
+        return zone_integral(scn, law, 1.0, r2)
+
+    assert s_law(ZoneLaw.DARCY, 10.0) <= s_law(ZoneLaw.DARCY, 100.0)
+    assert s_law(ZoneLaw.FORCHHEIMER, 100.0) >= s_law(ZoneLaw.DARCY, 100.0)
+    assert s_law(ZoneLaw.PRE_DARCY, 10.0) <= s_law(ZoneLaw.PRE_DARCY, 100.0)
 
 
 def test_predarcy_s0_collapses_to_darcy():
     scn = make_scenario(s=0.0)  # lambda_ = alpha in the baseline
     a, b = 10.0, 800.0
-    assert predarcy_zone_integral(scn, a, b) == pytest.approx(
-        darcy_zone_integral(scn, a, b), rel=1e-9
+    assert zone_integral(scn, ZoneLaw.PRE_DARCY, a, b) == pytest.approx(
+        zone_integral(scn, ZoneLaw.DARCY, a, b), rel=1e-9
     )
 
 
@@ -308,7 +320,7 @@ def test_predarcy_nondecreasing_in_s_over_slow_zone():
     values = []
     for s in np.linspace(0.0, 1.0, 11):
         scn = make_scenario(s=float(s))
-        values.append(predarcy_zone_integral(scn, 155.3, 1000.0))
+        values.append(zone_integral(scn, ZoneLaw.PRE_DARCY, 155.3, 1000.0))
     assert all(a <= b * (1 + 1e-12) for a, b in zip(values, values[1:]))
 
 
@@ -324,7 +336,7 @@ def test_darcy_bracket_full_interval():
         - 1000.0**2 * (1000.0**2 - 0.3**2)
         + (1000.0**4 - 0.3**4) / 4.0
     )
-    bracket = darcy_zone_integral(scn, 0.3, 1000.0) / scn.params.alpha
+    bracket = zone_integral(scn, ZoneLaw.DARCY, 0.3, 1000.0) / scn.params.alpha
     assert bracket == pytest.approx(expected, rel=1e-10)
     assert bracket == pytest.approx(7.3617e12, rel=1e-4)
     # dimensionless all-Darcy PI published as 0.1358
@@ -335,6 +347,6 @@ def test_darcy_bracket_full_interval():
 def test_forchheimer_full_interval_published_value():
     # dimensionless all-Forchheimer PI at Q/h = 1 published as 0.0497
     scn = make_scenario(q_over_h=1.0)
-    s_f = forchheimer_zone_integral(scn, 0.3, 1000.0)
+    s_f = zone_integral(scn, ZoneLaw.FORCHHEIMER, 0.3, 1000.0)
     j = scn.params.alpha * (1000.0**2 - 0.3**2) ** 2 / s_f
     assert j == pytest.approx(0.0497, rel=0.01)

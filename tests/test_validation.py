@@ -8,6 +8,7 @@ import pytest
 import wellpi.quadrature
 import wellpi.validation
 from wellpi import (
+    StepSizeUnderflow,
     compressible_velocity,
     compute_pi,
     dimensionless_factor,
@@ -150,6 +151,16 @@ def test_energy_route_agrees_with_profile_route():
     assert pi_from_energy(scn) == pytest.approx(pi_from_profile(scn), rel=1e-8)
 
 
+def test_profile_pi_raises_when_the_routes_disagree(monkeypatch):
+    # an energy route 1e-6 off is beyond the 1e-7 consistency tolerance
+    zone_energy = wellpi.validation._zone_energy
+    monkeypatch.setattr(
+        wellpi.validation, "_zone_energy", lambda *args: zone_energy(*args) * (1.0 + 1e-6)
+    )
+    with pytest.raises(RuntimeError, match="disagree"):
+        pi_from_profile(make_scenario("FDpD"))
+
+
 def test_energy_pi_out_of_float_range_raises():
     # 2 pi h underflows, so Q^2 / (2 pi h E) would come out as 0.0
     with pytest.raises(FloatingPointError):
@@ -246,6 +257,12 @@ def test_compressible_rejects_bad_inputs():
     for radii in ([], [math.nan], [0.3, math.nan, 500.0]):
         with pytest.raises(ValueError):
             compressible_velocity(scn, 1e-3, radii)
+
+
+def test_compressible_step_underflow_raises():
+    # at gamma = 1e4 the profile blows up just inside r_e
+    with pytest.raises(StepSizeUnderflow):
+        compressible_velocity(gamma_scaled_scenario(), 1e4, [0.3, 1000.0])
 
 
 @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
