@@ -15,6 +15,7 @@ access, e.g. ``from wellpi import pi_from_profile`` or ``wellpi.checks``.
 """
 
 import importlib
+import types
 
 from .constitutive import (
     REGIME_PRESETS,
@@ -81,51 +82,10 @@ _LAZY_EXPORTS = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FlowParameters",
-    "ZoneLaw",
-    "RegimeAssignment",
-    "REGIME_PRESETS",
-    "regime_preset",
-    "preset_name",
-    "pressure_gradient",
-    "mobility",
-    "law_for_speed",
-    "Geometry",
-    "Scenario",
-    "ZonePartition",
-    "flux_density",
-    "velocity_profile",
-    "radius_of_velocity",
-    "partition_zones",
-    "zone_segments",
-    "IntegralResult",
-    "QuadratureError",
-    "integrate_adaptive",
-    "zone_integral",
-    "PiResult",
-    "compute_pi",
-    "compute_pis",
-    "dimensionless_factor",
-    "zone_contributions",
-    "pressure_profile",
-    "pi_from_profile",
-    "pi_from_energy",
-    "compressible_velocity",
-    "StepSizeUnderflow",
-    "FlowMeasurement",
-    "FitResult",
-    "synthesize_measurements",
-    "fit_segments",
-    "read_measurements_csv",
-    "ReferenceEntry",
-    "TableComparison",
-    "load_reference_entries",
-    "reference_scenario",
-    "base_scenario",
-    "compare_table",
-    "__version__",
-]
+#: Every name bound above that is not private or a module, then the lazy ones.
+__all__ = [*(name for name, value in globals().items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)),
+           *_LAZY_EXPORTS, "__version__"]
 
 
 def __getattr__(name: str):

@@ -29,7 +29,9 @@ from dataclasses import replace
 from typing import Sequence
 
 from . import __version__
-from .constitutive import RegimeAssignment, ZoneLaw, preset_name, regime_preset
+from .constitutive import (
+    LAW_LABELS, REGIME_PRESETS, RegimeAssignment, ZoneLaw, preset_name, regime_preset,
+)
 from .kinematics import Scenario
 from .productivity import PiResult, compute_pi, compute_pis, zone_contributions
 from .reference import REPRODUCTION_RTOL, base_scenario, compare_table
@@ -80,15 +82,9 @@ _SCALAR_KEYS = {key for _, key, _, _ in _SCENARIO_FIELDS}
 # each zone-law key ends in the RegimeAssignment field it sets
 _ZONE_KEYS = ("regime.near_well", "regime.middle", "regime.near_boundary")
 
-_ZONE_LAW_NAMES = {
-    "darcy": ZoneLaw.DARCY,
-    "d": ZoneLaw.DARCY,
-    "forchheimer": ZoneLaw.FORCHHEIMER,
-    "f": ZoneLaw.FORCHHEIMER,
-    "pre-darcy": ZoneLaw.PRE_DARCY,
-    "predarcy": ZoneLaw.PRE_DARCY,
-    "pd": ZoneLaw.PRE_DARCY,
-}
+# each law by its label and its value, matched as ``regime_preset`` matches names
+_ZONE_LAW_NAMES = {name.lower().replace("-", ""): law
+                   for law, label in LAW_LABELS.items() for name in (label, law.value)}
 
 
 def _config_value(key: str, text: str) -> float | RegimeAssignment | ZoneLaw:
@@ -101,7 +97,7 @@ def _config_value(key: str, text: str) -> float | RegimeAssignment | ZoneLaw:
         return regime_preset(text)
     if key not in _ZONE_KEYS:
         raise ValueError(f"unknown key {key!r}")
-    law = _ZONE_LAW_NAMES.get(text.lower())
+    law = _ZONE_LAW_NAMES.get(text.lower().replace("-", ""))
     if law is None:
         raise ValueError(f"{key}: unknown zone law {text!r}")
     return law
@@ -142,11 +138,11 @@ def build_scenario(args: argparse.Namespace) -> Scenario:
         if getattr(args, field) is not None:
             values[field] = getattr(args, field)
     regime = config.get("regime.preset", _DEFAULT_REGIME)
-    if args.regime is not None:
-        regime = regime_preset(args.regime)
     zone_laws = {key.split(".", 1)[1]: config[key] for key in _ZONE_KEYS if key in config}
     if zone_laws:
         regime = replace(regime, **zone_laws)
+    if args.regime is not None:  # the whole regime, over the file's preset and zone laws
+        regime = regime_preset(args.regime)
     return base_scenario(regime, args.continuous_predarcy, **values)
 
 
@@ -350,7 +346,7 @@ def _add_scenario_options(sub: argparse.ArgumentParser) -> None:
     grp = sub.add_argument_group("scenario overrides")
     for field, _, flag, help_text in _SCENARIO_FIELDS:
         grp.add_argument(flag, dest=field, type=float, help=help_text)
-    grp.add_argument("--regime", help="zone-law preset (D, F, FDD, DDpD, FDpD, FpDpD, pure-preDarcy)")
+    grp.add_argument("--regime", help=f"zone-law preset ({', '.join(REGIME_PRESETS)})")
     grp.add_argument("--continuous-predarcy", action="store_true",
                      help="rescale lambda to alpha*v_D^s so the law is continuous at v_D")
 
@@ -385,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     axis_vals.add_argument("--log-range", dest="log_range",
                            help="START,STOP,POINTS log-spaced axis values")
     p_sweep.add_argument("--regimes", default="D,F,FDD,DDpD,FDpD",
-                         help="comma-separated regime presets (default D,F,FDD,DDpD,FDpD)")
+                         help="comma-separated regime presets (default %(default)s)")
     p_sweep.add_argument("--out", metavar="PATH", help="CSV output path (default stdout)")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -103,6 +103,9 @@ REGIME_PRESETS: dict[str, RegimeAssignment] = {
     "pure-preDarcy": RegimeAssignment(_P, _P, _P),
 }
 
+#: Shorthand of each law, as composed into the label of an ad-hoc regime.
+LAW_LABELS = {_D: "D", _F: "F", _P: "pD"}
+
 _PRESET_LOOKUP = {name.lower().replace("-", ""): name for name in REGIME_PRESETS}
 
 
@@ -120,8 +123,7 @@ def preset_name(regime: RegimeAssignment) -> str:
     for name, preset in REGIME_PRESETS.items():
         if preset == regime:
             return name
-    short = {_D: "D", _F: "F", _P: "pD"}
-    return "".join(short[law] for law in regime.laws())
+    return "".join(LAW_LABELS[law] for law in regime.laws())
 
 
 def pressure_gradient(params: FlowParameters, law: ZoneLaw, speed):
@@ -130,12 +132,12 @@ def pressure_gradient(params: FlowParameters, law: ZoneLaw, speed):
     alpha * v for Darcy, (alpha + beta * v) * v for Forchheimer and
     lambda * v**(1 - s) for pre-Darcy, which is 0 at v = 0 for s < 1 and the
     flux-independent lambda at s = 1.  ``speed`` is a float or a numpy array
-    of speeds; only plain operators touch it.  A negative float speed raises
-    ValueError; arrays are not checked, since a per-call reduction would cost
-    more than the law.
+    of speeds; only plain operators touch it.  A float speed that is negative,
+    NaN or inf raises ValueError; arrays are not checked, since a per-call
+    reduction would cost more than the law.
     """
-    if isinstance(speed, (int, float)) and speed < 0:
-        raise ValueError(f"speed must be nonnegative, got {speed}")
+    if isinstance(speed, (int, float)) and not 0 <= speed < math.inf:
+        raise ValueError(f"speed must be nonnegative and finite, got {speed}")
     if law is ZoneLaw.DARCY:
         return params.alpha * speed
     if law is ZoneLaw.FORCHHEIMER:
@@ -166,8 +168,8 @@ def mobility(params: FlowParameters, law: ZoneLaw, grad_p: float) -> float:
 
 def law_for_speed(params: FlowParameters, regime: RegimeAssignment, speed: float) -> ZoneLaw:
     """Pick the zone law that governs a given flow speed."""
-    if speed < 0:
-        raise ValueError(f"speed must be nonnegative, got {speed}")
+    if not 0 <= speed < math.inf:
+        raise ValueError(f"speed must be nonnegative and finite, got {speed}")
     if speed >= params.v_F:
         return regime.near_well
     if speed >= params.v_D:
@@ -176,6 +178,12 @@ def law_for_speed(params: FlowParameters, regime: RegimeAssignment, speed: float
 
 
 def drag_power(params: FlowParameters, regime: RegimeAssignment, speed: float) -> float:
-    """g(|v|) * v^2, the drag power density; continuous with value 0 at v = 0."""
+    """g(|v|) * v^2, the drag power density; continuous with value 0 at v = 0.
+
+    NaN, not an error, for a NaN or inf speed: the RK controller of
+    ``validation.compressible_velocity`` then rejects the trial step.
+    """
     speed = abs(speed)
+    if not speed < math.inf:
+        return math.nan
     return pressure_gradient(params, law_for_speed(params, regime, speed), speed) * speed

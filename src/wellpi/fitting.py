@@ -173,7 +173,7 @@ def fit_segments(data: Iterable[FlowMeasurement]) -> FitResult:
         s_hat=float(min(max(1.0 - slope_low, 0.0), 1.0)),
         lambda_hat=math.exp(icept_low),
         alpha_hat=math.exp(icept_up),
-        v_D_hat=math.sqrt(points[i].v * points[i + 1].v),
+        v_D_hat=math.sqrt(points[i].v) * math.sqrt(points[i + 1].v),  # v * v can over/underflow
         sse_total=sse,
         points_per_segment=(i + 1, n - i - 1),
         darcy_slope=slope_up_free,

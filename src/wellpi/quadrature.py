@@ -186,8 +186,8 @@ def integrate_adaptive(
     finite (f returned NaN or inf, or overflowed in the sum), instead of
     bisecting towards the cap.
     """
-    if a > b:
-        raise ValueError(f"need a <= b, got a={a}, b={b}")
+    if not -math.inf < a <= b < math.inf:
+        raise ValueError(f"need finite a <= b, got a={a}, b={b}")
     if not 0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     if a == b:

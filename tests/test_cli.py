@@ -170,6 +170,18 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     assert "0.1358" in out
 
 
+def test_regime_flag_overrides_the_file_zone_laws(capsys, tmp_path):
+    # the file's zone law once overrode the flag's preset: pDpDD
+    cfg = tmp_path / "z.cfg"
+    cfg.write_text("regime.near_boundary = darcy\n")
+    code, out, _ = run_cli(capsys, "pi", "--config", str(cfg))
+    assert code == 0
+    assert "regime            = FDD" in out.splitlines()
+    code, out, _ = run_cli(capsys, "pi", "--config", str(cfg), "--regime", "pure-preDarcy")
+    assert (code, out) == run_cli(capsys, "pi", "--regime", "pure-preDarcy")[:2]
+    assert "regime            = pure-preDarcy" in out.splitlines()
+
+
 @pytest.mark.parametrize("near_well, middle, near_boundary", [
     ("pd", "F", "darcy"),
     ("pre-darcy", "f", "D"),

@@ -48,8 +48,10 @@ def test_forchheimer_resistance_linear_in_speed():
 def test_resistance_domain_errors():
     p = params(s=0.3)
     for law in ZoneLaw:
-        with pytest.raises(ValueError):
-            pressure_gradient(p, law, -1e-9)
+        # NaN and inf once came back as NaN and inf
+        for speed in (-1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError, match="speed"):
+                pressure_gradient(p, law, speed)
     # g = lambda v^-s is singular at zero speed for s > 0, but g(v) v is not:
     # it vanishes for s < 1, and at s = 1 it is lambda at every speed
     assert pressure_gradient(params(s=0.0), ZoneLaw.PRE_DARCY, 0.0) == 0.0
@@ -200,8 +202,17 @@ def test_law_for_speed_zone_boundaries():
     assert law_for_speed(p, fdpd, 1e-6) is ZoneLaw.DARCY
     assert law_for_speed(p, fdpd, p.v_D) is ZoneLaw.DARCY
     assert law_for_speed(p, fdpd, 1e-8) is ZoneLaw.PRE_DARCY
-    with pytest.raises(ValueError):
-        law_for_speed(p, fdpd, -1.0)
+    for speed in (-1.0, math.nan, math.inf):  # NaN was once a pre-Darcy speed
+        with pytest.raises(ValueError, match="speed"):
+            law_for_speed(p, fdpd, speed)
+
+
+def test_drag_power_of_non_finite_speed_is_nan():
+    # a blown-up RK trial step lands here; NaN makes the controller reject
+    # it (inf once gave inf)
+    fdpd = regime_preset("FDpD")
+    for speed in (math.nan, math.inf, -math.inf):
+        assert math.isnan(drag_power(params(), fdpd, speed))
 
 
 def test_drag_power_vanishes_at_zero_speed():

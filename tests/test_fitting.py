@@ -153,6 +153,21 @@ def test_split_with_no_velocity_spread_below_is_skipped():
     assert fit.s_hat == pytest.approx(0.6562, rel=1e-9)
 
 
+@pytest.mark.parametrize("low, lambda_, high, alpha", [
+    ((1e-320, 2e-320, 3e-320), 1e5, (1e-5, 2e-5, 3e-5), 1e20),
+    ((1e300, 2e300, 3e300), 1.0, (4e302, 5e302, 6e302), 1e-140),
+])
+def test_breakpoint_of_extreme_velocities_is_finite(low, lambda_, high, alpha):
+    # the product of the two bracketing velocities once underflowed to 0.0
+    # or overflowed to inf; the geometric mean itself is a normal float
+    data = ([FlowMeasurement(v=v, grad_p=lambda_ * math.sqrt(v)) for v in low]
+            + [FlowMeasurement(v=v, grad_p=alpha * v) for v in high])
+    fit = fit_segments(data)
+    assert fit.points_per_segment == (3, 3)
+    assert low[-1] < fit.v_D_hat < high[0]
+    assert fit.v_D_hat == pytest.approx(math.sqrt(low[-1]) * math.sqrt(high[0]), rel=1e-15)
+
+
 def test_no_split_with_velocity_spread_below_rejected():
     # every split of six points leaves only equal velocities below it
     data = synthesize_measurements(fit_params(), [1e-7] * 5 + [2e-7])

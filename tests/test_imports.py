@@ -89,3 +89,27 @@ def test_one_lazy_name_loads_the_whole_numpy_group():
         % (NUMPY_MODULES, NUMPY_MODULES)
     )
     assert got == [[False] * 3, [True] * 3, True, "wellpi.checks"]
+
+
+def test_commands_run_without_the_test_extras(tmp_path):
+    # mpmath and hypothesis are test extras only: an import of either from
+    # wellpi fails here, while a CI job that installs `.[test]` would pass
+    csv_path = str(tmp_path / "measured.csv")
+    got = run_fresh(
+        "sys.modules['mpmath'] = sys.modules['hypothesis'] = None\n"
+        "import contextlib, io\n"
+        "import numpy as np\n"
+        "from wellpi import base_scenario, synthesize_measurements\n"
+        "from wellpi.cli import main\n"
+        "params = base_scenario('D', s=0.6562, v_D=5e-8).params\n"
+        "data = synthesize_measurements(params, np.geomspace(1e-9, 1e-6, 20), noise_rel=0.01)\n"
+        "with open(%r, 'w') as fh:\n"
+        "    fh.write('v_m_per_s,grad_p_pa_per_m\\n')\n"
+        "    fh.writelines(f'{m.v!r},{m.grad_p!r}\\n' for m in data)\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [main(['validate']), main(['table', '1']),\n"
+        "             main(['sweep', '--axis', 's', '--log-range', '0.1,0.9,3']), main(['fit', %r])]\n"
+        "print(json.dumps([codes, sys.modules['mpmath'], sys.modules['hypothesis']]))\n"
+        % (csv_path, csv_path)
+    )
+    assert got == [[0, 0, 0, 0], None, None]

@@ -65,6 +65,17 @@ def test_non_finite_rel_tol_rejected(rel_tol):
         integrate_adaptive(lambda x: 1.0 / np.sqrt(x), 1e-12, 1.0, rel_tol=rel_tol)
 
 
+@pytest.mark.parametrize("a, b", [
+    (math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf),
+    (math.inf, math.inf), (-math.inf, -math.inf),
+])
+def test_non_finite_bound_rejected(a, b):
+    # NaN once ended in a QuadratureError on a non-finite panel, and inf in
+    # numpy's invalid-value warning; neither named the bound
+    with pytest.raises(ValueError, match="need finite a <= b"):
+        integrate_adaptive(lambda x: np.ones_like(x), a, b)
+
+
 def test_panel_cap_raises_with_best_estimate(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 3)
     with pytest.raises(QuadratureError) as info:

@@ -260,7 +260,9 @@ def test_compressible_rejects_bad_inputs():
 
 
 def test_compressible_step_underflow_raises():
-    # at gamma = 1e4 the profile blows up just inside r_e
+    # at gamma = 1e4 the profile blows up just inside r_e; the NaN and inf
+    # trial speeds reach drag_power, which returns NaN instead of raising,
+    # so the controller rejects those steps until the step size underflows
     with pytest.raises(StepSizeUnderflow):
         compressible_velocity(gamma_scaled_scenario(), 1e4, [0.3, 1000.0])
 
