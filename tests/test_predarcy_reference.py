@@ -3,7 +3,9 @@
 The reference integrates (r_e^2 - r^2)^(2-s) r^(s-1) over the same binary
 radii at 40 significant digits, so it shares none of the double-precision
 weaknesses of the series (cancellation near r_e, the log term at s = 0, the
-polynomial end at s = 1).
+polynomial end at s = 1).  Segments that end at r_e are also drawn at random
+and checked against mpmath's incomplete beta function, on both sides of the
+guard that sends them to the complete beta function minus its head.
 
 Near r_e the adaptive Gauss-Kronrod integrator is not a usable reference:
 its nodes center + half * x round to a few ulp of r_e, where the integrand
@@ -13,6 +15,8 @@ sliver [r_e (1 - 1e-6), r_e] it is off by up to about 4e-11, and by about
 quadrature gate of the validation check stays at 1e-9 and only this test
 holds the closed form to 1e-13.
 """
+
+import random
 
 import pytest
 
@@ -34,6 +38,10 @@ INTERVALS = {
     # r1 on the cut: the series at its largest x1 = 1 - 0.75^2, not the tail
     "from-series-cut": (0.75 * R_E, R_E),
     "cut-sliver": (750.0, 750.0 * (1.0 + 1e-9)),
+    # the complete beta function minus its head for s >= 0.3; the split series below
+    "from-tenth": (0.1 * R_E, R_E),
+    # below the cut, but 0.7499^s > 0.45 s B(s/2, 3-s) for every s: the split series
+    "from-below-cut": (0.7499 * R_E, R_E),
 }
 
 
@@ -58,3 +66,29 @@ def test_predarcy_closed_form_matches_mpmath(name, s):
     got = zone_integral(scn, ZoneLaw.PRE_DARCY, r1, r2)
     want = _reference(scn, r1, r2)
     assert float(abs(got - want) / want) <= 1e-13
+
+
+# on [r_w, r_e], 0.005 keeps the split series and 0.05 takes the head route
+@pytest.mark.parametrize("s", [0.005, 0.05])
+def test_predarcy_whole_annulus_on_both_sides_of_the_guard(s):
+    scn = make_scenario("pure-preDarcy", s=s)
+    got = zone_integral(scn, ZoneLaw.PRE_DARCY, R_W, R_E)
+    want = _reference(scn, R_W, R_E)
+    assert float(abs(got - want) / want) <= 1e-13
+
+
+def test_predarcy_to_r_e_matches_the_incomplete_beta_function():
+    rng = random.Random(20)
+    for _ in range(200):
+        s = 1.0 - rng.random()  # (0, 1]
+        r_e = 10.0 ** rng.uniform(0.0, 5.0)
+        r1 = r_e * 10.0 ** rng.uniform(-6.0, -0.125)  # r1 / r_e in 1e-6 .. 0.75
+        scn = make_scenario("pure-preDarcy", s=s, r_e=r_e, r_w=r1)
+        got = zone_integral(scn, ZoneLaw.PRE_DARCY, r1, r_e)
+        with mp.workdps(40):
+            ms = mp.mpf(s)
+            u1 = (mp.mpf(r1) / r_e) ** 2
+            beta = mp.betainc(ms / 2, 3 - ms, u1, 1)
+            scale = mp.mpf(scn.params.lambda_) * mp.mpf(flux_density(scn)) ** (-ms)
+            want = scale * mp.mpf(r_e) ** (4 - ms) / 2 * beta
+        assert float(abs(got - want) / want) <= 1e-13, (s, r_e, r1)

@@ -255,6 +255,7 @@ def test_predarcy_tail_equals_outer_series(s):
 
 
 def test_predarcy_tail_of_a_repeated_power_is_computed_once(monkeypatch):
+    # [700, 1000] falls back to the split series at s = 0.3 and 0.4 (0.7^s > 0.45 s B)
     calls = []
     outer = quadrature._predarcy_outer
 
@@ -267,12 +268,87 @@ def test_predarcy_tail_of_a_repeated_power_is_computed_once(monkeypatch):
     try:
         for q_over_h in (1e-6, 1e-4, 1e-2):
             scn = make_scenario(s=0.3, q_over_h=q_over_h)
-            zone_integral(scn, ZoneLaw.PRE_DARCY, 0.3, 1000.0)
+            zone_integral(scn, ZoneLaw.PRE_DARCY, 700.0, 1000.0)
         assert len(calls) == 1
-        zone_integral(make_scenario(s=0.4), ZoneLaw.PRE_DARCY, 0.3, 1000.0)
+        zone_integral(make_scenario(s=0.4), ZoneLaw.PRE_DARCY, 700.0, 1000.0)
         assert len(calls) == 2
     finally:
         quadrature._predarcy_tail.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# S_pD to r_e as the complete beta function minus its head
+# ---------------------------------------------------------------------------
+
+def _split_bracket(r_e, s, r1):
+    # the route of every segment [r1, r_e] that the guard turns away
+    cut = quadrature._SERIES_CUT * r_e
+    beta = quadrature._predarcy_inner(r_e, s, r1, cut) + quadrature._predarcy_tail(s)
+    return 0.5 * r_e ** (4.0 - s) * beta
+
+
+@pytest.mark.parametrize("s", [0.0, 5e-324, 1e-310, 1e-300, 1e-9, 1e-3, 1.0])
+def test_predarcy_to_r_e_at_edge_powers_agrees_with_the_split_series(s):
+    # math.gamma(s / 2) would raise at s = 5e-324 and overflow at 1e-310
+    scn = make_scenario(s=s)
+    r_e, r_w = scn.geometry.r_e, scn.geometry.r_w
+    assert math.isfinite(zone_integral(scn, ZoneLaw.PRE_DARCY, r_w, r_e))
+    got = quadrature._predarcy_bracket(r_e, s, r_w, r_e)
+    split = _split_bracket(r_e, s, r_w)
+    assert abs(got - split) <= 4 * math.ulp(split)
+
+
+def test_predarcy_to_r_e_at_s_zero_is_unchanged():
+    assert quadrature._predarcy_bracket(1000.0, 0.0, 0.3, 1000.0) == 7361728173308.071
+
+
+def _beta_series_calls(monkeypatch, fn, *args):
+    calls = []
+    series = quadrature._beta_series
+
+    def spy(*series_args):
+        calls.append(series_args)
+        return series(*series_args)
+
+    monkeypatch.setattr(quadrature, "_beta_series", spy)
+    quadrature._predarcy_tail.cache_clear()
+    try:
+        fn(*args)
+    finally:
+        quadrature._predarcy_tail.cache_clear()
+        monkeypatch.setattr(quadrature, "_beta_series", series)
+    return calls
+
+
+def test_guard_sums_no_head_for_a_fallback_segment(monkeypatch):
+    # s = 0.3 from 700 m: 0.7^0.3 = 0.899 > 0.45 s B = 0.741, so only the split series run
+    r_e, s, r1 = 1000.0, 0.3, 700.0
+    got = _beta_series_calls(monkeypatch, quadrature._predarcy_bracket, r_e, s, r1, r_e)
+    assert got == _beta_series_calls(monkeypatch, _split_bracket, r_e, s, r1)
+    assert len(got) == 2
+
+
+def test_head_route_sums_one_series_from_zero(monkeypatch):
+    r_e, s, r1 = 1000.0, 0.3, 0.3
+    got = _beta_series_calls(monkeypatch, quadrature._predarcy_bracket, r_e, s, r1, r_e)
+    u1 = (r1 / r_e) ** 2
+    assert got == [(0.5 * s, s - 3.0, u1, 0.0, u1)]
+
+
+@pytest.mark.parametrize("s, r1, beta", [
+    # int_u1^1 u^(s/2-1) (1-u)^(2-s) du from mpmath at 40 digits
+    (0.01, 1e-170, 194.78845285786758),
+    (0.001, 1e-300, 1003.0270992502075),
+    (1.0, 1e-300, 1.3333333333333333),
+])
+def test_head_route_when_u1_underflows(s, r1, beta, monkeypatch):
+    # (r1 / r_e)^2 is 0 in floating point, and the head is (r1 / r_e)^s * 2 / s;
+    # the split series would integrate from u = 0 instead, 1.9% off at s = 0.01
+    r_e = 1000.0
+    calls = _beta_series_calls(monkeypatch, quadrature._predarcy_bracket, r_e, s, r1, r_e)
+    assert calls == []
+    got = quadrature._predarcy_bracket(r_e, s, r1, r_e) / (0.5 * r_e ** (4.0 - s))
+    assert abs(got - beta) <= 1e-14 * beta
 
 
 # ---------------------------------------------------------------------------
