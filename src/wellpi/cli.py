@@ -11,7 +11,8 @@ scientific notation with nine significant digits; identical inputs
 produce byte-identical output.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 numerical failure.
+3 numerical failure, 141 stdout closed before the output was written (as a
+shell reports a command ended by SIGPIPE).
 
 ``pi``, ``sweep`` with ``--values`` and ``table`` run without numpy; it is
 imported only by ``validate``, ``fit`` and ``sweep --log-range``.
@@ -24,6 +25,7 @@ import codecs
 import functools
 import io
 import math
+import os
 import sys
 from dataclasses import replace
 from typing import Sequence
@@ -40,6 +42,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a command ended by SIGPIPE
 
 _DEFAULT_REGIME = regime_preset("FDpD")
 
@@ -410,7 +413,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: what is still buffered goes to the null
+        # device, so the interpreter's final flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ValueError as exc:
         # a ValueError is an input the CLI or the library rejected, e.g. a bad
         # config line, an unknown preset, a Geometry field out of range or too

@@ -37,14 +37,16 @@ u = r^2 / r_e^2 turns it into the incomplete beta integral
     S_pD = lambda * A^(-s) * r_e^(4-s) / 2 * int u^(s/2-1) (1-u)^(2-s) du,
 
 summed as the binomial series of (1-u)^(2-s) for small u and as the
-all-positive series of u^(s/2-1) in x = 1 - u near the outer boundary.  A
-segment [r1, r_e] from below the cut is the complete integral
-B(s/2, 3-s), from three math.gamma calls, minus its head over [0, u1],
-u1 = (r1/r_e)^2, a short binomial series.  The guard (r1/r_e)^s <=
-0.45 s B, taken before any series is summed, keeps the head within 0.9 B,
-so the difference loses at most one digit; s = 0, tiny s and r1 near the
-cut fail it.  Those segments sum the binomial series up to the cut and add
-the part over u in [0.75^2, 1], which depends on s alone and is cached per s.
+all-positive series of u^(s/2-1) in x = 1 - u near the outer boundary.  Both
+run one kernel, whose callers take hi^p0 and the logarithm of the ratio of
+the bounds from the radii, so a bound whose u underflows keeps its digits.
+A segment [r1, r_e] from below the cut is the complete integral
+B(s/2, 3-s), from three math.gamma calls, minus its head: the binomial
+series from r = 0 to r1.  The guard (r1/r_e)^s <= 0.45 s B, taken before
+any series is summed, keeps the head within 0.9 B, so the difference loses
+at most one digit; s = 0, tiny s, r1 near the cut and a subnormal r1/r_e
+fail it.  Those segments sum the binomial series up to the cut and add the
+part over u in [0.75^2, 1], which depends on s alone and is cached per s.
 """
 
 from __future__ import annotations
@@ -238,10 +240,13 @@ _SERIES_CUT = 0.75
 
 def _darcy_closed(r_e: float, r1: float, r2: float) -> float:
     # every term carries d = r2 - r1 as a factor: log(r2/r1) = log1p(d/r1) and
-    # r2^4 - r1^4 = d (r1 + r2)(r1^2 + r2^2), so a narrow interval keeps its digits
+    # r2^4 - r1^4 = d (r1 + r2)(r1^2 + r2^2), so a narrow interval keeps its digits;
+    # where d/r1 overflows (a subnormal r1), r2 is d to the last bit
     d = r2 - r1
     p = r1 + r2
-    return r_e**4 * math.log1p(d / r1) - d * p * (r_e**2 - (r1 * r1 + r2 * r2) / 4.0)
+    ratio = d / r1
+    log_ratio = math.log1p(ratio) if ratio < math.inf else math.log(d) - math.log(r1)
+    return r_e**4 * log_ratio - d * p * (r_e**2 - (r1 * r1 + r2 * r2) / 4.0)
 
 
 def _forch_closed(r_e: float, r1: float, r2: float) -> float:
@@ -314,24 +319,27 @@ def _x_bracket(law: _XLaw, r_e: float, r1: float, r2: float) -> float:
     return law.closed(r_e, r1, cut) + tail
 
 
-def _beta_series(p0: float, m: float, hi: float, lo: float, width: float) -> float:
+def _log_ratio(a: float, b: float) -> float:
+    # log(a / b) for 0 <= a <= b, from the ratio unless it underflows
+    ratio = a / b
+    if ratio >= sys.float_info.min:
+        return math.log(ratio)
+    return math.log(a) - math.log(b) if a > 0.0 else -math.inf
+
+
+def _beta_series(p0: float, m: float, hi: float, power: float, step: float, log_rho: float) -> float:
     # sum_k c_k (hi^(p0+k) - lo^(p0+k)) / (p0+k), c_0 = 1, c_k = c_(k-1) (k+m)/k,
-    # for 0 <= lo < hi <= _SERIES_CUT^2 and width = hi - lo free of cancellation.
-    # Each difference is hi^p * D with D = 1 - rho^p, rho = lo/hi; D obeys
-    # D_(k+1) = D_k + rho^(p0+k) (1 - rho), a sum of positive terms, so only
-    # D_0 needs expm1, and log(rho) comes from log1p when rho is near 1.
+    # for 0 <= lo < hi <= _SERIES_CUT^2, from power = hi^p0, step = 1 - rho and
+    # log_rho = log(rho), rho = lo/hi, which the callers take from the radii.
+    # Each difference is hi^p * D with D = 1 - rho^p; D obeys
+    # D_(k+1) = D_k + rho^(p0+k) step, a sum of positive terms, so only D_0
+    # needs expm1, and log(rho) comes from log1p when rho is near 1.
     # At p0 = 0 the first term is its limit -log(rho).
-    step = width / hi
-    rho = lo / hi
-    if rho >= 0.5:
+    if step <= 0.5:
         log_rho = math.log1p(-step)
-    elif rho > 0.0:
-        log_rho = math.log(rho)
-    else:
-        log_rho = -math.inf
+    rho = 1.0 - step
     gap = -math.expm1(p0 * log_rho)
     rest = math.exp(p0 * log_rho)
-    power = hi**p0
     total = power * gap / p0 if p0 > 0.0 else -log_rho
     c = 1.0
     for k in range(1, 400):  # hi <= 0.5625 meets the test within about 80 terms
@@ -347,11 +355,11 @@ def _beta_series(p0: float, m: float, hi: float, lo: float, width: float) -> flo
 
 
 def _predarcy_inner(r_e: float, s: float, r1: float, r2: float) -> float:
-    # binomial series of (1-u)^(2-s) against u^(s/2-1), u = (r/r_e)^2
-    u1 = (r1 / r_e) ** 2
-    u2 = (r2 / r_e) ** 2
-    du = (r2 - r1) * (r2 + r1) / r_e**2
-    return _beta_series(0.5 * s, s - 3.0, u2, u1, du)
+    # binomial series of (1-u)^(2-s) against u^(s/2-1), u = (r/r_e)^2, with
+    # 1 - u1/u2 and log(u1/u2) from r1/r2; r1 = 0 sums the head [0, u2]
+    t2 = r2 / r_e
+    step = (r2 - r1) / r2 * ((r2 + r1) / r2)
+    return _beta_series(0.5 * s, s - 3.0, t2 * t2, t2**s, step, 2.0 * _log_ratio(r1, r2))
 
 
 def _predarcy_outer(r_e: float, s: float, r1: float, r2: float) -> float:
@@ -359,7 +367,7 @@ def _predarcy_outer(r_e: float, s: float, r1: float, r2: float) -> float:
     x1 = (r_e - r1) * (r_e + r1) / r_e**2
     x2 = (r_e - r2) * (r_e + r2) / r_e**2
     dx = (r2 - r1) * (r2 + r1) / r_e**2
-    return _beta_series(3.0 - s, -0.5 * s, x1, x2, dx)
+    return _beta_series(3.0 - s, -0.5 * s, x1, x1 ** (3.0 - s), dx / x1, _log_ratio(x2, x1))
 
 
 @functools.lru_cache(maxsize=256)
@@ -379,22 +387,16 @@ def _predarcy_bracket(r_e: float, s: float, r1: float, r2: float) -> float:
     elif r2 < r_e:
         beta = _predarcy_inner(r_e, s, r1, cut) + _predarcy_outer(r_e, s, cut, r2)
     else:
-        # the complete integral B(s/2, 3-s) = s_beta / s minus the head over
-        # [0, u1]; the head is at most lead * 2 / s, lead = u1^(s/2), so the
-        # guard, taken before any series runs, keeps it within 0.9 B: one digit
-        # lost at most.  s = 0 and tiny s fail it and keep the split series.
+        # the complete integral B(s/2, 3-s) = s_beta / s minus the head, the inner
+        # series from r = 0 to r1, at most (r1/r_e)^s * 2 / s; the guard, taken
+        # before any series runs, keeps it within 0.9 B: one digit lost at most.
+        # s = 0, tiny s and an r1/r_e below the smallest normal float, whose
+        # (r1/r_e)^s has lost digits or is 0, keep the split series.
         # s * Gamma(s/2) is written 2 Gamma(1 + s/2), which stays finite as s -> 0.
         s_beta = 2.0 * math.gamma(1.0 + 0.5 * s) * math.gamma(3.0 - s) / math.gamma(3.0 - 0.5 * s)
-        lead = (r1 / r_e) ** s
-        if lead <= 0.45 * s_beta:
-            u1 = (r1 / r_e) ** 2
-            # below the smallest normal float, u1 has lost digits (or is 0), and
-            # the head's terms beyond lead * 2 / s are below its rounding
-            if u1 >= sys.float_info.min:
-                head = _beta_series(0.5 * s, s - 3.0, u1, 0.0, u1)
-            else:
-                head = 2.0 * lead / s
-            beta = s_beta / s - head
+        t1 = r1 / r_e
+        if t1 >= sys.float_info.min and t1**s <= 0.45 * s_beta:
+            beta = s_beta / s - _predarcy_inner(r_e, s, 0.0, r1)
         else:
             beta = _predarcy_inner(r_e, s, r1, cut) + _predarcy_tail(s)
     return 0.5 * r_e ** (4.0 - s) * beta

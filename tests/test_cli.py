@@ -130,6 +130,22 @@ def test_pi_out_of_float_range_is_a_numerical_failure(capsys, argv):
     assert " out of the floating-point range: " in err
 
 
+@pytest.mark.parametrize("argv, printed", [
+    # the PI of a 40-digit reference, at well radii where r_w itself or
+    # (r_w / r_e)^2 is subnormal or underflows to 0
+    (("--regime", "D", "--r-w", "1e-310"), "(1.38896772e-03)"),
+    (("--regime", "D", "--r-w", "1e-308"), "(1.39790936e-03)"),
+    (("--regime", "pure-preDarcy", "--r-w", "1e-300", "--s", "1e-5"), "(1.43961565e-03)"),
+    (("--regime", "pure-preDarcy", "--r-w", "1e-170", "--s", "0"), "(2.51510812e-03)"),
+    (("--regime", "pure-preDarcy", "--r-w", "5e-324", "--s", "1e-9"), "(1.33227185e-03)"),
+    (("--regime", "pure-preDarcy", "--r-w", "5e-324", "--s", "1e-3"), "(1.86192690e-03)"),
+])
+def test_pi_from_a_tiny_well_radius(capsys, argv, printed):
+    code, out, err = run_cli(capsys, "pi", *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0].endswith(printed)
+
+
 @pytest.mark.parametrize("argv", [
     ("--q-over-h", "1e-320"),  # A underflows to 0
     ("--r-e", "1e200", "--r-w", "1e-200"),  # r_e^2 - r_w^2 overflows, so A = 0
@@ -803,3 +819,22 @@ def test_unwritable_output_path_is_a_config_error(tmp_path, command):
     assert proc.returncode == 2
     assert f"error: cannot write '{target}'" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["pi"],
+    ["sweep", "--axis", "q_over_h", "--log-range", "1e-6,1,200"],
+], ids=["pi", "sweep"])
+def test_stdout_closed_early_exits_141_without_a_traceback(argv):
+    # the reader's end of the pipe is closed before the command writes, so its
+    # first write fails, buffered or not
+    src = str(Path(wellpi.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-W", "error", "-c",
+         f"import sys; sys.path.insert(0, {src!r}); from wellpi.cli import main; sys.exit(main())",
+         *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, "")

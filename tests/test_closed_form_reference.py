@@ -75,3 +75,16 @@ def test_closed_form_matches_mpmath(name, law):
     with mp.workdps(40):
         want = reference(scn, r1, r2)
         assert float(abs(got - want) / want) <= 1e-13
+
+
+@pytest.mark.parametrize("r_w", [1e-300, 1e-308, 1e-310, 5e-324])
+def test_darcy_from_a_subnormal_well_radius_matches_its_antiderivative(r_w):
+    # below about 4e-306, (750 - r_w) / r_w overflows, and log(r2 / r1) is
+    # taken as log(d) - log(r1)
+    scn = make_scenario("D", r_w=r_w)
+    got = zone_integral(scn, ZoneLaw.DARCY, r_w, 0.75 * R_E)
+    with mp.workdps(40):
+        a, b, r_e = mp.mpf(r_w), mp.mpf(0.75 * R_E), mp.mpf(R_E)
+        bracket = r_e**4 * mp.log(b / a) - r_e**2 * (b**2 - a**2) + (b**4 - a**4) / 4
+        want = mp.mpf(scn.params.alpha) * bracket
+        assert float(abs(got - want) / want) <= 1e-13

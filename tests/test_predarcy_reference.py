@@ -77,6 +77,20 @@ def test_predarcy_whole_annulus_on_both_sides_of_the_guard(s):
     assert float(abs(got - want) / want) <= 1e-13
 
 
+def _beta_reference(scn, r1, r2):
+    # lambda A^(-s) r_e^(4-s) / 2 times the incomplete beta integral over
+    # [(r1/r_e)^2, (r2/r_e)^2], whose bounds need not be normal floats here
+    with mp.workdps(40):
+        s, r_e = mp.mpf(scn.params.s), mp.mpf(scn.geometry.r_e)
+        u1, u2 = (mp.mpf(r1) / r_e) ** 2, (mp.mpf(r2) / r_e) ** 2
+        if s == 0:  # int (1-u)^2 / u du
+            beta = mp.log(u2 / u1) - 2 * (u2 - u1) + (u2**2 - u1**2) / 2
+        else:
+            beta = mp.betainc(s / 2, 3 - s, u1, u2)
+        scale = mp.mpf(scn.params.lambda_) * mp.mpf(flux_density(scn)) ** (-s)
+        return scale * r_e ** (4 - s) / 2 * beta
+
+
 def test_predarcy_to_r_e_matches_the_incomplete_beta_function():
     rng = random.Random(20)
     for _ in range(200):
@@ -85,10 +99,24 @@ def test_predarcy_to_r_e_matches_the_incomplete_beta_function():
         r1 = r_e * 10.0 ** rng.uniform(-6.0, -0.125)  # r1 / r_e in 1e-6 .. 0.75
         scn = make_scenario("pure-preDarcy", s=s, r_e=r_e, r_w=r1)
         got = zone_integral(scn, ZoneLaw.PRE_DARCY, r1, r_e)
-        with mp.workdps(40):
-            ms = mp.mpf(s)
-            u1 = (mp.mpf(r1) / r_e) ** 2
-            beta = mp.betainc(ms / 2, 3 - ms, u1, 1)
-            scale = mp.mpf(scn.params.lambda_) * mp.mpf(flux_density(scn)) ** (-ms)
-            want = scale * mp.mpf(r_e) ** (4 - ms) / 2 * beta
+        want = _beta_reference(scn, r1, r_e)
         assert float(abs(got - want) / want) <= 1e-13, (s, r_e, r1)
+
+
+# a well radius whose (r_w / r_e)^2 underflows: [r_w, 1.59] is the inner series
+# alone, [r_w, r_e] the head route or the split series; below 2.2e-305, r_w / r_e
+# is subnormal, its power (r_w / r_e)^s has lost digits, and the split series runs
+TINY_WELL = [
+    (r_w, r2, s)
+    for r_w in (1e-300, 1e-170)
+    for r2 in (1.59, R_E)
+    for s in (0.0, 1e-9, 1e-5, 1e-3, 0.3, 1.0)
+] + [(r_w, R_E, s) for r_w in (1e-320, 5e-324) for s in (1e-9, 1e-3, 1e-2, 1.0)]
+
+
+@pytest.mark.parametrize("r_w, r2, s", TINY_WELL)
+def test_predarcy_from_a_tiny_well_radius_matches_mpmath(r_w, r2, s):
+    scn = make_scenario("pure-preDarcy", s=s, r_w=r_w)
+    got = zone_integral(scn, ZoneLaw.PRE_DARCY, r_w, r2)
+    want = _beta_reference(scn, r_w, r2)
+    assert float(abs(got - want) / want) <= 1e-13

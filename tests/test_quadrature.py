@@ -328,11 +328,17 @@ def test_guard_sums_no_head_for_a_fallback_segment(monkeypatch):
     assert len(got) == 2
 
 
+def _is_head(call):
+    # the inner series from r = 0: rho = 0, so step = 1 and log(rho) = -inf
+    *_, step, log_rho = call
+    return step == 1.0 and log_rho == -math.inf
+
+
 def test_head_route_sums_one_series_from_zero(monkeypatch):
     r_e, s, r1 = 1000.0, 0.3, 0.3
     got = _beta_series_calls(monkeypatch, quadrature._predarcy_bracket, r_e, s, r1, r_e)
-    u1 = (r1 / r_e) ** 2
-    assert got == [(0.5 * s, s - 3.0, u1, 0.0, u1)]
+    assert len(got) == 1 and _is_head(got[0])
+    assert got == _beta_series_calls(monkeypatch, quadrature._predarcy_inner, r_e, s, 0.0, r1)
 
 
 @pytest.mark.parametrize("s, r1, beta", [
@@ -342,11 +348,11 @@ def test_head_route_sums_one_series_from_zero(monkeypatch):
     (1.0, 1e-300, 1.3333333333333333),
 ])
 def test_head_route_when_u1_underflows(s, r1, beta, monkeypatch):
-    # (r1 / r_e)^2 is 0 in floating point, and the head is (r1 / r_e)^s * 2 / s;
-    # the split series would integrate from u = 0 instead, 1.9% off at s = 0.01
+    # (r1 / r_e)^2 is 0 in floating point, and the head is still one series
+    # from r = 0, whose terms beyond (r1 / r_e)^s * 2 / s vanish
     r_e = 1000.0
     calls = _beta_series_calls(monkeypatch, quadrature._predarcy_bracket, r_e, s, r1, r_e)
-    assert calls == []
+    assert len(calls) == 1 and _is_head(calls[0])
     got = quadrature._predarcy_bracket(r_e, s, r1, r_e) / (0.5 * r_e ** (4.0 - s))
     assert abs(got - beta) <= 1e-14 * beta
 
