@@ -172,7 +172,7 @@ def check_gamma_linearity() -> CheckResult:
     """max |v_gamma - v| scales linearly in gamma (ratio about 10 per decade)."""
     scn = gamma_scaled_scenario()
     radii = np.linspace(scn.geometry.r_w, scn.geometry.r_e, 201)
-    v_inc = np.array([velocity_profile(scn, float(r)) for r in radii])
+    v_inc = velocity_profile(scn, radii)
     errs = {}
     for gamma in (1e-3, 1e-4):
         _, v_gamma = compressible_velocity(scn, gamma, radii)
@@ -186,7 +186,7 @@ def check_gamma_zero_identity() -> CheckResult:
     scn = gamma_scaled_scenario()
     radii = np.linspace(scn.geometry.r_w, scn.geometry.r_e, 101)
     _, v0 = compressible_velocity(scn, 0.0, radii)
-    v_inc = np.array([velocity_profile(scn, float(r)) for r in radii])
+    v_inc = velocity_profile(scn, radii)
     scale = velocity_profile(scn, scn.geometry.r_w)
     dev = float(np.max(np.abs(v0 - v_inc))) / scale
     return CheckResult("gamma-zero-identity", dev <= 1e-10, dev, "1e-10")

@@ -10,9 +10,9 @@ CSV output is UTF-8 with a header row, ``.`` decimal separator and
 scientific notation with nine significant digits; identical inputs
 produce byte-identical output.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 numerical failure, 141 stdout closed before the output was written (as a
-shell reports a command ended by SIGPIPE).
+Exit codes: 0 success, 1 validation failure, 2 configuration error or a
+stdout that cannot be written, 3 numerical failure, 141 stdout closed before
+the output was written (as a shell reports a command ended by SIGPIPE).
 
 ``pi``, ``sweep`` with ``--values`` and ``table`` run without numpy; it is
 imported only by ``validate``, ``fit`` and ``sweep --log-range``.
@@ -153,9 +153,37 @@ def build_scenario(args: argparse.Namespace) -> Scenario:
 # Output helpers
 # ---------------------------------------------------------------------------
 
+class _StdoutError(Exception):
+    """Writing stdout failed with the OSError in ``__cause__``."""
+
+
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to stdout and flush it; a failed write raises
+    _StdoutError from its OSError.
+
+    The bytes go to the binary layer until it has taken them all: an
+    unbuffered stdout takes only part of a write to a pipe whose reader has
+    gone, and its text layer ignores the count.  A stdout without a binary
+    layer, such as a StringIO, gets ``text`` as it is.
+    """
+    out = sys.stdout
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:
+        out.write(text)
+        return
+    try:
+        out.flush()
+        data = memoryview(text.encode(out.encoding, out.errors))
+        while data:
+            data = data[buffer.write(data):]
+        buffer.flush()
+    except OSError as exc:
+        raise _StdoutError from exc
+
+
 def _write_text(text: str, out_path: str | None) -> None:
     if out_path is None:
-        sys.stdout.write(text)
+        _write_stdout(text)
         return
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -203,7 +231,7 @@ def cmd_pi(args: argparse.Namespace) -> int:
                  + ("  (clamped)" if part.clamped_slow else ""))
     for label, value in zip(("near_well", "middle", "near_boundary"), zone_contributions(scn)):
         lines.append(f"S_{label:<16}= {_fmt(value)}")
-    print("\n".join(lines))
+    _write_stdout("\n".join(lines) + "\n")
     if args.out:
         rows = _sweep_rows("q_over_h", scn.q_over_h, scn, [pi], [preset_name(scn.regime)])
         csv_text = ",".join(_SWEEP_COLUMNS) + "\n" + rows
@@ -302,12 +330,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
     from . import checks
 
     results = checks.run_all(inject_fault=args.inject_fault)
-    failed = 0
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        failed += 0 if res.passed else 1
-        print(f"{status} {res.name}: measured={res.measured:.6e} tolerance={res.tolerance}")
-    print(f"{len(results) - failed}/{len(results)} validation properties passed")
+    failed = sum(not res.passed for res in results)
+    lines = [
+        f"{'PASS' if res.passed else 'FAIL'} {res.name}: "
+        f"measured={res.measured:.6e} tolerance={res.tolerance}\n"
+        for res in results
+    ]
+    lines.append(f"{len(results) - failed}/{len(results)} validation properties passed\n")
+    _write_stdout("".join(lines))
     return EXIT_OK if failed == 0 else EXIT_VALIDATION
 
 
@@ -321,15 +351,18 @@ def cmd_fit(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise ValueError(f"cannot read {args.input_csv!r}: {exc}") from None
     fit = fit_segments(data)
-    print(f"s_hat             = {fit.s_hat:.6g}")
-    print(f"lambda_hat        = {_fmt(fit.lambda_hat)}")
-    print(f"alpha_hat         = {_fmt(fit.alpha_hat)}")
-    print(f"v_D_hat           = {_fmt(fit.v_D_hat)}")
-    print(f"sse_total         = {_fmt(fit.sse_total)}")
-    print(f"points_per_segment= {fit.points_per_segment[0]},{fit.points_per_segment[1]}")
-    print(f"darcy_slope       = {fit.darcy_slope:.6g}  (unconstrained diagnostic)")
+    lines = [
+        f"s_hat             = {fit.s_hat:.6g}",
+        f"lambda_hat        = {_fmt(fit.lambda_hat)}",
+        f"alpha_hat         = {_fmt(fit.alpha_hat)}",
+        f"v_D_hat           = {_fmt(fit.v_D_hat)}",
+        f"sse_total         = {_fmt(fit.sse_total)}",
+        f"points_per_segment= {fit.points_per_segment[0]},{fit.points_per_segment[1]}",
+        f"darcy_slope       = {fit.darcy_slope:.6g}  (unconstrained diagnostic)",
+    ]
     if fit.no_breakpoint:
-        print("note: single Darcy segment explains the data; no breakpoint reported")
+        lines.append("note: single Darcy segment explains the data; no breakpoint reported")
+    _write_stdout("\n".join(lines) + "\n")
     if args.emit_model:
         v_values = np.geomspace(min(m.v for m in data), max(m.v for m in data), 200)
         buf = io.StringIO()
@@ -413,16 +446,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # the reader closed stdout early: what is still buffered goes to the null
-        # device, so the interpreter's final flush does not raise again
+        return args.func(args)
+    except _StdoutError as exc:
+        # what is still buffered goes to the null device, so the interpreter's
+        # final flush does not raise again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return EXIT_BROKEN_PIPE
+        if isinstance(exc.__cause__, BrokenPipeError):  # the reader closed stdout early
+            return EXIT_BROKEN_PIPE
+        print(f"error: cannot write to stdout: {exc.__cause__}", file=sys.stderr)
+        return EXIT_CONFIG
     except ValueError as exc:
         # a ValueError is an input the CLI or the library rejected, e.g. a bad
         # config line, an unknown preset, a Geometry field out of range or too

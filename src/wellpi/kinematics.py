@@ -100,10 +100,12 @@ def flux_density(scn: Scenario) -> float:
     return finite_positive("flux density A", scn.q_over_h / span if span else math.inf)
 
 
-def velocity_profile(scn: Scenario, r: float) -> float:
-    """PSS flow speed (m/s) at radius r in [r_w, r_e]."""
+def velocity_profile(scn: Scenario, r):
+    """PSS flow speed (m/s) at radius r in [r_w, r_e], a float or a numpy
+    array; a float outside that range, or NaN, raises ValueError, and arrays
+    go unchecked, as in ``pressure_gradient``."""
     geo = scn.geometry
-    if not geo.r_w <= r <= geo.r_e:
+    if isinstance(r, (int, float)) and not geo.r_w <= r <= geo.r_e:
         raise ValueError(f"r={r} outside [{geo.r_w}, {geo.r_e}]")
     return flux_density(scn) * (geo.r_e - r) * (geo.r_e + r) / r
 

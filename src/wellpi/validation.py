@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constitutive import ZoneLaw, drag_power, pressure_gradient
-from .kinematics import Scenario, finite_positive, flux_density, zone_segments
+from .kinematics import Scenario, finite_positive, flux_density, velocity_profile, zone_segments
 from .quadrature import _converged, _panels, integrate_adaptive
 
 # relative tolerances: W(r), zone energies and the inner integrals of
@@ -44,18 +44,10 @@ _CONSISTENCY_TOL = 1e-7
 _RK_REL_TOL = 1e-12
 
 
-def _speed_fun(scn: Scenario) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized PSS speed v(r) = A (r_e^2 - r^2) / r."""
-    r_e = scn.geometry.r_e
-    a = flux_density(scn)
-    return lambda r: a * (r_e - r) * (r_e + r) / r
-
-
 def _grad_fun(scn: Scenario, law: ZoneLaw) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized |grad p| = g(v(r)) * v(r) along one zone law."""
     p = scn.params
-    speed = _speed_fun(scn)
-    return lambda r: pressure_gradient(p, law, speed(r))
+    return lambda r: pressure_gradient(p, law, velocity_profile(scn, r))
 
 
 def pressure_profile(scn: Scenario, r: float) -> float:
@@ -74,9 +66,11 @@ def pressure_profile(scn: Scenario, r: float) -> float:
 
 def _zone_energy(scn: Scenario, law: ZoneLaw, lo: float, hi: float) -> float:
     """int_lo^hi r g(v) v^2 dr along one zone law."""
-    grad = _grad_fun(scn, law)
-    speed = _speed_fun(scn)
-    return integrate_adaptive(lambda r: r * grad(r) * speed(r), lo, hi, rel_tol=_INNER_REL_TOL).value
+    def integrand(r: np.ndarray) -> np.ndarray:
+        v = velocity_profile(scn, r)
+        return r * pressure_gradient(scn.params, law, v) * v
+
+    return integrate_adaptive(integrand, lo, hi, rel_tol=_INNER_REL_TOL).value
 
 
 def pi_from_energy(scn: Scenario) -> float:

@@ -14,6 +14,7 @@ import numpy as np
 from wellpi import (
     FlowMeasurement,
     ZoneLaw,
+    base_scenario,
     compare_table,
     compute_pi,
     fit_segments,
@@ -29,7 +30,6 @@ from wellpi import (
 )
 from wellpi.checks import check_gamma_linearity
 
-from helpers import make_scenario
 from test_fitting import fit_params
 
 FLUX_GRID = (2e-7, 1e-4, 1e-3, 5.95e-3, 1e-2, 3.18e-2, 1e-1, 1.0, 1e1, 1e4)
@@ -45,7 +45,7 @@ def _report(number: int, ok: bool, detail: str) -> None:
 def test_c01_darcy_baseline():
     start = time.perf_counter()
     values = [
-        compute_pi(make_scenario("D", q_over_h=q)).j_dimensionless for q in FLUX_GRID
+        compute_pi(base_scenario("D", q_over_h=q)).j_dimensionless for q in FLUX_GRID
     ]
     elapsed = time.perf_counter() - start
     in_band = abs(values[0] - 0.1358) <= 0.0005
@@ -175,7 +175,7 @@ def test_c06_oracle_equivalence_105_cases():
     for regime in presets:
         for q_over_h in (2e-7, 1e-4, 1e-2, 1.0, 1e2):
             for s in (0.3, 0.5, 0.7):
-                scn = make_scenario(regime, q_over_h=q_over_h, s=s)
+                scn = base_scenario(regime, q_over_h=q_over_h, s=s)
                 j_closed = compute_pi(scn).j_raw
                 j_profile = pi_from_profile(scn)
                 worst = max(worst, abs(j_closed - j_profile) / abs(j_profile))
@@ -190,7 +190,7 @@ def test_c06_oracle_equivalence_105_cases():
 
 
 def test_c07_closed_forms_vs_quadrature():
-    scn = make_scenario()
+    scn = base_scenario("D")
     geo = scn.geometry
     a_flux = flux_density(scn)
     rng = np.random.default_rng(123)
@@ -213,7 +213,7 @@ def test_c07_closed_forms_vs_quadrature():
 def test_c08_inverse_round_trip():
     worst = 0.0
     for r_e in (1000.0, 100.0):
-        scn = make_scenario(r_e=r_e)
+        scn = base_scenario("D", r_e=r_e)
         for r in np.geomspace(scn.geometry.r_w, r_e, 100):
             back = radius_of_velocity(scn, velocity_profile(scn, float(r)))
             worst = max(worst, abs(back - float(r)) / float(r))
@@ -226,17 +226,17 @@ def test_c09_gamma_affinity():
 
 
 def test_c10_monotonicity_suite():
-    js_f = [compute_pi(make_scenario("F", q_over_h=q)).j_dimensionless for q in FLUX_GRID]
+    js_f = [compute_pi(base_scenario("F", q_over_h=q)).j_dimensionless for q in FLUX_GRID]
     forch_ok = all(a > b for a, b in zip(js_f, js_f[1:]))
     s_ok = True
     for regime in ("DDpD", "FDpD"):
         js = [
-            compute_pi(make_scenario(regime, s=float(s))).j_dimensionless
+            compute_pi(base_scenario(regime, s=float(s))).j_dimensionless
             for s in np.linspace(0.0, 1.0, 11)
         ]
         s_ok = s_ok and all(b <= a * (1 + 1e-12) for a, b in zip(js, js[1:]))
-    j_fdpd = compute_pi(make_scenario("FDpD", v_D=0.0)).j_raw
-    j_fdd = compute_pi(make_scenario("FDD", v_D=0.0)).j_raw
+    j_fdpd = compute_pi(base_scenario("FDpD", v_D=0.0)).j_raw
+    j_fdd = compute_pi(base_scenario("FDD", v_D=0.0)).j_raw
     limit_dev = abs(j_fdpd - j_fdd) / j_fdd
     _report(
         10,
@@ -275,7 +275,7 @@ def test_c11_prefit_round_trip():
 def test_c12_fdpd_flux_curve_is_unimodal():
     s07_grid = [q for q in FLUX_GRID if q != 5.95e-3]  # that row is s = 0.3 only
     js = [
-        compute_pi(make_scenario("FDpD", q_over_h=q, s=0.7)).j_dimensionless
+        compute_pi(base_scenario("FDpD", q_over_h=q, s=0.7)).j_dimensionless
         for q in s07_grid
     ]
     peak = js.index(max(js))

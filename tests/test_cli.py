@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output contracts, determinism."""
 
 import codecs
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -35,7 +36,6 @@ from wellpi.reference import (
     BASE_V_F,
 )
 
-from helpers import make_scenario
 from test_fitting import fit_params
 from test_imports import run_fresh
 
@@ -214,7 +214,7 @@ def test_config_sets_the_law_of_each_zone(capsys, tmp_path, near_well, middle, n
     assert code == 0
     assert "regime            = pDFD" in out.splitlines()
     triple = RegimeAssignment(ZoneLaw.PRE_DARCY, ZoneLaw.FORCHHEIMER, ZoneLaw.DARCY)
-    j = compute_pi(make_scenario(triple)).j_dimensionless
+    j = compute_pi(base_scenario(triple)).j_dimensionless
     assert out.splitlines()[0] == f"j_dimensionless   = {j:.4g} ({j:.8e})"
 
 
@@ -362,7 +362,7 @@ def test_single_value_sweep_matches_pi(capsys):
     assert code == 0
     header, row = out.strip().splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
-    expected = compute_pi(make_scenario("FDpD"))
+    expected = compute_pi(base_scenario("FDpD"))
     # CSV carries 9 significant digits
     assert float(cells["j_dimensionless"]) == pytest.approx(expected.j_dimensionless, rel=1e-8)
     assert float(cells["r_F"]) == pytest.approx(expected.zone_partition.r_F, rel=1e-8)
@@ -485,7 +485,7 @@ def _expected_sweep(axis, values, regimes):
     lines = ["axis_name,axis_value,regime,s,v_D,v_F,q_over_h,r_F,r_D,j_raw,j_dimensionless"]
     for value in values:
         for name in regimes:
-            scn = make_scenario(name, **{axis: value})
+            scn = base_scenario(name, **{axis: value})
             pi = compute_pi(scn)
             p, part = scn.params, pi.zone_partition
             lines.append(",".join((axis, _cell(value), name, *map(_cell, (
@@ -797,44 +797,69 @@ def test_importing_the_cli_builds_no_parser():
 # output paths
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("command", ["pi", "sweep", "table", "fit"])
+def _fresh_cli(argv, unbuffered=False):
+    """Arguments of subprocess.run or Popen that run ``wellpi.cli.main`` on
+    ``argv`` in a fresh interpreter, where a traceback would show on stderr;
+    its stdout is buffered unless ``unbuffered``."""
+    src = str(Path(wellpi.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    code = f"import sys; sys.path.insert(0, {src!r}); from wellpi.cli import main; sys.exit(main())"
+    return {"args": [sys.executable, "-W", "error", "-c", code, *argv], "env": env}
+
+
+@pytest.mark.parametrize("command", [
+    "pi", "sweep", "table", "fit",
+    *(f"{name}-dev-full{mode}"
+      for name in ("pi", "sweep", "table", "fit", "validate") for mode in ("", "-unbuffered")),
+])
 def test_unwritable_output_path_is_a_config_error(tmp_path, command):
-    # a fresh interpreter, so that a traceback would show on stderr
-    target = str(tmp_path / "missing" / "out.csv")
+    # "NAME-dev-full" writes NAME's output to a stdout opened on /dev/full,
+    # where every write fails
+    name, _, sink = command.partition("-")
     measurements = tmp_path / "meas.csv"
     _write_measurements(measurements, fit_params(), np.geomspace(1e-9, 1e-6, 20))
     argv = {
-        "pi": ["pi", "--out", target],
-        "sweep": ["sweep", "--axis", "s", "--values", "0.5", "--out", target],
-        "table": ["table", "1", "--out", target],
-        "fit": ["fit", str(measurements), "--emit-model", target],
-    }[command]
-    src = str(Path(wellpi.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c",
-         f"import sys; sys.path.insert(0, {src!r}); from wellpi.cli import main; sys.exit(main())",
-         *argv],
-        capture_output=True, text=True, timeout=120,
-    )
+        "pi": ["pi"],
+        "sweep": ["sweep", "--axis", "s", "--values", "0.5"],
+        "table": ["table", "1"],
+        "fit": ["fit", str(measurements)],
+        "validate": ["validate"],
+    }[name]
+    if sink:
+        expected = "error: cannot write to stdout: "
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(**_fresh_cli(argv, "unbuffered" in sink), stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=120)
+    else:
+        target = str(tmp_path / "missing" / "out.csv")
+        expected = f"error: cannot write '{target}'"
+        argv += ["--emit-model" if name == "fit" else "--out", target]
+        proc = subprocess.run(**_fresh_cli(argv), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
-    assert f"error: cannot write '{target}'" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    # that line alone: no traceback, and no exception ignored at interpreter exit
+    assert proc.stderr.startswith(expected) and proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["pi"],
-    ["sweep", "--axis", "q_over_h", "--log-range", "1e-6,1,200"],
-], ids=["pi", "sweep"])
-def test_stdout_closed_early_exits_141_without_a_traceback(argv):
-    # the reader's end of the pipe is closed before the command writes, so its
-    # first write fails, buffered or not
-    src = str(Path(wellpi.__file__).resolve().parent.parent)
-    proc = subprocess.Popen(
-        [sys.executable, "-W", "error", "-c",
-         f"import sys; sys.path.insert(0, {src!r}); from wellpi.cli import main; sys.exit(main())",
-         *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
+_LONG_SWEEP = ["sweep", "--axis", "q_over_h", "--log-range", "1e-6,1,2000"]
+
+
+@pytest.mark.parametrize("argv, read, unbuffered", [
+    pytest.param(["pi"], 0, False, id="pi"),
+    pytest.param(["sweep", "--axis", "q_over_h", "--log-range", "1e-6,1,200"], 0, False,
+                 id="sweep"),
+    pytest.param(_LONG_SWEEP, 100, False, id="sweep-read-100"),
+    pytest.param(_LONG_SWEEP, 100, True, id="sweep-read-100-unbuffered"),
+])
+def test_stdout_closed_early_exits_141_without_a_traceback(argv, read, unbuffered):
+    # the reader takes ``read`` bytes and closes its end of the pipe.  At 0 it
+    # closes before the command writes, so the first write fails.  After 100
+    # bytes of a 2000-point sweep the command is blocked in a write that the
+    # pipe takes only in part, which an unbuffered stdout must not count as done
+    proc = subprocess.Popen(**_fresh_cli(argv, unbuffered),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(read)) == read
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
-    assert (proc.returncode, err) == (141, "")
+    assert (proc.returncode, err) == (141, b"")

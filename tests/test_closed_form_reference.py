@@ -1,7 +1,8 @@
 """Closed-form S_D and S_F against a 40-digit mpmath reference.
 
-As in ``test_predarcy_reference.py``, the reference integrates the same
-binary radii at 40 significant digits, split at the series cut.  The
+The reference, ``helpers.reference_zone_integral`` as in
+``test_predarcy_reference.py``, integrates the same binary radii at 40
+significant digits, split at the series cut.  The
 intervals cover each branch of the brackets: the closed form below the cut,
 the series above it (from the cut itself, where it runs longest, and on a
 sliver there), both across it, the precomputed tail [r1, r_e] for r1 below
@@ -11,9 +12,9 @@ log(r2 / r1) of the textbook antiderivative cancel to a few digits.
 
 import pytest
 
-from wellpi import ZoneLaw, flux_density, zone_integral
+from wellpi import ZoneLaw, base_scenario, zone_integral
 
-from helpers import make_scenario
+from helpers import reference_zone_integral
 
 mp = pytest.importorskip("mpmath")
 
@@ -38,42 +39,19 @@ INTERVALS = {
 }
 
 
-def _quad(f, scn, r1, r2):
-    r_e = mp.mpf(scn.geometry.r_e)
-    nodes = [mp.mpf(r1)]
-    cut = mp.mpf(0.75) * r_e
-    if r1 < cut < r2:
-        nodes.append(cut)
-    nodes.append(mp.mpf(r2))
-    return mp.quad(lambda r: f(r_e, r), nodes)
+# each law by its test id; at Q/h = 1 the inertial term of S_F is the larger
+# part over the whole annulus
+LAWS = {"S_D": ZoneLaw.DARCY, "S_F": ZoneLaw.FORCHHEIMER}
 
 
-def _darcy_reference(scn, r1, r2):
-    return mp.mpf(scn.params.alpha) * _quad(lambda r_e, r: (r_e**2 - r**2) ** 2 / r, scn, r1, r2)
-
-
-def _forchheimer_reference(scn, r1, r2):
-    inertial = _quad(lambda r_e, r: (r_e**2 - r**2) ** 3 / r**2, scn, r1, r2)
-    scale = mp.mpf(scn.params.beta) * mp.mpf(flux_density(scn))
-    return _darcy_reference(scn, r1, r2) + scale * inertial
-
-
-CASES = {
-    "S_D": (ZoneLaw.DARCY, _darcy_reference),
-    # at Q/h = 1 the inertial term is the larger part over the whole annulus
-    "S_F": (ZoneLaw.FORCHHEIMER, _forchheimer_reference),
-}
-
-
-@pytest.mark.parametrize("law", list(CASES))
+@pytest.mark.parametrize("law", list(LAWS))
 @pytest.mark.parametrize("name", list(INTERVALS))
 def test_closed_form_matches_mpmath(name, law):
-    scn = make_scenario("F" if law == "S_F" else "D", q_over_h=1.0)
-    zone_law, reference = CASES[law]
+    scn = base_scenario("F" if law == "S_F" else "D", q_over_h=1.0)
     r1, r2 = INTERVALS[name]
-    got = zone_integral(scn, zone_law, r1, r2)
+    got = zone_integral(scn, LAWS[law], r1, r2)
     with mp.workdps(40):
-        want = reference(scn, r1, r2)
+        want = reference_zone_integral(scn, LAWS[law], r1, r2)
         assert float(abs(got - want) / want) <= 1e-13
 
 
@@ -81,7 +59,7 @@ def test_closed_form_matches_mpmath(name, law):
 def test_darcy_from_a_subnormal_well_radius_matches_its_antiderivative(r_w):
     # below about 4e-306, (750 - r_w) / r_w overflows, and log(r2 / r1) is
     # taken as log(d) - log(r1)
-    scn = make_scenario("D", r_w=r_w)
+    scn = base_scenario("D", r_w=r_w)
     got = zone_integral(scn, ZoneLaw.DARCY, r_w, 0.75 * R_E)
     with mp.workdps(40):
         a, b, r_e = mp.mpf(r_w), mp.mpf(0.75 * R_E), mp.mpf(R_E)

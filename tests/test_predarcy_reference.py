@@ -1,7 +1,8 @@
 """Closed-form S_pD against a 40-digit mpmath reference.
 
-The reference integrates (r_e^2 - r^2)^(2-s) r^(s-1) over the same binary
-radii at 40 significant digits, so it shares none of the double-precision
+The reference, ``helpers.reference_zone_integral``, integrates
+(r_e^2 - r^2)^(2-s) r^(s-1) over the same binary radii at 40 significant
+digits, so it shares none of the double-precision
 weaknesses of the series (cancellation near r_e, the log term at s = 0, the
 polynomial end at s = 1).  Segments that end at r_e are also drawn at random
 and checked against mpmath's incomplete beta function, on both sides of the
@@ -20,9 +21,9 @@ import random
 
 import pytest
 
-from wellpi import ZoneLaw, flux_density, zone_integral
+from wellpi import ZoneLaw, base_scenario, flux_density, zone_integral
 
-from helpers import make_scenario
+from helpers import reference_zone_integral
 
 mp = pytest.importorskip("mpmath")
 
@@ -45,35 +46,22 @@ INTERVALS = {
 }
 
 
-def _reference(scn, r1, r2):
-    with mp.workdps(40):
-        r_e, s = mp.mpf(scn.geometry.r_e), mp.mpf(scn.params.s)
-        nodes = [mp.mpf(r1)]
-        cut = mp.mpf(0.75) * r_e
-        if r1 < cut < r2:
-            nodes.append(cut)
-        nodes.append(mp.mpf(r2))
-        integral = mp.quad(lambda r: (r_e**2 - r**2) ** (2 - s) * r ** (s - 1), nodes)
-        scale = mp.mpf(scn.params.lambda_) * mp.mpf(flux_density(scn)) ** (-s)
-        return scale * integral
-
-
 @pytest.mark.parametrize("s", POWERS)
 @pytest.mark.parametrize("name", list(INTERVALS))
 def test_predarcy_closed_form_matches_mpmath(name, s):
-    scn = make_scenario("pure-preDarcy", s=s)
+    scn = base_scenario("pure-preDarcy", s=s)
     r1, r2 = INTERVALS[name]
     got = zone_integral(scn, ZoneLaw.PRE_DARCY, r1, r2)
-    want = _reference(scn, r1, r2)
+    want = reference_zone_integral(scn, ZoneLaw.PRE_DARCY, r1, r2)
     assert float(abs(got - want) / want) <= 1e-13
 
 
 # on [r_w, r_e], 0.005 keeps the split series and 0.05 takes the head route
 @pytest.mark.parametrize("s", [0.005, 0.05])
 def test_predarcy_whole_annulus_on_both_sides_of_the_guard(s):
-    scn = make_scenario("pure-preDarcy", s=s)
+    scn = base_scenario("pure-preDarcy", s=s)
     got = zone_integral(scn, ZoneLaw.PRE_DARCY, R_W, R_E)
-    want = _reference(scn, R_W, R_E)
+    want = reference_zone_integral(scn, ZoneLaw.PRE_DARCY, R_W, R_E)
     assert float(abs(got - want) / want) <= 1e-13
 
 
@@ -97,7 +85,7 @@ def test_predarcy_to_r_e_matches_the_incomplete_beta_function():
         s = 1.0 - rng.random()  # (0, 1]
         r_e = 10.0 ** rng.uniform(0.0, 5.0)
         r1 = r_e * 10.0 ** rng.uniform(-6.0, -0.125)  # r1 / r_e in 1e-6 .. 0.75
-        scn = make_scenario("pure-preDarcy", s=s, r_e=r_e, r_w=r1)
+        scn = base_scenario("pure-preDarcy", s=s, r_e=r_e, r_w=r1)
         got = zone_integral(scn, ZoneLaw.PRE_DARCY, r1, r_e)
         want = _beta_reference(scn, r1, r_e)
         assert float(abs(got - want) / want) <= 1e-13, (s, r_e, r1)
@@ -116,7 +104,7 @@ TINY_WELL = [
 
 @pytest.mark.parametrize("r_w, r2, s", TINY_WELL)
 def test_predarcy_from_a_tiny_well_radius_matches_mpmath(r_w, r2, s):
-    scn = make_scenario("pure-preDarcy", s=s, r_w=r_w)
+    scn = base_scenario("pure-preDarcy", s=s, r_w=r_w)
     got = zone_integral(scn, ZoneLaw.PRE_DARCY, r_w, r2)
     want = _beta_reference(scn, r_w, r2)
     assert float(abs(got - want) / want) <= 1e-13

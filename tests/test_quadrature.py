@@ -8,6 +8,7 @@ import pytest
 from wellpi import (
     QuadratureError,
     ZoneLaw,
+    base_scenario,
     compute_pi,
     flux_density,
     integrate_adaptive,
@@ -16,8 +17,6 @@ from wellpi import (
 
 from wellpi import quadrature
 from wellpi.quadrature import _WG_HALF, _WGK_HALF, _XGK_HALF, _panels, _rule
-
-from helpers import make_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +197,7 @@ def _quad_forch(scn, r1, r2):
 
 
 def test_closed_forms_match_quadrature_on_random_subintervals():
-    scn = make_scenario()
+    scn = base_scenario("D")
     rng = np.random.default_rng(7)
     for _ in range(100):
         r1, r2 = sorted(rng.uniform(0.3, 1000.0, size=2))
@@ -213,7 +212,7 @@ def test_closed_forms_match_quadrature_on_random_subintervals():
 @pytest.mark.parametrize("r1,r2", [(999.99, 1000.0), (999.0, 999.001), (999.9999, 999.99995)])
 def test_closed_forms_survive_near_boundary_cancellation(r1, r2):
     # the textbook antiderivative loses ~10 digits here; the series path must not
-    scn = make_scenario()
+    scn = base_scenario("D")
     assert zone_integral(scn, ZoneLaw.DARCY, r1, r2) == pytest.approx(
         _quad_darcy(scn, r1, r2), rel=1e-9
     )
@@ -235,7 +234,7 @@ def test_pi_at_base_scenario_runs_no_darcy_or_forchheimer_series(regime, monkeyp
         raise AssertionError("series evaluated on a segment ending at r_e")
 
     monkeypatch.setattr(quadrature, "_x_series", refuse)
-    assert compute_pi(make_scenario(regime)).j_raw > 0
+    assert compute_pi(base_scenario(regime)).j_raw > 0
 
 
 @pytest.mark.parametrize("r_e", [1.0, 10.0, 437.3, 1000.0, 1e5])
@@ -267,10 +266,10 @@ def test_predarcy_tail_of_a_repeated_power_is_computed_once(monkeypatch):
     quadrature._predarcy_tail.cache_clear()
     try:
         for q_over_h in (1e-6, 1e-4, 1e-2):
-            scn = make_scenario(s=0.3, q_over_h=q_over_h)
+            scn = base_scenario("D", s=0.3, q_over_h=q_over_h)
             zone_integral(scn, ZoneLaw.PRE_DARCY, 700.0, 1000.0)
         assert len(calls) == 1
-        zone_integral(make_scenario(s=0.4), ZoneLaw.PRE_DARCY, 700.0, 1000.0)
+        zone_integral(base_scenario("D", s=0.4), ZoneLaw.PRE_DARCY, 700.0, 1000.0)
         assert len(calls) == 2
     finally:
         quadrature._predarcy_tail.cache_clear()
@@ -290,7 +289,7 @@ def _split_bracket(r_e, s, r1):
 @pytest.mark.parametrize("s", [0.0, 5e-324, 1e-310, 1e-300, 1e-9, 1e-3, 1.0])
 def test_predarcy_to_r_e_at_edge_powers_agrees_with_the_split_series(s):
     # math.gamma(s / 2) would raise at s = 5e-324 and overflow at 1e-310
-    scn = make_scenario(s=s)
+    scn = base_scenario("D", s=s)
     r_e, r_w = scn.geometry.r_e, scn.geometry.r_w
     assert math.isfinite(zone_integral(scn, ZoneLaw.PRE_DARCY, r_w, r_e))
     got = quadrature._predarcy_bracket(r_e, s, r_w, r_e)
@@ -362,14 +361,14 @@ def test_head_route_when_u1_underflows(s, r1, beta, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_empty_zone_integrals_are_zero():
-    scn = make_scenario()
+    scn = base_scenario("D")
     assert zone_integral(scn, ZoneLaw.DARCY, 5.0, 5.0) == 0.0
     assert zone_integral(scn, ZoneLaw.FORCHHEIMER, 5.0, 5.0) == 0.0
     assert zone_integral(scn, ZoneLaw.PRE_DARCY, 5.0, 5.0) == 0.0
 
 
 def test_out_of_range_interval_rejected():
-    scn = make_scenario()
+    scn = base_scenario("D")
     with pytest.raises(ValueError):
         zone_integral(scn, ZoneLaw.DARCY, 0.1, 5.0)
     with pytest.raises(ValueError):
@@ -380,7 +379,7 @@ def test_out_of_range_interval_rejected():
 
 @pytest.mark.parametrize("law", [ZoneLaw.DARCY, ZoneLaw.FORCHHEIMER, ZoneLaw.PRE_DARCY])
 def test_additivity(law):
-    scn = make_scenario(s=0.7)
+    scn = base_scenario("D", s=0.7)
     rng = np.random.default_rng(11)
     for _ in range(20):
         a, b, c = sorted(rng.uniform(0.3, 1000.0, size=3))
@@ -390,7 +389,7 @@ def test_additivity(law):
 
 
 def test_interval_monotonicity_and_ordering():
-    scn = make_scenario(s=0.7)
+    scn = base_scenario("D", s=0.7)
 
     def s_law(law, r2):
         return zone_integral(scn, law, 1.0, r2)
@@ -401,7 +400,7 @@ def test_interval_monotonicity_and_ordering():
 
 
 def test_predarcy_s0_collapses_to_darcy():
-    scn = make_scenario(s=0.0)  # lambda_ = alpha in the baseline
+    scn = base_scenario("D", s=0.0)  # lambda_ = alpha in the baseline
     a, b = 10.0, 800.0
     assert zone_integral(scn, ZoneLaw.PRE_DARCY, a, b) == pytest.approx(
         zone_integral(scn, ZoneLaw.DARCY, a, b), rel=1e-9
@@ -412,7 +411,7 @@ def test_predarcy_nondecreasing_in_s_over_slow_zone():
     # all speeds below 1 m/s and lambda = alpha, so larger s means more drag
     values = []
     for s in np.linspace(0.0, 1.0, 11):
-        scn = make_scenario(s=float(s))
+        scn = base_scenario("D", s=float(s))
         values.append(zone_integral(scn, ZoneLaw.PRE_DARCY, 155.3, 1000.0))
     assert all(a <= b * (1 + 1e-12) for a, b in zip(values, values[1:]))
 
@@ -423,7 +422,7 @@ def test_predarcy_nondecreasing_in_s_over_slow_zone():
 
 def test_darcy_bracket_full_interval():
     # alpha-stripped integral over the whole annulus, direct arithmetic
-    scn = make_scenario()
+    scn = base_scenario("D")
     expected = (
         1000.0**4 * math.log(1000.0 / 0.3)
         - 1000.0**2 * (1000.0**2 - 0.3**2)
@@ -439,7 +438,7 @@ def test_darcy_bracket_full_interval():
 
 def test_forchheimer_full_interval_published_value():
     # dimensionless all-Forchheimer PI at Q/h = 1 published as 0.0497
-    scn = make_scenario(q_over_h=1.0)
+    scn = base_scenario("D", q_over_h=1.0)
     s_f = zone_integral(scn, ZoneLaw.FORCHHEIMER, 0.3, 1000.0)
     j = scn.params.alpha * (1000.0**2 - 0.3**2) ** 2 / s_f
     assert j == pytest.approx(0.0497, rel=0.01)

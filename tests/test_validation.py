@@ -9,6 +9,7 @@ import wellpi.quadrature
 import wellpi.validation
 from wellpi import (
     StepSizeUnderflow,
+    base_scenario,
     compressible_velocity,
     compute_pi,
     dimensionless_factor,
@@ -26,20 +27,18 @@ from wellpi.checks import gamma_scaled_scenario
 from wellpi.constitutive import drag_power
 from wellpi.kinematics import zone_bounds
 
-from helpers import make_scenario
-
 
 # ---------------------------------------------------------------------------
 # pressure profile
 # ---------------------------------------------------------------------------
 
 def test_profile_is_zero_at_the_well():
-    scn = make_scenario("FDpD")
+    scn = base_scenario("FDpD")
     assert pressure_profile(scn, scn.geometry.r_w) == 0.0
 
 
 def test_profile_nondecreasing():
-    scn = make_scenario("FDpD")
+    scn = base_scenario("FDpD")
     radii = np.geomspace(0.3, 1000.0, 40)
     values = [pressure_profile(scn, float(r)) for r in radii]
     assert all(b >= a for a, b in zip(values, values[1:]))
@@ -47,7 +46,7 @@ def test_profile_nondecreasing():
 
 def test_profile_matches_darcy_antiderivative():
     # W(r) = alpha A [re^2 ln(r / rw) - (r^2 - rw^2)/2] for the all-Darcy regime
-    scn = make_scenario("D")
+    scn = base_scenario("D")
     geo = scn.geometry
     a = flux_density(scn)
     for r in (0.5, 3.0, 55.0, 400.0, 1000.0):
@@ -58,7 +57,7 @@ def test_profile_matches_darcy_antiderivative():
 
 
 def test_profile_out_of_range():
-    scn = make_scenario("D")
+    scn = base_scenario("D")
     with pytest.raises(ValueError):
         pressure_profile(scn, 0.1)
 
@@ -68,24 +67,24 @@ def test_profile_out_of_range():
 # ---------------------------------------------------------------------------
 
 def test_profile_pi_darcy_published():
-    scn = make_scenario("D")
+    scn = base_scenario("D")
     assert pi_from_profile(scn) * dimensionless_factor(scn) == pytest.approx(0.1358, rel=0.01)
 
 
 def test_profile_pi_fdpd_published():
-    scn = make_scenario("FDpD", s=0.7)
+    scn = base_scenario("FDpD", s=0.7)
     assert pi_from_profile(scn) * dimensionless_factor(scn) == pytest.approx(5.65e-6, rel=0.01)
 
 
 def test_profile_pi_beta_zero_equals_darcy():
-    j_f = pi_from_profile(make_scenario("F", beta=0.0))
-    j_d = pi_from_profile(make_scenario("D", beta=0.0))
+    j_f = pi_from_profile(base_scenario("F", beta=0.0))
+    j_d = pi_from_profile(base_scenario("D", beta=0.0))
     assert j_f == pytest.approx(j_d, rel=1e-9)
 
 
 @pytest.mark.parametrize("regime", ["D", "F", "FDD", "DDpD", "FDpD", "FpDpD", "pure-preDarcy"])
 def test_profile_pi_agrees_with_zone_integrals(regime):
-    scn = make_scenario(regime, q_over_h=1e-2, s=0.5)
+    scn = base_scenario(regime, q_over_h=1e-2, s=0.5)
     j_closed = compute_pi(scn).j_raw
     j_profile = pi_from_profile(scn)
     assert j_profile == pytest.approx(j_closed, rel=1e-6)
@@ -95,7 +94,7 @@ def test_profile_pi_agrees_with_zone_integrals(regime):
 def test_profile_pi_matches_fresh_profile_at_every_node(regime, monkeypatch):
     # reference: W(r) integrated afresh from r_w at every outer node, then
     # r W(r) integrated over each segment of [r_w, r_e]
-    scn = make_scenario(regime, q_over_h=1e-2, s=0.7)
+    scn = base_scenario(regime, q_over_h=1e-2, s=0.7)
     accepted = []  # per inner gap: did its batched first panel pass?
     converged = wellpi.validation._converged
 
@@ -131,7 +130,7 @@ def test_profile_pi_takes_each_zone_energy_once(regime, calls, monkeypatch):
         return zone_energy(scn, law, lo, hi)
 
     monkeypatch.setattr(wellpi.validation, "_zone_energy", spy)
-    pi_from_profile(make_scenario(regime))
+    pi_from_profile(base_scenario(regime))
     assert len(seen) == calls
     assert len(set(seen)) == calls
 
@@ -143,11 +142,11 @@ def test_profile_pi_uses_no_closed_form(monkeypatch):
 
     for name in ("_x_bracket", "_predarcy_bracket"):
         monkeypatch.setattr(wellpi.quadrature, name, refuse)
-    assert pi_from_profile(make_scenario("FDpD", q_over_h=1e-2)) > 0
+    assert pi_from_profile(base_scenario("FDpD", q_over_h=1e-2)) > 0
 
 
 def test_energy_route_agrees_with_profile_route():
-    scn = make_scenario("FDpD", s=0.3)
+    scn = base_scenario("FDpD", s=0.3)
     assert pi_from_energy(scn) == pytest.approx(pi_from_profile(scn), rel=1e-8)
 
 
@@ -158,25 +157,25 @@ def test_profile_pi_raises_when_the_routes_disagree(monkeypatch):
         wellpi.validation, "_zone_energy", lambda *args: zone_energy(*args) * (1.0 + 1e-6)
     )
     with pytest.raises(RuntimeError, match="disagree"):
-        pi_from_profile(make_scenario("FDpD"))
+        pi_from_profile(base_scenario("FDpD"))
 
 
 def test_energy_pi_out_of_float_range_raises():
     # 2 pi h underflows, so Q^2 / (2 pi h E) would come out as 0.0
     with pytest.raises(FloatingPointError):
-        pi_from_energy(make_scenario("FDpD", h=1e-320))
+        pi_from_energy(base_scenario("FDpD", h=1e-320))
 
 
 def test_profile_pi_out_of_float_range_raises():
     # both routes give 0.0 here, so their consistency check alone passes
     with pytest.raises(FloatingPointError):
-        pi_from_profile(make_scenario("D", h=1e-320))
+        pi_from_profile(base_scenario("D", h=1e-320))
 
 
 def test_zone_energies_match_zone_contributions():
     # a zone's drag energy is A^2 times its S value, so the quadrature energy
     # of each zone cross-checks its closed-form contribution
-    scn = make_scenario("FDpD")
+    scn = base_scenario("FDpD")
     a_flux = flux_density(scn)
     zones = zone_bounds(scn, partition_zones(scn), scn.regime)
     for (lo, hi, law), contribution in zip(zones, zone_contributions(scn)):
@@ -192,7 +191,7 @@ def test_gamma_zero_returns_incompressible_profile():
     scn = gamma_scaled_scenario()
     radii = np.linspace(0.3, 1000.0, 101)
     _, v0 = compressible_velocity(scn, 0.0, radii)
-    expected = np.array([velocity_profile(scn, float(r)) for r in radii])
+    expected = velocity_profile(scn, radii)
     scale = velocity_profile(scn, 0.3)
     assert np.max(np.abs(v0 - expected)) <= 1e-10 * scale
 
@@ -200,7 +199,7 @@ def test_gamma_zero_returns_incompressible_profile():
 def test_gamma_error_scales_linearly():
     scn = gamma_scaled_scenario()
     radii = np.linspace(0.3, 1000.0, 201)
-    expected = np.array([velocity_profile(scn, float(r)) for r in radii])
+    expected = velocity_profile(scn, radii)
     errs = {}
     for gamma in (1e-3, 1e-4):
         _, v_gamma = compressible_velocity(scn, gamma, radii)
@@ -213,7 +212,7 @@ def test_compressible_exceeds_incompressible():
     scn = gamma_scaled_scenario()
     radii = np.linspace(0.3, 1000.0, 101)
     _, v_gamma = compressible_velocity(scn, 1e-3, radii)
-    expected = np.array([velocity_profile(scn, float(r)) for r in radii])
+    expected = velocity_profile(scn, radii)
     assert np.all(v_gamma >= expected - 1e-14)
 
 
@@ -221,11 +220,11 @@ def test_compressible_integral_identity_physical_gamma():
     # r (v_gamma - v) = gamma * int_r^re rho g(v_gamma) v_gamma^2 drho; check the
     # returned samples against a trapezoid evaluation of their own drag power.
     # All-Darcy keeps the drag smooth, which is what trapezoid can verify.
-    scn = make_scenario("D")
+    scn = base_scenario("D")
     gamma = 1e-8
     radii = np.geomspace(0.3, 1000.0, 3001)
     r, v_gamma = compressible_velocity(scn, gamma, radii)
-    v_inc = np.array([velocity_profile(scn, float(x)) for x in r])
+    v_inc = velocity_profile(scn, r)
     drag = np.array([x * drag_power(scn.params, scn.regime, v) for x, v in zip(r, v_gamma)])
     segments = (drag[1:] + drag[:-1]) / 2.0 * np.diff(r)
     cumulative = np.concatenate([[0.0], np.cumsum(segments)])  # int from r_w to r
@@ -239,10 +238,10 @@ def test_compressible_integral_identity_physical_gamma():
 def test_compressible_physical_fdpd_is_finite_and_ordered():
     # with the published physical parameters the correction is large but the
     # sweep must stay finite and above the incompressible profile
-    scn = make_scenario("FDpD")
+    scn = base_scenario("FDpD")
     radii = np.geomspace(0.3, 1000.0, 201)
     r, v_gamma = compressible_velocity(scn, 1e-8, radii)
-    v_inc = np.array([velocity_profile(scn, float(x)) for x in r])
+    v_inc = velocity_profile(scn, r)
     assert np.all(np.isfinite(v_gamma))
     assert np.all(v_gamma >= v_inc - 1e-14)
 
