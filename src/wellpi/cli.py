@@ -387,6 +387,18 @@ def _add_scenario_options(sub: argparse.ArgumentParser) -> None:
                      help="rescale lambda to alpha*v_D^s so the law is continuous at v_D")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose stdout text (``--help``, ``--version``) goes
+    through ``_write_stdout``, so a failed write reaches ``main`` as every
+    other command's does; its subparsers are of the same class."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message and file is sys.stdout:
+            _write_stdout(message)
+        else:
+            super()._print_message(message, file)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``wellpi`` argument parser, built on the first call.
@@ -395,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     builds it once however often it is called.  It is shared: callers must
     not change it (add arguments, set defaults).
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wellpi",
         description="Pseudo-steady-state well productivity index under "
                     "composite pre-Darcy / Darcy / Forchheimer flow.",
@@ -444,8 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # argparse writes --help and --version inside parse_args
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _StdoutError as exc:
         # what is still buffered goes to the null device, so the interpreter's

@@ -27,9 +27,14 @@ significant digits.  Beyond 0.75 r_e, where the antiderivative loses most of
 its digits to cancellation, one series kernel in x = (r_e^2 - r^2) / r_e^2
 sums both: (r_e^degree / 2) sum_k c_k (x1^m - x2^m) / m, m = first + k, with
 c_k the coefficients of (1-x)^(-1) from m = 3 for S_D and of (1-x)^(-3/2)
-from m = 4 for the inertial term, each law with its table of c_k / m.  On
-[0.75 r_e, r_e] the series depends on r_e only through r_e^degree, so a
-segment ending at r_e takes that part from a constant computed at import.
+from m = 4 for the inertial term, each law with its table of c_k / m.  A
+segment that starts at r1 <= r_e / 4 is the closed form over its whole
+length, across the cut: its terms sum to at most about three times the
+result, so no series runs on any segment from the well.  A segment that
+starts between r_e / 4 and the cut takes the closed form up to the cut and
+the series beyond it; on [0.75 r_e, r_e] the series depends on r_e only
+through r_e^degree, so a segment ending at r_e takes that part from a
+constant computed at import.
 
 S_pD has no elementary antiderivative for fractional s; the substitution
 u = r^2 / r_e^2 turns it into the incomplete beta integral
@@ -236,6 +241,13 @@ def integrate_adaptive(
 # this fraction of r_e they are replaced by an all-positive series in
 # x = (r_e^2 - r^2) / r_e^2 <= 1 - _SERIES_CUT^2.
 _SERIES_CUT = 0.75
+# A segment that starts at or below this fraction of r_e takes the closed form
+# over its whole length, across the cut.  The sum of the |terms| of the closed form
+# is at most about 3.0 (S_D) and 2.9 (S_F) times the result there, reached on
+# [r_e/4, r_e]; just below the cut a narrow interval already reaches 9.5 and 23.
+# From r_e/2 the ratios reach 6.8 and 10 (S_F errs by up to 9 eps), so
+# segments from beyond r_e/4 keep the series past the cut.
+_CLOSED_START = 0.25
 
 
 def _darcy_closed(r_e: float, r1: float, r2: float) -> float:
@@ -313,7 +325,7 @@ def _x_bracket(law: _XLaw, r_e: float, r1: float, r2: float) -> float:
     cut = _SERIES_CUT * r_e
     if r1 >= cut:
         return _x_series(law, r_e, r1, r2)
-    if r2 <= cut:
+    if r2 <= cut or r1 <= _CLOSED_START * r_e:
         return law.closed(r_e, r1, r2)
     tail = law.tail * r_e**law.degree if r2 == r_e else _x_series(law, r_e, cut, r2)
     return law.closed(r_e, r1, cut) + tail

@@ -812,11 +812,12 @@ def _fresh_cli(argv, unbuffered=False):
 @pytest.mark.parametrize("command", [
     "pi", "sweep", "table", "fit",
     *(f"{name}-dev-full{mode}"
-      for name in ("pi", "sweep", "table", "fit", "validate") for mode in ("", "-unbuffered")),
+      for name in ("pi", "sweep", "table", "fit", "validate", "help", "version")
+      for mode in ("", "-unbuffered")),
 ])
 def test_unwritable_output_path_is_a_config_error(tmp_path, command):
     # "NAME-dev-full" writes NAME's output to a stdout opened on /dev/full,
-    # where every write fails
+    # where every write fails; argparse writes help and version itself
     name, _, sink = command.partition("-")
     measurements = tmp_path / "meas.csv"
     _write_measurements(measurements, fit_params(), np.geomspace(1e-9, 1e-6, 20))
@@ -826,6 +827,8 @@ def test_unwritable_output_path_is_a_config_error(tmp_path, command):
         "table": ["table", "1"],
         "fit": ["fit", str(measurements)],
         "validate": ["validate"],
+        "help": ["--help"],
+        "version": ["--version"],
     }[name]
     if sink:
         expected = "error: cannot write to stdout: "
@@ -851,6 +854,8 @@ _LONG_SWEEP = ["sweep", "--axis", "q_over_h", "--log-range", "1e-6,1,2000"]
                  id="sweep"),
     pytest.param(_LONG_SWEEP, 100, False, id="sweep-read-100"),
     pytest.param(_LONG_SWEEP, 100, True, id="sweep-read-100-unbuffered"),
+    pytest.param(["--help"], 0, False, id="help"),
+    pytest.param(["--version"], 0, True, id="version-unbuffered"),
 ])
 def test_stdout_closed_early_exits_141_without_a_traceback(argv, read, unbuffered):
     # the reader takes ``read`` bytes and closes its end of the pipe.  At 0 it

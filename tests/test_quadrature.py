@@ -12,6 +12,7 @@ from wellpi import (
     compute_pi,
     flux_density,
     integrate_adaptive,
+    partition_zones,
     zone_integral,
 )
 
@@ -222,27 +223,65 @@ def test_closed_forms_survive_near_boundary_cancellation(r1, r2):
 
 
 # ---------------------------------------------------------------------------
-# the precomputed tail [r1, r_e] for r1 below the series cut
+# segments [r1, r_e]: the closed form whole from within r_e / 4, else the
+# closed form to the series cut plus the precomputed tail
 # ---------------------------------------------------------------------------
 
-TAIL_STARTS = (3e-4, 0.1, 0.5, 0.7499)  # r1 / r_e; 3e-4 is r_w / r_e of the baseline
+CLOSED_STARTS = (3e-4, 0.1, 0.25)  # r1 / r_e; 3e-4 is r_w / r_e of the baseline
+TAIL_STARTS = (0.5, 0.7499)
+TAIL_R_E = (1.0, 10.0, 437.3, 1000.0, 1e5)
 
 
-@pytest.mark.parametrize("regime", ["D", "F", "FDD"])
-def test_pi_at_base_scenario_runs_no_darcy_or_forchheimer_series(regime, monkeypatch):
+def _refuse_series(monkeypatch):
     def refuse(*args):
         raise AssertionError("series evaluated on a segment ending at r_e")
 
     monkeypatch.setattr(quadrature, "_x_series", refuse)
+
+
+@pytest.mark.parametrize("regime", ["D", "F", "FDD"])
+def test_pi_at_base_scenario_runs_no_darcy_or_forchheimer_series(regime, monkeypatch):
+    _refuse_series(monkeypatch)
     assert compute_pi(base_scenario(regime)).j_raw > 0
 
 
-@pytest.mark.parametrize("r_e", [1.0, 10.0, 437.3, 1000.0, 1e5])
-@pytest.mark.parametrize("start", TAIL_STARTS)
-def test_tail_equals_split_closed_form_plus_series(r_e, start):
-    r1, cut = start * r_e, quadrature._SERIES_CUT * r_e
+# r_F at about 0.90 r_e and 0.997 r_e, past the series cut
+@pytest.mark.parametrize("q_over_h", [0.3, 10.0])
+@pytest.mark.parametrize("regime", ["D", "F", "FDD", "FDpD"])
+def test_pi_at_high_flux_runs_no_series_on_a_segment_from_the_well(regime, q_over_h, monkeypatch):
+    scn = base_scenario(regime, q_over_h=q_over_h)
+    r_F = partition_zones(scn).r_F
+    assert 0.75 * scn.geometry.r_e < r_F < scn.geometry.r_e
+    starts = []
+    series = quadrature._x_series
+
+    def spy(law, r_e, r1, r2):
+        starts.append(r1)
+        return series(law, r_e, r1, r2)
+
+    monkeypatch.setattr(quadrature, "_x_series", spy)
+    assert compute_pi(scn).j_raw > 0
+    # the Forchheimer zone [r_w, r_F] is one closed form; the one series left
+    # is the Darcy zone from r_F, which starts past the cut
+    assert starts == ([r_F] if regime in ("FDD", "FDpD") else [])
+
+
+@pytest.mark.parametrize("r_e", TAIL_R_E)
+@pytest.mark.parametrize("start", CLOSED_STARTS)
+def test_segment_from_within_a_quarter_of_r_e_is_the_closed_form_whole(r_e, start, monkeypatch):
+    _refuse_series(monkeypatch)
     for law in (quadrature._DARCY, quadrature._FORCH):
-        split = law.closed(r_e, r1, cut) + quadrature._x_series(law, r_e, cut, r_e)
+        assert quadrature._x_bracket(law, r_e, start * r_e, r_e) == law.closed(r_e, start * r_e, r_e)
+
+
+@pytest.mark.parametrize("r_e", TAIL_R_E)
+@pytest.mark.parametrize("start", TAIL_STARTS)
+def test_tail_equals_split_closed_form_plus_series(r_e, start, monkeypatch):
+    r1, cut = start * r_e, quadrature._SERIES_CUT * r_e
+    splits = [law.closed(r_e, r1, cut) + quadrature._x_series(law, r_e, cut, r_e)
+              for law in (quadrature._DARCY, quadrature._FORCH)]
+    _refuse_series(monkeypatch)  # the part beyond the cut is the tail constant
+    for law, split in zip((quadrature._DARCY, quadrature._FORCH), splits):
         assert abs(quadrature._x_bracket(law, r_e, r1, r_e) - split) <= 4 * math.ulp(split)
 
 
