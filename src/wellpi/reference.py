@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .constitutive import FlowParameters, RegimeAssignment, regime_preset
@@ -66,14 +67,13 @@ class TableComparison:
         return self.rel_deviation <= REPRODUCTION_RTOL
 
 
-def load_reference_entries(table: int | None = None) -> list[ReferenceEntry]:
-    """Reference entries from the bundled CSV, optionally one table only."""
+@cache
+def _all_entries() -> tuple[ReferenceEntry, ...]:
+    """Every entry of the bundled CSV, parsed once per process."""
     text = resources.files(_DATA_PACKAGE).joinpath(_DATA_NAME).read_text(encoding="utf-8")
     rows = [line for line in text.splitlines() if line and not line.startswith("#")]
-    reader = csv.DictReader(rows)
-    out = []
-    for row in reader:
-        entry = ReferenceEntry(
+    return tuple(
+        ReferenceEntry(
             table=int(row["table"]),
             regime=row["regime"],
             s=float(row["s"]),
@@ -82,8 +82,14 @@ def load_reference_entries(table: int | None = None) -> list[ReferenceEntry]:
             r_e=float(row["r_e"]),
             published=float(row["published"]),
         )
-        if table is None or entry.table == table:
-            out.append(entry)
+        for row in csv.DictReader(rows)
+    )
+
+
+def load_reference_entries(table: int | None = None) -> list[ReferenceEntry]:
+    """Reference entries from the bundled CSV, optionally one table only,
+    as a new list on every call."""
+    out = [e for e in _all_entries() if table is None or e.table == table]
     if table is not None and not out:
         raise ValueError(f"no reference data for table {table}")
     return out

@@ -321,6 +321,24 @@ def test_reference_scenario_is_the_base_case_at_the_entry(table):
     )
 
 
+def test_reference_entries_are_a_new_list_on_every_call():
+    # the CSV is parsed once per process; a caller's list is its own
+    first = load_reference_entries()
+    second = load_reference_entries()
+    assert first == second and first is not second
+    first.clear()
+    assert load_reference_entries() == second
+    table_1 = load_reference_entries(1)
+    table_1.pop()
+    assert len(load_reference_entries(1)) == len(table_1) + 1
+    assert len(second) == 137
+
+
+def test_reference_entries_reject_an_unknown_table():
+    with pytest.raises(ValueError, match="table 5"):
+        load_reference_entries(5)
+
+
 def test_base_scenario_rejects_a_misspelt_field():
     with pytest.raises(TypeError):
         base_scenario("D", r_E=500.0)

@@ -271,3 +271,55 @@ def test_compressible_rejects_non_finite_gamma(gamma):
     # nan and inf once slipped past `gamma < 0` and ended in StepSizeUnderflow
     with pytest.raises(ValueError, match="gamma"):
         compressible_velocity(gamma_scaled_scenario(), gamma, [0.3, 1000.0])
+
+
+def test_compressible_work_does_not_grow_with_the_radii(monkeypatch):
+    # the sweep takes the controller's own steps and reads the samples from
+    # their continuous extension, so neither the steps nor the samples depend
+    # on the other radii requested, only on the smallest one
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return drag_power(*args)
+
+    monkeypatch.setattr(wellpi.validation, "drag_power", counting)
+    scn = gamma_scaled_scenario()
+    fine = np.linspace(0.3, 1000.0, 3001)
+    for gamma in (1e-3, 1e-4, 1e-5):
+        counts, speeds = [], []
+        for radii in (fine[[0, -1]], fine[::15], fine):
+            calls.clear()
+            speeds.append(compressible_velocity(scn, gamma, radii)[1])
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2]
+        # one first stage, then six stages per attempt: the seventh stage of
+        # an accepted step is the first stage of the next
+        assert counts[0] % 6 == 1
+        assert np.array_equal(speeds[1], speeds[2][::15])
+        assert np.array_equal(speeds[0], speeds[2][[0, -1]])
+
+
+@pytest.mark.parametrize("scn, gamma", [
+    (gamma_scaled_scenario(), 1e-3),
+    (gamma_scaled_scenario(), 1e-4),
+    (gamma_scaled_scenario(), 1e-5),
+    (base_scenario("FDpD"), 1e-8),
+])
+def test_interpolated_samples_match_sweeps_that_end_on_them(scn, gamma):
+    geo = scn.geometry
+    r, v = compressible_velocity(scn, gamma, np.linspace(geo.r_w, geo.r_e, 201))
+    scale = velocity_profile(scn, geo.r_w)
+    for i in range(5, 200, 10):
+        _, v_end = compressible_velocity(scn, gamma, [r[i]])
+        assert abs(v_end[0] - v[i]) <= 1e-10 * scale
+
+
+def test_compressible_radii_come_back_unique_and_ascending():
+    scn = gamma_scaled_scenario()
+    r, v = compressible_velocity(scn, 1e-3, [500.0, 1000.0, 0.3, 500.0, 1000.0, 37.5])
+    assert r.tolist() == [0.3, 37.5, 500.0, 1000.0]
+    assert v[-1] == 0.0
+    _, v_sorted = compressible_velocity(scn, 1e-3, [0.3, 37.5, 500.0, 1000.0])
+    assert np.array_equal(v, v_sorted)
+    assert compressible_velocity(scn, 1e-3, [1000.0])[1].tolist() == [0.0]
