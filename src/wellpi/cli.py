@@ -13,6 +13,7 @@ produce byte-identical output.
 Exit codes: 0 success, 1 validation failure, 2 configuration error or a
 stdout that cannot be written, 3 numerical failure, 141 stdout closed before
 the output was written (as a shell reports a command ended by SIGPIPE).
+A stderr that cannot be written loses its messages and changes no exit code.
 
 ``pi``, ``sweep`` with ``--values`` and ``table`` run without numpy; it is
 imported only by ``validate``, ``fit`` and ``sweep --log-range``.
@@ -134,7 +135,12 @@ def load_config_file(path: str) -> dict[str, float | RegimeAssignment | ZoneLaw]
 
 
 def build_scenario(args: argparse.Namespace) -> Scenario:
-    """Defaults of ``base_scenario`` < config file < command-line flags."""
+    """Defaults of ``base_scenario`` < config file < command-line flags.
+
+    A command without ``--regime`` (``sweep``, whose presets come from
+    ``--regimes``) would not use a regime, so a config file that sets one
+    is a configuration error there.
+    """
     config = load_config_file(args.config) if args.config is not None else {}
     values = {field: config[key] for field, key, _, _ in _SCENARIO_FIELDS if key in config}
     for field, _, _, _ in _SCENARIO_FIELDS:
@@ -144,7 +150,12 @@ def build_scenario(args: argparse.Namespace) -> Scenario:
     zone_laws = {key.split(".", 1)[1]: config[key] for key in _ZONE_KEYS if key in config}
     if zone_laws:
         regime = replace(regime, **zone_laws)
-    if args.regime is not None:  # the whole regime, over the file's preset and zone laws
+    if "regime" not in args:
+        regime_keys = [key for key in ("regime.preset", *_ZONE_KEYS) if key in config]
+        if regime_keys:
+            raise ValueError(f"{args.config}: {regime_keys[0]} is not used by sweep; "
+                             f"name its regime presets with --regimes")
+    elif args.regime is not None:  # the whole regime, over the file's preset and zone laws
         regime = regime_preset(args.regime)
     return base_scenario(regime, args.continuous_predarcy, **values)
 
@@ -155,6 +166,32 @@ def build_scenario(args: argparse.Namespace) -> Scenario:
 
 class _StdoutError(Exception):
     """Writing stdout failed with the OSError in ``__cause__``."""
+
+
+def _to_null_device(stream) -> None:
+    """Point the file descriptor of ``stream`` at the null device, so that
+    what is still buffered for it cannot fail again in the interpreter's
+    final flush."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _write_stderr(text: str) -> None:
+    """Write ``text`` to stderr if it can be written; the exit code does not
+    depend on it.
+
+    A stderr that is closed (None when the interpreter started without fd 2)
+    or full loses the text, and a failed write sends fd 2 to the null device.
+    """
+    err = sys.stderr
+    if err is None:
+        return
+    try:
+        err.write(text)
+        err.flush()
+    except OSError:
+        _to_null_device(err)
 
 
 def _write_stdout(text: str) -> None:
@@ -318,10 +355,9 @@ def cmd_table(args: argparse.Namespace) -> int:
             _fmt(comp.rel_deviation), "yes" if ok else "NO",
         )) + "\n")
     _write_text(buf.getvalue(), args.out)
-    print(
+    _write_stderr(
         f"table {args.table}: {len(comparisons)} entries, {flagged} beyond "
-        f"{REPRODUCTION_RTOL:.0%} relative deviation",
-        file=sys.stderr,
+        f"{REPRODUCTION_RTOL:.0%} relative deviation\n"
     )
     return EXIT_OK
 
@@ -377,14 +413,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_scenario_options(sub: argparse.ArgumentParser) -> None:
+def _add_scenario_options(sub: argparse.ArgumentParser) -> argparse._ArgumentGroup:
     sub.add_argument("--config", metavar="PATH", help="flat key = value config file")
     grp = sub.add_argument_group("scenario overrides")
     for field, _, flag, help_text in _SCENARIO_FIELDS:
         grp.add_argument(flag, dest=field, type=float, help=help_text)
-    grp.add_argument("--regime", help=f"zone-law preset ({', '.join(REGIME_PRESETS)})")
     grp.add_argument("--continuous-predarcy", action="store_true",
                      help="rescale lambda to alpha*v_D^s so the law is continuous at v_D")
+    return grp
 
 
 class _Parser(argparse.ArgumentParser):
@@ -416,12 +452,16 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_pi = subs.add_parser("pi", help="compute the PI for one scenario")
-    _add_scenario_options(p_pi)
+    _add_scenario_options(p_pi).add_argument(
+        "--regime", help=f"zone-law preset ({', '.join(REGIME_PRESETS)})"
+    )
     p_pi.add_argument("--raw", action="store_true", help="lead with the raw SI value")
     p_pi.add_argument("--out", metavar="PATH", help="also write a one-row CSV")
     p_pi.set_defaults(func=cmd_pi)
 
-    p_sweep = subs.add_parser("sweep", help="sweep one parameter axis, CSV output")
+    # no abbreviated flags: `--regime`, which only `pi` has, is not `--regimes`
+    p_sweep = subs.add_parser("sweep", help="sweep one parameter axis, CSV output",
+                              allow_abbrev=False)
     _add_scenario_options(p_sweep)
     p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     axis_vals = p_sweep.add_mutually_exclusive_group(required=True)
@@ -461,24 +501,20 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except _StdoutError as exc:
-        # what is still buffered goes to the null device, so the interpreter's
-        # final flush does not raise again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _to_null_device(sys.stdout)
         if isinstance(exc.__cause__, BrokenPipeError):  # the reader closed stdout early
             return EXIT_BROKEN_PIPE
-        print(f"error: cannot write to stdout: {exc.__cause__}", file=sys.stderr)
+        _write_stderr(f"error: cannot write to stdout: {exc.__cause__}\n")
         return EXIT_CONFIG
     except ValueError as exc:
         # a ValueError is an input the CLI or the library rejected, e.g. a bad
         # config line, an unknown preset, a Geometry field out of range or too
         # few points to fit; its message already names the value
-        print(f"error: {exc}", file=sys.stderr)
+        _write_stderr(f"error: {exc}\n")
         return EXIT_CONFIG
     except (RuntimeError, ArithmeticError) as exc:
         # QuadratureError and StepSizeUnderflow are RuntimeErrors
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        _write_stderr(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
 
 

@@ -20,38 +20,39 @@ The zone integrals entering the productivity index are
 ``zone_integral(scn, law, r1, r2)`` is their one entry: it checks the
 interval, gives exactly 0.0 for an empty one, then calls the law's closed form.
 
-S_D and S_F have closed antiderivatives.  They are written with the width
-d = r2 - r1 factored out of every term (log1p(d / r1) for log(r2 / r1), and
-r2^k - r1^k = d * sum_j r2^j r1^(k-1-j)), so a narrow interval keeps its
-significant digits.  Beyond 0.75 r_e, where the antiderivative loses most of
-its digits to cancellation, one series kernel in x = (r_e^2 - r^2) / r_e^2
-sums both: (r_e^degree / 2) sum_k c_k (x1^m - x2^m) / m, m = first + k, with
-c_k the coefficients of (1-x)^(-1) from m = 3 for S_D and of (1-x)^(-3/2)
-from m = 4 for the inertial term, each law with its table of c_k / m.  A
-segment that starts at r1 <= r_e / 4 is the closed form over its whole
-length, across the cut: its terms sum to at most about three times the
-result, so no series runs on any segment from the well.  A segment that
-starts between r_e / 4 and the cut takes the closed form up to the cut and
-the series beyond it; on [0.75 r_e, r_e] the series depends on r_e only
-through r_e^degree, so a segment ending at r_e takes that part from a
-constant computed at import.
+Each integrand is A^a (r_e^2 - r^2)^(a+2) r^(-a-1), with the exponent a = 0
+for S_D, 1 for the inertial part of S_F and -s for S_pD.  In
+x = (r_e^2 - r^2) / r_e^2 it is (r_e^(a+4) / 2) x^(a+2) (1-x)^(-(a/2+1)) dx,
+so the exponent alone fixes the degree a + 4, the first power a + 3 of the
+series sum_k c_k x^m / m (m = a + 3 + k) and the binomial power a/2 + 1 of
+its coefficients c_k.  ``_x_law(closed, a)`` derives them, and the tail
+constant, for S_D and S_F; the outer S_pD series takes them at a = -s.
 
-S_pD has no elementary antiderivative for fractional s; the substitution
-u = r^2 / r_e^2 turns it into the incomplete beta integral
+S_D and S_F have closed antiderivatives, with the width r2 - r1 factored out
+of every term so that a narrow interval keeps its digits.  Beyond 0.75 r_e,
+where the antiderivative loses most of its digits to cancellation, the
+series in x sums them from a table of c_k / m per law.  A segment that
+starts at r1 <= r_e / 4 is the closed form over its whole length, across the
+cut: its terms sum to at most about three times the result, so no series
+runs on any segment from the well.  A segment that starts between r_e / 4
+and the cut takes the closed form up to the cut and the series beyond it;
+on [0.75 r_e, r_e] the series depends on r_e only through r_e^degree, so a
+segment ending at r_e takes that part from the tail constant.
 
-    S_pD = lambda * A^(-s) * r_e^(4-s) / 2 * int u^(s/2-1) (1-u)^(2-s) du,
-
-summed as the binomial series of (1-u)^(2-s) for small u and as the
-all-positive series of u^(s/2-1) in x = 1 - u near the outer boundary.  Both
-run one kernel, whose callers take hi^p0 and the logarithm of the ratio of
-the bounds from the radii, so a bound whose u underflows keeps its digits.
-A segment [r1, r_e] from below the cut is the complete integral
-B(s/2, 3-s), from three math.gamma calls, minus its head: the binomial
-series from r = 0 to r1.  The guard (r1/r_e)^s <= 0.45 s B, taken before
-any series is summed, keeps the head within 0.9 B, so the difference loses
-at most one digit; s = 0, tiny s, r1 near the cut and a subnormal r1/r_e
-fail it.  Those segments sum the binomial series up to the cut and add the
-part over u in [0.75^2, 1], which depends on s alone and is cached per s.
+S_pD has no elementary antiderivative for fractional s.  In u = 1 - x it is
+lambda A^(-s) r_e^(4-s) / 2 times the incomplete beta integral
+int u^(s/2-1) (1-u)^(2-s) du, summed as the binomial series of (1-u)^(2-s)
+for small u and as the series in x near the outer boundary, in one kernel
+whose callers take hi^p0 and the log of the ratio of the bounds from the
+radii, so a bound whose u underflows keeps its digits.  A segment [r1, r_e]
+from below the cut is the complete integral B(s/2, 3-s), from three
+math.gamma calls, minus its head: the inner series from r = 0 to r1.  The
+guard (r1/r_e)^s <= 0.45 s B, taken before any series is summed, keeps the
+head within 0.9 B, so the difference loses at most one digit.  s = 0, tiny
+s, r1 near the cut and a subnormal r1/r_e fail it; such segments, like those
+that cross the cut and end short of r_e, sum the inner series up to the cut
+and the outer series beyond it, whose part over u in [0.75^2, 1] depends on
+s alone and is cached.
 """
 
 from __future__ import annotations
@@ -281,6 +282,14 @@ class _XLaw(NamedTuple):
     tail: float  # the series over [_SERIES_CUT, 1] on the unit reservoir
 
 
+# Every series stops at its first term below _STOP times its sum, and sums at
+# most _MAX_TERMS terms.  The stop rule ends them within 48 (S_D), 50 (S_F) and
+# 48 (outer S_pD) terms on x <= 1 - 0.75^2, and 54 (inner S_pD) on u <= 0.5625,
+# at any s in [0, 1]; tests/test_quadrature.py checks that at those intervals.
+_STOP = 1e-17
+_MAX_TERMS = 100
+
+
 def _x_series(law: _XLaw, r_e: float, r1: float, r2: float) -> float:
     # x = (r_e^2 - r^2)/r_e^2;  x1^m - x2^m = dx * h_m keeps every term positive
     x1 = (r_e - r1) * (r_e + r1) / r_e**2
@@ -295,30 +304,28 @@ def _x_series(law: _XLaw, r_e: float, r1: float, r2: float) -> float:
     for w in law.weights:
         term = w * h
         total += term
-        if term < 1e-17 * total:
+        if term < _STOP * total:
             break
         p2 *= x2
         h = x1 * h + p2
     return 0.5 * r_e**law.degree * dx * total
 
 
-def _x_law(
-    closed: Callable[[float, float, float], float], degree: int, first: int, power: float, last: int
-) -> _XLaw:
-    # c_k of (1-x)^(-power): c_0 = 1, c_k = c_(k-1) (k - 1 + power) / k
-    weights, c = [], 1.0
-    for m in range(first, last):
-        k = m - first
-        if k > 0:
-            c *= (k - 1 + power) / k
-        weights.append(c / m)
-    law = _XLaw(closed, degree, first, tuple(weights), 0.0)
+def _x_law(closed: Callable[[float, float, float], float], a: int) -> _XLaw:
+    # the exponent rule of the module docstring: degree a + 4, first power a + 3,
+    # and c_k of (1-x)^(-power), power = a/2 + 1: c_0 = 1, c_k = c_(k-1) (k - 1 + power) / k
+    first, power = a + 3, 0.5 * a + 1.0
+    weights, c = [1.0 / first], 1.0
+    for k in range(1, _MAX_TERMS):
+        c *= (k - 1 + power) / k
+        weights.append(c / (first + k))
+    law = _XLaw(closed, a + 4, first, tuple(weights), 0.0)
     # [_SERIES_CUT * r_e, r_e] spans x in [0, 1 - _SERIES_CUT^2] whatever r_e is
     return law._replace(tail=_x_series(law, 1.0, _SERIES_CUT, 1.0))
 
 
-_DARCY = _x_law(_darcy_closed, 4, 3, 1.0, 600)
-_FORCH = _x_law(_forch_closed, 5, 4, 1.5, 800)
+_DARCY = _x_law(_darcy_closed, 0)
+_FORCH = _x_law(_forch_closed, 1)
 
 
 def _x_bracket(law: _XLaw, r_e: float, r1: float, r2: float) -> float:
@@ -340,13 +347,11 @@ def _log_ratio(a: float, b: float) -> float:
 
 
 def _beta_series(p0: float, m: float, hi: float, power: float, step: float, log_rho: float) -> float:
-    # sum_k c_k (hi^(p0+k) - lo^(p0+k)) / (p0+k), c_0 = 1, c_k = c_(k-1) (k+m)/k,
-    # for 0 <= lo < hi <= _SERIES_CUT^2, from power = hi^p0, step = 1 - rho and
-    # log_rho = log(rho), rho = lo/hi, which the callers take from the radii.
-    # Each difference is hi^p * D with D = 1 - rho^p; D obeys
-    # D_(k+1) = D_k + rho^(p0+k) step, a sum of positive terms, so only D_0
-    # needs expm1, and log(rho) comes from log1p when rho is near 1.
-    # At p0 = 0 the first term is its limit -log(rho).
+    # sum_k c_k (hi^(p0+k) - lo^(p0+k)) / (p0+k), c_0 = 1, c_k = c_(k-1) (k+m)/k, for
+    # 0 <= lo < hi <= _SERIES_CUT^2, from power = hi^p0, step = 1 - rho and log_rho =
+    # log(rho), rho = lo/hi, which the callers take from the radii.  Each difference is
+    # hi^p * D, D = 1 - rho^p, and D_(k+1) = D_k + rho^(p0+k) step sums positive terms,
+    # so only D_0 needs expm1.  At p0 = 0 the first term is its limit -log(rho).
     if step <= 0.5:
         log_rho = math.log1p(-step)
     rho = 1.0 - step
@@ -354,14 +359,14 @@ def _beta_series(p0: float, m: float, hi: float, power: float, step: float, log_
     rest = math.exp(p0 * log_rho)
     total = power * gap / p0 if p0 > 0.0 else -log_rho
     c = 1.0
-    for k in range(1, 400):  # hi <= 0.5625 meets the test within about 80 terms
+    for k in range(1, _MAX_TERMS):
         c *= (k + m) / k
         gap += rest * step
         rest *= rho
         power *= hi
         term = c * power * gap / (p0 + k)
         total += term
-        if abs(term) <= 1e-17 * abs(total):
+        if abs(term) <= _STOP * abs(total):
             break
     return total
 
@@ -375,7 +380,7 @@ def _predarcy_inner(r_e: float, s: float, r1: float, r2: float) -> float:
 
 
 def _predarcy_outer(r_e: float, s: float, r1: float, r2: float) -> float:
-    # all-positive series of u^(s/2-1) = (1-x)^(s/2-1) against x^(2-s), x = 1 - u
+    # the series in x at a = -s: first power 3 - s, c_k of (1-x)^(s/2-1), all positive
     x1 = (r_e - r1) * (r_e + r1) / r_e**2
     x2 = (r_e - r2) * (r_e + r2) / r_e**2
     dx = (r2 - r1) * (r2 + r1) / r_e**2
@@ -384,33 +389,28 @@ def _predarcy_outer(r_e: float, s: float, r1: float, r2: float) -> float:
 
 @functools.lru_cache(maxsize=256)
 def _predarcy_tail(s: float) -> float:
-    # the beta integral over u in [_SERIES_CUT^2, 1] depends on s alone, and a
-    # flux sweep holds s fixed
+    # the part over u in [_SERIES_CUT^2, 1] depends on s alone; a flux sweep holds s fixed
     return _predarcy_outer(1.0, s, _SERIES_CUT, 1.0)
 
 
 def _predarcy_bracket(r_e: float, s: float, r1: float, r2: float) -> float:
-    # int (r_e^2-r^2)^(2-s) r^(s-1) dr = (r_e^(4-s)/2) int u^(s/2-1) (1-u)^(2-s) du
+    # int (r_e^2-r^2)^(2-s) r^(s-1) dr = (r_e^(4-s)/2) int u^(s/2-1) (1-u)^(2-s) du.
+    # B(s/2, 3-s) = s_beta / s, and the head is at most (r1/r_e)^s * 2 / s; below the
+    # smallest normal float, (r1/r_e)^s has lost digits or is 0.
+    # s * Gamma(s/2) is written 2 Gamma(1 + s/2), which stays finite as s -> 0.
     cut = _SERIES_CUT * r_e
     if r1 >= cut:
         beta = _predarcy_outer(r_e, s, r1, r2)
     elif r2 <= cut:
         beta = _predarcy_inner(r_e, s, r1, r2)
-    elif r2 < r_e:
-        beta = _predarcy_inner(r_e, s, r1, cut) + _predarcy_outer(r_e, s, cut, r2)
+    elif r2 == r_e and (t1 := r1 / r_e) >= sys.float_info.min and t1**s <= 0.45 * (
+        s_beta := 2.0 * math.gamma(1.0 + 0.5 * s) * math.gamma(3.0 - s) / math.gamma(3.0 - 0.5 * s)
+    ):
+        beta = s_beta / s - _predarcy_inner(r_e, s, 0.0, r1)
     else:
-        # the complete integral B(s/2, 3-s) = s_beta / s minus the head, the inner
-        # series from r = 0 to r1, at most (r1/r_e)^s * 2 / s; the guard, taken
-        # before any series runs, keeps it within 0.9 B: one digit lost at most.
-        # s = 0, tiny s and an r1/r_e below the smallest normal float, whose
-        # (r1/r_e)^s has lost digits or is 0, keep the split series.
-        # s * Gamma(s/2) is written 2 Gamma(1 + s/2), which stays finite as s -> 0.
-        s_beta = 2.0 * math.gamma(1.0 + 0.5 * s) * math.gamma(3.0 - s) / math.gamma(3.0 - 0.5 * s)
-        t1 = r1 / r_e
-        if t1 >= sys.float_info.min and t1**s <= 0.45 * s_beta:
-            beta = s_beta / s - _predarcy_inner(r_e, s, 0.0, r1)
-        else:
-            beta = _predarcy_inner(r_e, s, r1, cut) + _predarcy_tail(s)
+        beta = _predarcy_inner(r_e, s, r1, cut) + (
+            _predarcy_tail(s) if r2 == r_e else _predarcy_outer(r_e, s, cut, r2)
+        )
     return 0.5 * r_e ** (4.0 - s) * beta
 
 

@@ -546,6 +546,37 @@ def test_sweep_rejects_unknown_axis_and_empty_lists(capsys):
     assert err.startswith("error: unknown regime preset 'bogus'; expected one of: D, F,")
 
 
+def test_sweep_has_no_regime_flag(capsys):
+    # `--regime` once printed all five default regimes; nor is it taken as
+    # an abbreviation of --regimes
+    code, out, err = _outcome(capsys, ["sweep", "--axis", "q_over_h", "--values", "1e-4",
+                                       "--regime", "D"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --regime D" in err
+
+
+@pytest.mark.parametrize("line", [
+    "regime.preset = D", "regime.near_well = F", "regime.middle = pD", "regime.near_boundary = D",
+])
+def test_sweep_rejects_a_config_regime(capsys, tmp_path, line):
+    # a sweep takes its regimes from --regimes alone; pi takes the file's
+    cfg = tmp_path / "regime.cfg"
+    cfg.write_text(f"geometry.r_e = 500\n{line}\n")
+    code, out, err = run_cli(capsys, "sweep", "--axis", "s", "--values", "0.5", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    key = line.split(" = ")[0]
+    assert err == f"error: {cfg}: {key} is not used by sweep; name its regime presets with --regimes\n"
+    code, _, _ = run_cli(capsys, "pi", "--config", str(cfg))
+    assert code == 0
+
+
+def test_sweep_takes_the_rest_of_a_config_file(capsys, tmp_path):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text("geometry.r_e = 500\n")
+    argv = ["sweep", "--axis", "s", "--values", "0.5", "--regimes", "D"]
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == run_cli(capsys, *argv, "--r-e", "500")
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
@@ -861,6 +892,27 @@ def test_unwritable_output_path_is_a_config_error(tmp_path, command):
     assert proc.returncode == 2
     # that line alone: no traceback, and no exception ignored at interpreter exit
     assert proc.stderr.startswith(expected) and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink", ["closed", "dev-full"])
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["table", "1"], 0, id="table"), pytest.param(["pi", "--s", "2"], 2, id="pi-bad-s"),
+])
+def test_unwritable_stderr_keeps_the_exit_code(argv, code, sink, unbuffered):
+    # a closed stderr is None in the interpreter, and /dev/full fails every
+    # write; either way the message is lost and the command's own code stands
+    run = _fresh_cli(argv, unbuffered)
+    expected = subprocess.run(**run, capture_output=True, text=True, timeout=120)
+    assert expected.returncode == code and expected.stderr.count("\n") == 1
+    if sink == "closed":
+        run["args"] = ["sh", "-c", 'exec "$@" 2>&-', "sh", *run["args"]]
+        proc = subprocess.run(**run, stdout=subprocess.PIPE, text=True, timeout=120)
+    else:
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(**run, stdout=subprocess.PIPE, stderr=full, text=True,
+                                  timeout=120)
+    assert (proc.returncode, proc.stdout) == (code, expected.stdout)
 
 
 _LONG_SWEEP = ["sweep", "--axis", "q_over_h", "--log-range", "1e-6,1,2000"]

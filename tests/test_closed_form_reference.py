@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from wellpi import ZoneLaw, base_scenario, zone_integral
+from wellpi import ZoneLaw, base_scenario, quadrature, zone_integral
 
 from helpers import reference_zone_integral
 
@@ -60,6 +60,18 @@ def test_closed_form_matches_mpmath(name, law):
     with mp.workdps(40):
         want = reference_zone_integral(scn, LAWS[law], r1, r2)
         assert float(abs(got - want) / want) <= 1e-13
+
+
+@pytest.mark.parametrize("r1, r2", [(750.0, 1000.0), (750.0, 800.0), (900.0, 900.0 * (1 + 1e-9))])
+def test_series_law_from_its_exponent_alone(r1, r2):
+    # a = 2, the quadratic term of a three-term law: nothing but the exponent
+    # gives the series of int (r_e^2 - r^2)^4 / r^3 dr beyond the cut
+    law = quadrature._x_law(None, 2)
+    got = quadrature._x_series(law, R_E, r1, r2)
+    with mp.workdps(40):
+        r_e = mp.mpf(R_E)
+        want = mp.quad(lambda r: (r_e**2 - r**2) ** 4 / r**3, [mp.mpf(r1), mp.mpf(r2)])
+        assert float(abs(got - want) / want) <= 1e-15
 
 
 @pytest.mark.parametrize("r_w", [1e-300, 1e-308, 1e-310, 5e-324])

@@ -396,6 +396,62 @@ def test_head_route_when_u1_underflows(s, r1, beta, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the term bound: the stop rule ends every series before _MAX_TERMS
+# ---------------------------------------------------------------------------
+
+BOUND_S = (0.0, 5e-324, 1e-300, 1e-9, 0.3, 0.7, 1.0 - 1e-9, 1.0)
+CUT = quadrature._SERIES_CUT
+# on the unit reservoir, the intervals where each series runs longest: from the
+# cut, where x or u is largest, to the far end or to a sliver, whose terms fall slowest
+X_WORST = ((CUT, 1.0), (CUT, 0.9), (CUT, CUT * (1.0 + 1e-9)), (CUT, math.nextafter(CUT, 1.0)))
+U_WORST = ((5e-324, CUT), (1e-300, CUT), (1e-3, CUT), (0.5, CUT),
+           (CUT * (1.0 - 1e-9), CUT), (math.nextafter(CUT, 0.0), CUT))
+
+
+@pytest.mark.parametrize("law", [quadrature._DARCY, quadrature._FORCH], ids=["S_D", "S_F"])
+@pytest.mark.parametrize("r1, r2", X_WORST)
+def test_x_series_stops_before_the_term_bound(law, r1, r2):
+    taken = []
+
+    def weights():
+        for w in law.weights:
+            taken.append(w)
+            yield w
+
+    assert len(law.weights) == quadrature._MAX_TERMS
+    quadrature._x_series(law._replace(weights=weights()), 1.0, r1, r2)
+    assert len(taken) < quadrature._MAX_TERMS
+
+
+def _beta_terms(monkeypatch, series, *args):
+    """Terms that ``series(*args)`` sums: term 0, then one per step of the
+    kernel's loop over range(1, _MAX_TERMS), which is counted."""
+    steps = []
+
+    def counted_range(*bounds):
+        assert bounds == (1, quadrature._MAX_TERMS)
+        for k in range(*bounds):
+            steps.append(k)
+            yield k
+
+    monkeypatch.setattr(quadrature, "range", counted_range, raising=False)
+    series(*args)
+    return 1 + len(steps)
+
+
+@pytest.mark.parametrize("s", BOUND_S)
+def test_beta_series_stop_before_the_term_bound(s, monkeypatch):
+    terms = [_beta_terms(monkeypatch, quadrature._predarcy_outer, 1.0, s, r1, r2)
+             for r1, r2 in X_WORST]
+    terms += [_beta_terms(monkeypatch, quadrature._predarcy_inner, 1.0, s, r1, r2)
+              for r1, r2 in U_WORST]
+    if 0.5 * s > 0.0:
+        # the head from r = 0 diverges where s/2 is 0, and the guard keeps those s off it
+        terms.append(_beta_terms(monkeypatch, quadrature._predarcy_inner, 1.0, s, 0.0, CUT))
+    assert max(terms) < quadrature._MAX_TERMS
+
+
+# ---------------------------------------------------------------------------
 # zone integral properties
 # ---------------------------------------------------------------------------
 
