@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import errno
 import functools
 import io
 import math
@@ -171,7 +172,10 @@ class _StdoutError(Exception):
 def _to_null_device(stream) -> None:
     """Point the file descriptor of ``stream`` at the null device, so that
     what is still buffered for it cannot fail again in the interpreter's
-    final flush."""
+    final flush; a stream that is None (its fd was closed at start) has no
+    buffer and is left alone."""
+    if stream is None:
+        return
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, stream.fileno())
     os.close(devnull)
@@ -201,9 +205,12 @@ def _write_stdout(text: str) -> None:
     The bytes go to the binary layer until it has taken them all: an
     unbuffered stdout takes only part of a write to a pipe whose reader has
     gone, and its text layer ignores the count.  A stdout without a binary
-    layer, such as a StringIO, gets ``text`` as it is.
+    layer, such as a StringIO, gets ``text`` as it is.  A stdout that is None,
+    as the interpreter sets it when fd 1 is closed at start, is a closed pipe.
     """
     out = sys.stdout
+    if out is None:
+        raise _StdoutError from BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
     buffer = getattr(out, "buffer", None)
     if buffer is None:
         out.write(text)

@@ -2,14 +2,19 @@
 
 The integrator pairs a 7-point Gauss rule with its 15-point Kronrod
 extension on each panel; the difference of the two estimates serves as the
-panel error.  The panel with the largest error is bisected until the summed
-error meets the tolerance or the panel cap is hit.  Panels are kept in
-left-to-right order and summed with compensated addition, so results are
-deterministic regardless of how the work is scheduled.  Nothing on the PI
-path uses it: it is the independent oracle that the closed forms below are
-checked against.  numpy is imported, and the rule's node and weight arrays
-built, only when the oracle integrator first runs; the closed forms are
-plain ``math``, so the PI commands start without numpy.
+panel error.  It starts from a mesh of n0 panels that is geometric in r,
+three per decade of b/a and at most 24, evaluated in one call of 15 n0
+nodes: every oracle integrand behaves like a power of r near the well,
+which equal panels resolve only by one serial bisection per halving of the
+distance to it.  The panel with the largest error is then bisected, both
+halves in one call of 30 nodes, until the summed error meets the tolerance
+or the panel cap is hit.  Panels are kept in left-to-right order and summed
+with compensated addition, so results are deterministic regardless of how
+the work is scheduled.  Nothing on the PI path uses it: it is the
+independent oracle that the closed forms below are checked against.  numpy
+is imported, and the rule's node and weight arrays built, only when the
+oracle integrator first runs; the closed forms are plain ``math``, so the
+PI commands start without numpy.
 
 The zone integrals entering the productivity index are
 
@@ -122,6 +127,9 @@ def _rule():
 
 # Subdivision cap; plenty for smooth integrands on a bounded interval.
 _MAX_PANELS = 2000
+# Cap on the geometric first mesh of integrate_adaptive: 24 panels span
+# eight decades at three per decade.
+_FIRST_PANELS = 24
 # Absolute tolerance: in effect, the relative tolerance alone decides.
 _ABS_TOL = 1e-300
 
@@ -169,6 +177,19 @@ def _panel_list(f: Callable[[np.ndarray], np.ndarray], a: list, b: list) -> list
     return list(zip(a, b, values.tolist(), errs.tolist(), resabs.tolist()))
 
 
+def _first_mesh(a: float, b: float) -> list[float]:
+    """Edges of the first panels on [a, b], a < b: geometric in r, three per
+    decade of b/a rounded up, at most _FIRST_PANELS and _MAX_PANELS; one panel
+    when a <= 0 or b/a <= 10^(1/3).  The edges come from logarithms, since b/a
+    can overflow, and end exactly on a and b."""
+    if a <= 0.0:
+        return [a, b]
+    log_a = math.log(a)
+    span = math.log(b) - log_a
+    n = min(_FIRST_PANELS, _MAX_PANELS, math.ceil(3.0 * span / math.log(10.0)))
+    return [a] + [math.exp(log_a + i / n * span) for i in range(1, n)] + [b]
+
+
 def _converged(value: float, err: float, resabs: float, rel_tol: float) -> bool:
     """The acceptance test of integrate_adaptive: the error is finite and
     within max(1e-300, rel_tol * |value|), or at the roundoff floor of the
@@ -189,11 +210,13 @@ def integrate_adaptive(
     ``f`` receives one 1-D float array, the 15 * n Gauss-Kronrod nodes of
     the n panels evaluated together, and must return an array of the same
     shape, finite on [a, b] (endpoints are never evaluated).  The first
-    panel is one call, and each bisection evaluates both halves in one
-    call, so k bisections cost k + 1 calls.  An empty interval integrates
-    to exactly zero.  Once the accumulated panel error sits at the roundoff
-    floor of the integrand no further subdivision can help, and the current
-    estimate is returned as converged.
+    mesh of n0 panels, geometric in r with three per decade of b/a
+    (``_first_mesh``), is one call of 15 n0 nodes, and each bisection
+    evaluates both halves in one call of 30, so k bisections cost k + 1
+    calls.  An empty interval integrates to exactly zero.  Once the
+    accumulated panel error sits at the roundoff floor of the integrand no
+    further subdivision can help, and the current estimate is returned as
+    converged.
 
     Raises QuadratureError (carrying the best estimate) if the panel cap is
     reached first, and at once when a panel's estimate or error is not
@@ -207,7 +230,8 @@ def integrate_adaptive(
     if a == b:
         return IntegralResult(0.0, 0.0, 0)
 
-    panels = _panel_list(f, [a], [b])
+    edges = _first_mesh(a, b)
+    panels = _panel_list(f, edges[:-1], edges[1:])
     while True:
         err = math.fsum(p[3] for p in panels)
         if not math.isfinite(err):

@@ -938,3 +938,14 @@ def test_stdout_closed_early_exits_141_without_a_traceback(argv, read, unbuffere
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (141, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["pi"], ["table", "1"], ["validate"]], ids=" ".join)
+def test_stdout_closed_at_start_exits_141_without_a_traceback(argv, unbuffered):
+    # the interpreter itself starts with fd 1 closed and sets sys.stdout to
+    # None; the first write finds a closed pipe
+    run = _fresh_cli(argv, unbuffered)
+    run["args"] = ["sh", "-c", 'exec "$@" >&-', "sh", *run["args"]]
+    proc = subprocess.run(**run, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (141, "")

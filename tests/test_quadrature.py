@@ -169,12 +169,73 @@ def test_each_bisection_is_one_integrand_call():
         calls.append(len(x))
         return 1.0 / x
 
-    res = integrate_adaptive(f, 1e-3, 1.0, rel_tol=1e-12)
-    assert res.value == pytest.approx(math.log(1e3), rel=1e-12)
-    assert res.subdivisions > 10
-    # the first panel, then both halves of each bisected panel together
-    assert len(calls) == res.subdivisions
-    assert calls == [15] + [30] * (res.subdivisions - 1)
+    res = integrate_adaptive(f, 1e-6, 1.0, rel_tol=1e-12)
+    assert res.value == pytest.approx(math.log(1e6), rel=1e-12)
+    n0 = 18  # the first mesh: three panels per decade
+    bisections = len(calls) - 1
+    assert bisections > 10
+    # the first mesh, then both halves of each bisected panel together
+    assert res.subdivisions == n0 + bisections
+    assert calls == [15 * n0] + [30] * bisections
+
+
+@pytest.mark.parametrize("a,b", [
+    (5e-324, 1.0), (1e-300, 1.0), (1e-300, 1e300), (5e-324, 1.7976931348623157e308),
+    (1e-3, 1.0), (0.1, 1000.0), (1.0, 2.2), (3.0, 3e8),
+])
+def test_first_mesh_edges_increase_from_a_to_b(a, b):
+    edges = quadrature._first_mesh(a, b)
+    assert edges[0] == a and edges[-1] == b  # exactly, not to roundoff
+    assert all(lo < hi for lo, hi in zip(edges, edges[1:]))
+    # three panels per decade, rounded up, and at most 24
+    assert len(edges) - 1 == min(24, math.ceil(3.0 * (math.log10(b) - math.log10(a))))
+
+
+def test_first_mesh_respects_the_panel_cap(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 5)
+    assert len(quadrature._first_mesh(1e-6, 1.0)) - 1 == 5
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 1.0), (1.0, 1.0 + 1e-9), (1.0, 2.0)])
+def test_first_mesh_is_one_panel_from_zero_or_on_a_narrow_interval(a, b):
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return x * x
+
+    res = integrate_adaptive(f, a, b)
+    assert calls == [15]
+    assert res.value == pytest.approx((b**3 - a**3) / 3.0, rel=1e-13)
+
+
+def test_first_mesh_near_zero_gives_a_value_or_a_quadrature_error():
+    # 1/x overflows at the nodes next to a subnormal a: a clean QuadratureError,
+    # not the OverflowError or ValueError of a mesh built from b/a
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        with pytest.raises(QuadratureError):
+            integrate_adaptive(lambda x: 1.0 / x, 5e-324, 1.0)
+        res = integrate_adaptive(lambda x: 1.0 / x, 1e-300, 1.0)
+    assert res.value == pytest.approx(300.0 * math.log(10.0), rel=1e-10)
+
+
+@pytest.mark.parametrize("ratio", [1.01, 2.0, 10.0, 1e3, 1e5, 1e8])
+def test_first_mesh_keeps_power_law_integrals_within_rel_tol(ratio):
+    mp = pytest.importorskip("mpmath")
+    r_e = 1000.0
+    r_w = r_e / ratio
+    rel_tol = 1e-10
+    with mp.workdps(40):
+        lo, hi = mp.mpf(r_w), mp.mpf(r_e)
+        cases = [
+            (lambda r: 1.0 / r, mp.log(hi / lo)),
+            (lambda r: r**-0.3, (hi**0.7 - lo**0.7) / mp.mpf(0.7)),
+            (lambda r: ((r_e - r) * (r_e + r)) ** 2 / r,
+             hi**4 * mp.log(hi / lo) - hi**2 * (hi**2 - lo**2) + (hi**4 - lo**4) / 4),
+        ]
+        for f, exact in cases:
+            value = integrate_adaptive(f, r_w, r_e, rel_tol=rel_tol).value
+            assert abs(value - exact) <= rel_tol * abs(exact)
 
 
 # ---------------------------------------------------------------------------

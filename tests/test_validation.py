@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import wellpi.checks
 import wellpi.quadrature
 import wellpi.validation
 from wellpi import (
@@ -90,8 +91,11 @@ def test_profile_pi_agrees_with_zone_integrals(regime):
     assert j_profile == pytest.approx(j_closed, rel=1e-6)
 
 
-@pytest.mark.parametrize("regime", ["F", "FDpD", "pure-preDarcy"])
-def test_profile_pi_matches_fresh_profile_at_every_node(regime, monkeypatch):
+# F: every batched first panel passes; the pre-Darcy regimes still fall back
+@pytest.mark.parametrize("regime,falls_back", [
+    ("F", False), ("FDpD", True), ("pure-preDarcy", True),
+], ids=["F", "FDpD", "pure-preDarcy"])
+def test_profile_pi_matches_fresh_profile_at_every_node(regime, falls_back, monkeypatch):
     # reference: W(r) integrated afresh from r_w at every outer node, then
     # r W(r) integrated over each segment of [r_w, r_e]
     scn = base_scenario(regime, q_over_h=1e-2, s=0.7)
@@ -114,8 +118,11 @@ def test_profile_pi_matches_fresh_profile_at_every_node(regime, monkeypatch):
     )
     reference = scn.q * geo.radius_span_sq / (2.0 * total_rw)
     assert pi_from_profile(scn) == pytest.approx(reference, rel=1e-9)
-    # both the batched first panels and the adaptive fallback were exercised
-    assert 0 < accepted.count(False) < accepted.count(True)
+    # the batched first panels, and where it runs the adaptive fallback, were exercised
+    if falls_back:
+        assert 0 < accepted.count(False) < accepted.count(True)
+    else:
+        assert accepted.count(False) == 0 < accepted.count(True)
 
 
 @pytest.mark.parametrize("regime,calls", [("FDpD", 3), ("D", 1)])
@@ -133,6 +140,23 @@ def test_profile_pi_takes_each_zone_energy_once(regime, calls, monkeypatch):
     pi_from_profile(base_scenario(regime))
     assert len(seen) == calls
     assert len(set(seen)) == calls
+
+
+def test_validate_stays_within_its_panel_budget(monkeypatch):
+    # a work count instead of a timing: every oracle integral starts from the
+    # log-spaced first mesh, so `validate` makes 830 panel batches (2,625 when
+    # each integral started from one panel and bisected its way to the well)
+    calls = []
+    panels = wellpi.quadrature._panels
+
+    def counted(*args):
+        calls.append(None)
+        return panels(*args)
+
+    monkeypatch.setattr(wellpi.quadrature, "_panels", counted)
+    monkeypatch.setattr(wellpi.validation, "_panels", counted)
+    assert all(result.passed for result in wellpi.checks.run_all())
+    assert 0 < len(calls) <= 1000
 
 
 def test_profile_pi_uses_no_closed_form(monkeypatch):
