@@ -243,12 +243,13 @@ def _sweep_rows(axis_name: str, axis_value: float, scn: Scenario,
     but the regime and the PI itself is formatted once."""
     part = pis[0].zone_partition
     p = scn.params
-    head = f"{axis_name},{_fmt(axis_value)},"
-    shared = ",".join((
-        _fmt(p.s), _fmt(p.v_D), _fmt(p.v_F), _fmt(scn.q_over_h), _fmt(part.r_F), _fmt(part.r_D),
-    ))
+    # '%.8e' % x is the conversion of _fmt
+    head = "%s,%.8e," % (axis_name, axis_value)
+    shared = "%.8e,%.8e,%.8e,%.8e,%.8e,%.8e" % (
+        p.s, p.v_D, p.v_F, scn.q_over_h, part.r_F, part.r_D,
+    )
     return "".join(
-        f"{head}{name},{shared},{_fmt(pi.j_raw)},{_fmt(pi.j_dimensionless)}\n"
+        "%s%s,%s,%.8e,%.8e\n" % (head, name, shared, pi.j_raw, pi.j_dimensionless)
         for name, pi in zip(names, pis)
     )
 
@@ -315,7 +316,7 @@ def _axis_values(args: argparse.Namespace) -> list[float]:
 def _scenario_with(scn: Scenario, axis: str, value: float, continuous_predarcy: bool) -> Scenario:
     try:
         if axis == "q_over_h":
-            return replace(scn, q_over_h=value)
+            return Scenario(scn.geometry, scn.params, scn.regime, value)
         params = replace(scn.params, **{axis: value})
         if continuous_predarcy:  # at the row's own s and v_D, as `pi` rescales
             params = params.with_continuous_predarcy()

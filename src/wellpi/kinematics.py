@@ -131,24 +131,24 @@ def radius_of_velocity(scn: Scenario, v: float) -> float:
     return _raw_radius(flux_density(scn), scn.geometry.r_e, v)
 
 
-def partition_zones(scn: Scenario) -> ZonePartition:
-    """Critical radii r_F = r(v_F) and r_D = r(v_D), clamped to the annulus.
-
-    Clamping makes out-of-range zones empty, so downstream zone integrals
-    over them vanish; r_w <= r_F <= r_D <= r_e always holds.
-    """
+def _flux_and_partition(scn: Scenario) -> tuple[float, ZonePartition]:
+    # A with the partition at it: compute_pis integrates at this A
     geo = scn.geometry
     a = flux_density(scn)
     raw_f = _raw_radius(a, geo.r_e, scn.params.v_F)
     raw_d = _raw_radius(a, geo.r_e, scn.params.v_D)
     r_f = min(max(raw_f, geo.r_w), geo.r_e)
     r_d = min(max(raw_d, geo.r_w), geo.r_e)
-    return ZonePartition(
-        r_F=r_f,
-        r_D=r_d,
-        clamped_fast=(r_f != raw_f),
-        clamped_slow=(r_d != raw_d),
-    )
+    return a, ZonePartition(r_f, r_d, r_f != raw_f, r_d != raw_d)
+
+
+def partition_zones(scn: Scenario) -> ZonePartition:
+    """Critical radii r_F = r(v_F) and r_D = r(v_D), clamped to the annulus.
+
+    Clamping makes out-of-range zones empty, so downstream zone integrals
+    over them vanish; r_w <= r_F <= r_D <= r_e always holds.
+    """
+    return _flux_and_partition(scn)[1]
 
 
 #: One velocity zone: (inner radius, outer radius, governing law).

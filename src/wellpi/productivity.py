@@ -8,9 +8,11 @@ where empty zones contribute exactly zero.  One accumulator therefore covers
 every conventional regime (all-Darcy, all-Forchheimer, and the mixed ones)
 as well as arbitrary triples.  The dimensionless index is J * alpha / (2 pi h).
 
-The zone partition does not depend on the regime, so ``compute_pis``
-evaluates several regimes at one scenario from one partition and takes each
-zone integral that two regimes share only once; ``compute_pi`` is its
+``compute_pis`` makes one pass per scenario: A and the partition (from the
+helper behind ``kinematics.partition_zones``) and L once, then each regime's
+zones, same-law neighbours merged on the way, with each new (lo, hi, law)
+segment integrated once by ``quadrature._segment_integral``, the unchecked
+kernel, so regimes share their common segments.  ``compute_pi`` is its
 one-regime call.  ``zone_contributions`` gives the unmerged per-zone S
 values on demand; the PI itself never needs them.
 """
@@ -26,12 +28,12 @@ from .kinematics import (
     Scenario,
     Zone,
     ZonePartition,
+    _flux_and_partition,
     finite_positive,
-    merge_zones,
     partition_zones,
     zone_bounds,
 )
-from .quadrature import zone_integral
+from .quadrature import _segment_integral, zone_integral
 
 
 @dataclass(frozen=True)
@@ -53,29 +55,6 @@ def dimensionless_factor(scn: Scenario) -> float:
     return scn.params.alpha / (2.0 * math.pi * scn.geometry.h)
 
 
-def _denominator(
-    scn: Scenario, part: ZonePartition, regime: RegimeAssignment, done: dict[Zone, float]
-) -> float:
-    """PI denominator of one regime: the S values of its merged same-law
-    segments, summed.
-
-    A one-zone segment is that zone again, and a longer one is integrated as
-    a whole, so an all-Darcy regime always sums the one integral over
-    [r_w, r_e] and its PI does not depend on where the critical radii fall.
-    ``done`` maps each segment (lo, hi, law) already integrated at this
-    partition to its S value; nothing in it is integrated again, and new
-    ones are added.
-    """
-    values = []
-    for segment in merge_zones(zone_bounds(scn, part, regime)):
-        value = done.get(segment)
-        if value is None:
-            lo, hi, law = segment
-            value = done[segment] = zone_integral(scn, law, lo, hi)
-        values.append(value)
-    return math.fsum(values)
-
-
 def zone_contributions(scn: Scenario) -> tuple[float, float, float]:
     """S values of the (near-well, middle, near-boundary) zones of the
     scenario's regime, unmerged; exactly 0.0 for an empty zone.
@@ -90,39 +69,52 @@ def zone_contributions(scn: Scenario) -> tuple[float, float, float]:
 def compute_pis(scn: Scenario, regimes: Sequence[RegimeAssignment]) -> list[PiResult]:
     """Pseudo-steady-state productivity index of each regime at the scenario.
 
-    ``scn.regime`` is ignored; the results follow ``regimes`` in order.  The
-    zones are partitioned once, and a zone integral needed by several
-    regimes (the same law over the same radii) is taken once, so each result
-    equals what ``compute_pi`` gives for that regime alone, bit for bit.
+    ``scn.regime`` is ignored; the results follow ``regimes`` in order.  A
+    zone integral needed by several regimes (the same law over the same
+    radii) is taken once, so each result equals what ``compute_pi`` gives
+    for that regime alone, bit for bit.
 
     The denominator is accumulated over same-law merged segments, so an
     all-Darcy regime is exactly independent of the flux.
 
     Raises FloatingPointError when an index or its dimensionless form
-    overflows, underflows to zero or is NaN, or when L or the zone integrals
-    leave the float range on the way to it.
+    overflows, underflows to zero or is NaN, or when A, L or the zone
+    integrals leave the float range on the way to it.
     """
-    geo = scn.geometry
-    part = partition_zones(scn)
+    geo, params = scn.geometry, scn.params
+    a, part = _flux_and_partition(scn)
     factor = dimensionless_factor(scn)
     done: dict[Zone, float] = {}
     out = []
-    for regime in regimes:
-        try:
-            j_raw = 2.0 * math.pi * geo.h * geo.radius_span_sq**2 / _denominator(
-                scn, part, regime, done
-            )
-        except (OverflowError, ZeroDivisionError):
-            # a float ** raises where * would give inf: at a huge r_e the
-            # powers in L and in the zone integrals overflow, and at a tiny one
-            # both underflow to 0, so J is a ratio the float range cannot hold
-            j_raw = math.nan
-        j_raw = finite_positive("PI j_raw", j_raw)
-        out.append(PiResult(
-            j_raw=j_raw,
-            j_dimensionless=finite_positive("PI j_dimensionless", j_raw * factor),
-            zone_partition=part,
-        ))
+    try:
+        big_l = 2.0 * math.pi * geo.h * geo.radius_span_sq**2
+        r_f, r_d, r_e = part.r_F, part.r_D, geo.r_e
+        for regime in regimes:
+            # the run of same-law nonempty zones [start, end] is integrated, as one
+            # segment of merge_zones, when a zone of another law (or the closing
+            # pseudo-zone past r_e) starts; empty zones are skipped
+            values, start, end, run = [], geo.r_w, geo.r_w, None
+            for hi, law in ((r_f, regime.near_well), (r_d, regime.middle),
+                            (r_e, regime.near_boundary), (math.inf, None)):
+                if hi <= end:
+                    continue
+                if law is not run:
+                    if run is not None:
+                        segment = (start, end, run)
+                        value = done.get(segment)
+                        if value is None:
+                            value = _segment_integral(run, params, a, r_e, start, end)
+                            done[segment] = value
+                        values.append(value)
+                    start, run = end, law
+                end = hi
+            j_raw = finite_positive("PI j_raw", big_l / math.fsum(values))
+            out.append(PiResult(j_raw, finite_positive("PI j_dimensionless", j_raw * factor), part))
+    except (OverflowError, ZeroDivisionError):
+        # a float ** raises where * would give inf: at a huge r_e the powers in L
+        # and in the zone integrals overflow, and at a tiny one both underflow to 0,
+        # so J is a ratio the float range cannot hold
+        raise FloatingPointError("PI j_raw out of the floating-point range: nan") from None
     return out
 
 

@@ -495,7 +495,7 @@ def test_continuous_predarcy_sweep_to_zero_v_d_is_a_config_error(capsys):
 
 
 def _cell(x):
-    return f"{x:.8e}"
+    return f"{x:.8e}"  # cli._fmt
 
 
 def _expected_sweep(axis, values, regimes):
@@ -521,7 +521,12 @@ ALL_PRESETS = "D,F,FDD,DDpD,FDpD,FpDpD,pure-preDarcy"
     ("q_over_h", "--log-range", "1e-9,1e14,24", list(np.geomspace(1e-9, 1e14, 24)), ALL_PRESETS),
     ("s", "--values", "0,0.25,0.5,0.75,1", [0.0, 0.25, 0.5, 0.75, 1.0], ALL_PRESETS),
     ("q_over_h", "--values", "1e-7,1e-4,1e-1", [1e-7, 1e-4, 1e-1], "D,F,D"),
-], ids=["clamped-flux-range", "s-with-both-ends", "repeated-preset"])
+    # v_D = 0 empties the slow zone; 5e-324 is a subnormal cell
+    ("v_D", "--values", "0,5e-324,1e-7,1e-5", [0.0, 5e-324, 1e-7, 1e-5], ALL_PRESETS),
+    # v_F = 1e300 clamps r_F to r_w and is a 1e300 cell
+    ("v_F", "--values", "1e-7,1e-3,1e300", [1e-7, 1e-3, 1e300], ALL_PRESETS),
+], ids=["clamped-flux-range", "s-with-both-ends", "repeated-preset", "v_D-zero-and-subnormal",
+        "v_F-huge"])
 def test_sweep_csv_equals_compute_pi_per_row(capsys, axis, flag, spec, values, regimes):
     code, out, _ = run_cli(capsys, "sweep", "--axis", axis, flag, spec, "--regimes", regimes)
     assert code == 0

@@ -17,9 +17,12 @@ from wellpi import (
     base_scenario,
     compute_pi,
     compute_pis,
+    partition_zones,
     regime_preset,
     velocity_profile,
     zone_contributions,
+    zone_integral,
+    zone_segments,
 )
 
 
@@ -207,20 +210,46 @@ def test_compute_pis_equals_compute_pi_per_regime(s, v_D, v_F_over_v_D, log_q, r
     assert compute_pis(scn, regimes) == expected
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    regimes=st.lists(
+        st.one_of(st.sampled_from(sorted(REGIME_PRESETS)).map(regime_preset),
+                  st.sampled_from(ALL_TRIPLES)),
+        min_size=1, max_size=5,
+    ),
+    s=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    v_D=st.one_of(st.just(0.0), st.floats(-9.0, -5.0).map(lambda e: 10.0**e)),
+    log_q=st.floats(-10.0, 4.0),
+    r_e=st.floats(10.0, 3000.0),
+)
+def test_flat_pass_equals_the_checked_route(regimes, s, v_D, log_q, r_e):
+    # the low flux clamps both radii to r_w, v_D = 0 puts r_D on r_e, and the
+    # high flux puts both within a hair of r_e
+    scn = base_scenario("D", s=s, v_D=v_D, q_over_h=10.0**log_q, r_e=r_e)
+    geo = scn.geometry
+    big_l = 2.0 * math.pi * geo.h * geo.radius_span_sq**2
+    for regime, pi in zip(regimes, compute_pis(scn, regimes)):
+        one = replace(scn, regime=regime)
+        denominator = math.fsum(zone_integral(one, law, lo, hi) for lo, hi, law in zone_segments(one))
+        assert pi.j_raw == big_l / denominator
+        assert pi.zone_partition == partition_zones(scn)
+
+
 @pytest.mark.parametrize("presets, separate, shared", [
     (("DDpD", "FDpD", "FpDpD", "pure-preDarcy"), 8, 6),
     (("D", "F", "FDD"), 4, 4),
     (("D",), 1, 1),  # the merged [r_w, r_e] only
 ], ids=["pre-Darcy", "closed", "all-Darcy"])
 def test_regimes_at_one_scenario_share_zone_integrals(monkeypatch, presets, separate, shared):
+    # the kernel compute_pis calls: (law, params, a, r_e, lo, hi)
     calls = []
-    original = wellpi.productivity.zone_integral
+    original = wellpi.productivity._segment_integral
 
-    def counting(*args):
-        calls.append(args[1:])
-        return original(*args)
+    def counting(law, params, a, r_e, lo, hi):
+        calls.append((lo, hi, law))
+        return original(law, params, a, r_e, lo, hi)
 
-    monkeypatch.setattr(wellpi.productivity, "zone_integral", counting)
+    monkeypatch.setattr(wellpi.productivity, "_segment_integral", counting)
     scn = base_scenario("D")
     regimes = [regime_preset(name) for name in presets]
     for regime in regimes:
