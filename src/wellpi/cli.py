@@ -395,6 +395,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise ValueError(f"cannot read {args.input_csv!r}: {exc}") from None
     fit = fit_segments(data)
+    slope = ("undefined  (the Darcy segment has one velocity)" if math.isnan(fit.darcy_slope)
+             else f"{fit.darcy_slope:.6g}  (unconstrained diagnostic)")
     lines = [
         f"s_hat             = {fit.s_hat:.6g}",
         f"lambda_hat        = {_fmt(fit.lambda_hat)}",
@@ -402,7 +404,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         f"v_D_hat           = {_fmt(fit.v_D_hat)}",
         f"sse_total         = {_fmt(fit.sse_total)}",
         f"points_per_segment= {fit.points_per_segment[0]},{fit.points_per_segment[1]}",
-        f"darcy_slope       = {fit.darcy_slope:.6g}  (unconstrained diagnostic)",
+        f"darcy_slope       = {slope}",
     ]
     if fit.no_breakpoint:
         lines.append("note: single Darcy segment explains the data; no breakpoint reported")

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .constitutive import FlowParameters, law_for_speed, pressure_gradient, regime_preset
+from .kinematics import finite_positive
 
 #: Law-by-velocity mapping used when synthesizing measurements: Forchheimer
 #: above v_F, Darcy between, pre-Darcy below v_D.
@@ -51,7 +52,9 @@ class FitResult:
     points_per_segment counts (pre-Darcy, Darcy) points; (0, n) marks the
     no-breakpoint fallback where the whole data set is Darcy.  darcy_slope
     is the unconstrained log-log slope of the Darcy segment, a diagnostic
-    for how well the pinned slope of 1 actually fits.
+    for how well the pinned slope of 1 actually fits; it is NaN when every
+    point of the Darcy segment has the same velocity, where no slope is
+    defined.
     """
 
     s_hat: float
@@ -111,6 +114,14 @@ def _unit_slope_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return intercept, sse
 
 
+def _coefficient(what: str, intercept: float) -> float:
+    """exp of a log-log intercept; FloatingPointError naming ``what`` at 0.0 or inf."""
+    try:
+        return finite_positive(what, math.exp(intercept))
+    except OverflowError:
+        return finite_positive(what, math.inf)
+
+
 def fit_segments(data: Iterable[FlowMeasurement]) -> FitResult:
     """Two-segment log-log fit with exhaustive breakpoint search.
 
@@ -122,6 +133,9 @@ def fit_segments(data: Iterable[FlowMeasurement]) -> FitResult:
     geometric mean of the two velocities bracketing the split.  If a single
     Darcy line explains the data just as well, the fallback result (s = 0,
     lambda = alpha) is returned instead.
+
+    Raises FloatingPointError naming lambda_hat or alpha_hat when the
+    coefficient overflows or underflows to zero.
     """
     points = sorted(data, key=lambda m: (m.v, m.grad_p))
     n = len(points)
@@ -133,7 +147,7 @@ def fit_segments(data: Iterable[FlowMeasurement]) -> FitResult:
     x = np.log([m.v for m in points])
     y = np.log([m.grad_p for m in points])
 
-    best = None  # (sse, split_index, slope_low, icept_low, icept_up)
+    best = None  # (sse, points below the break, slope_low, icept_low, icept_up)
     for i in range(_MIN_SEGMENT - 1, n - _MIN_SEGMENT):
         # lower = points[: i + 1], upper = points[i + 1 :]
         xl = x[: i + 1]
@@ -143,40 +157,32 @@ def fit_segments(data: Iterable[FlowMeasurement]) -> FitResult:
         icept_up, sse_up = _unit_slope_fit(x[i + 1 :], y[i + 1 :])
         sse = sse_low + sse_up
         if best is None or sse < best[0]:
-            best = (sse, i, slope_low, icept_low, icept_up)
+            best = (sse, i + 1, slope_low, icept_low, icept_up)
     if best is None:
         raise ValueError("no admissible breakpoint: velocity spread too degenerate")
 
     intercept_all, sse_single = _unit_slope_fit(x, y)
-    # prefer the fallback when a single Darcy line is as good as the best
-    # split, up to the numerical noise floor of exact data
+    # prefer the fallback, a single Darcy line (no point below the break, s = 0 and
+    # lambda = alpha), when it is as good as the best split, up to the numerical
+    # noise floor of exact data
     noise_floor = n * 1e-26
     if sse_single <= best[0] * (1.0 + 1e-9) + noise_floor:
-        alpha_hat = math.exp(intercept_all)
-        slope_all, _, _ = _slope_fit(x, y)
-        return FitResult(
-            s_hat=0.0,
-            lambda_hat=alpha_hat,
-            alpha_hat=alpha_hat,
-            v_D_hat=0.0,
-            sse_total=sse_single,
-            points_per_segment=(0, n),
-            darcy_slope=slope_all,
-        )
+        best = (sse_single, 0, 1.0, intercept_all, intercept_all)
 
-    sse, i, slope_low, icept_low, icept_up = best
-    if x[i + 1] == x[-1]:  # no velocity spread above the split
-        slope_up_free = math.nan
+    sse, k, slope_low, icept_low, icept_up = best
+    if x[k] == x[-1]:  # no velocity spread above the break
+        darcy_slope = math.nan
     else:
-        slope_up_free, _, _ = _slope_fit(x[i + 1 :], y[i + 1 :])
+        darcy_slope, _, _ = _slope_fit(x[k:], y[k:])
     return FitResult(
         s_hat=float(min(max(1.0 - slope_low, 0.0), 1.0)),
-        lambda_hat=math.exp(icept_low),
-        alpha_hat=math.exp(icept_up),
-        v_D_hat=math.sqrt(points[i].v) * math.sqrt(points[i + 1].v),  # v * v can over/underflow
+        lambda_hat=_coefficient("lambda_hat", icept_low),
+        alpha_hat=_coefficient("alpha_hat", icept_up),
+        # v * v can over/underflow
+        v_D_hat=math.sqrt(points[k - 1].v) * math.sqrt(points[k].v) if k else 0.0,
         sse_total=sse,
-        points_per_segment=(i + 1, n - i - 1),
-        darcy_slope=slope_up_free,
+        points_per_segment=(k, n - k),
+        darcy_slope=darcy_slope,
     )
 
 

@@ -11,10 +11,11 @@ as well as arbitrary triples.  The dimensionless index is J * alpha / (2 pi h).
 ``compute_pis`` makes one pass per scenario: A and the partition (from the
 helper behind ``kinematics.partition_zones``) and L once, then each regime's
 zones, same-law neighbours merged on the way, with each new (lo, hi, law)
-segment integrated once by ``quadrature._segment_integral``, the unchecked
-kernel, so regimes share their common segments.  ``compute_pi`` is its
-one-regime call.  ``zone_contributions`` gives the unmerged per-zone S
-values on demand; the PI itself never needs them.
+segment integrated once, so regimes share their common segments, by its
+law's unchecked kernel, ``darcy_zone_integral``, ``forchheimer_zone_integral``
+or ``predarcy_zone_integral``, through ``quadrature._segment_integral``.
+``compute_pi`` is its one-regime call.  ``zone_contributions`` gives the
+unmerged per-zone S values on demand; the PI itself never needs them.
 """
 
 from __future__ import annotations

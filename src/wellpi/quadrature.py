@@ -22,9 +22,11 @@ The zone integrals entering the productivity index are
     S_F[r1, r2]  = S_D + beta * A * int (r_e^2 - r^2)^3 / r^2 dr
     S_pD[r1, r2] = lambda * A^(-s) * int (r_e^2 - r^2)^(2-s) * r^(s-1) dr
 
-``zone_integral(scn, law, r1, r2)`` checks the interval, gives exactly 0.0
-for an empty one, then calls ``_segment_integral``, the one unchecked kernel,
-which ``compute_pis`` calls on the nonempty segments of its partition.
+The kernels ``darcy_zone_integral``, ``forchheimer_zone_integral`` and
+``predarcy_zone_integral`` take (params, A, r_e, r1, r2), r_w <= r1 < r2 <= r_e,
+unchecked; ``_segment_integral`` picks one by law for ``compute_pis`` and for
+``zone_integral(scn, law, r1, r2)``, which checks the interval and gives exactly
+0.0 for an empty one.
 
 Each integrand is A^a (r_e^2 - r^2)^(a+2) r^(-a-1), with the exponent a = 0
 for S_D, 1 for the inertial part of S_F and -s for S_pD.  In
@@ -439,17 +441,34 @@ def _predarcy_bracket(r_e: float, s: float, r1: float, r2: float) -> float:
     return 0.5 * r_e ** (4.0 - s) * beta
 
 
-def _segment_integral(law: ZoneLaw, params: FlowParameters, a: float, r_e: float,
-                      r1: float, r2: float) -> float:
-    # S_law[r1, r2] at flux density a, for r_w <= r1 < r2 <= r_e, unchecked.  At s = 0
-    # with lambda = alpha, S_pD is S_D; at s = 1 its integrand is r_e^2 - r^2.
-    if law is ZoneLaw.DARCY:
-        return params.alpha * _x_bracket(_DARCY, r_e, r1, r2)
-    if law is ZoneLaw.FORCHHEIMER:
-        darcy = params.alpha * _x_bracket(_DARCY, r_e, r1, r2)
-        return darcy + params.beta * a * _x_bracket(_FORCH, r_e, r1, r2)
+def darcy_zone_integral(params: FlowParameters, a: float, r_e: float, r1: float,
+                        r2: float) -> float:
+    """S_D[r1, r2] in closed form, unchecked; it does not depend on the flux density a."""
+    return params.alpha * _x_bracket(_DARCY, r_e, r1, r2)
+
+
+def forchheimer_zone_integral(params: FlowParameters, a: float, r_e: float, r1: float,
+                              r2: float) -> float:
+    """S_F[r1, r2] = S_D + inertial term in closed form, unchecked."""
+    darcy = params.alpha * _x_bracket(_DARCY, r_e, r1, r2)
+    return darcy + params.beta * a * _x_bracket(_FORCH, r_e, r1, r2)
+
+
+def predarcy_zone_integral(params: FlowParameters, a: float, r_e: float, r1: float,
+                           r2: float) -> float:
+    """S_pD[r1, r2] as an incomplete beta series, unchecked; S_D at s = 0, lambda = alpha."""
     s = params.s
     return params.lambda_ * a ** (-s) * _predarcy_bracket(r_e, s, r1, r2)
+
+
+def _segment_integral(law: ZoneLaw, params: FlowParameters, a: float, r_e: float,
+                      r1: float, r2: float) -> float:
+    # the law's kernel, by its module-level name so that a wrapper bound there sees every call
+    if law is ZoneLaw.DARCY:
+        return darcy_zone_integral(params, a, r_e, r1, r2)
+    if law is ZoneLaw.FORCHHEIMER:
+        return forchheimer_zone_integral(params, a, r_e, r1, r2)
+    return predarcy_zone_integral(params, a, r_e, r1, r2)
 
 
 def zone_integral(scn: Scenario, law: ZoneLaw, r1: float, r2: float) -> float:
@@ -462,22 +481,3 @@ def zone_integral(scn: Scenario, law: ZoneLaw, r1: float, r2: float) -> float:
     if r1 == r2:
         return 0.0
     return _segment_integral(law, scn.params, flux_density(scn), geo.r_e, r1, r2)
-
-
-# The per-law entries, without the interval check; perfbench/tracer.py spans them by name.
-def darcy_zone_integral(scn: Scenario, r1: float, r2: float) -> float:
-    """S_D[r1, r2] in closed form (Pa-weighted); ``zone_integral`` checks the interval."""
-    return _segment_integral(ZoneLaw.DARCY, scn.params, flux_density(scn),
-                             scn.geometry.r_e, r1, r2)
-
-
-def forchheimer_zone_integral(scn: Scenario, r1: float, r2: float) -> float:
-    """S_F[r1, r2] = S_D + inertial term, closed; ``zone_integral`` checks the interval."""
-    return _segment_integral(ZoneLaw.FORCHHEIMER, scn.params, flux_density(scn),
-                             scn.geometry.r_e, r1, r2)
-
-
-def predarcy_zone_integral(scn: Scenario, r1: float, r2: float) -> float:
-    """S_pD[r1, r2] as an incomplete beta series; ``zone_integral`` checks the interval."""
-    return _segment_integral(ZoneLaw.PRE_DARCY, scn.params, flux_density(scn),
-                             scn.geometry.r_e, r1, r2)

@@ -5,12 +5,13 @@ zone integrals:
 
 * ``pi_from_profile`` builds the radial pressure profile W(r) by quadrature
   of g(v) v, then integrates r * W(r) again (a genuinely nested computation)
-  and forms J = Q |U| / (2 * 2 pi h * int r W dr) with |U| = 2 pi h
-  (r_e^2 - r_w^2).  Every outer node gets its own inner quadrature, taken
-  from the nearest node below it where W is already known, so each inner
-  integral spans a short gap instead of the whole segment.  Integration by
-  parts ties that denominator to the drag energy integral, which is
-  evaluated separately as an internal consistency check.
+  and forms J = Q / (p_mean - p_w) with the mean drawdown
+  p_mean - p_w = 2 int r W dr / (r_e^2 - r_w^2).  Every outer node gets its
+  own inner quadrature, taken from the nearest node below it where W is
+  already known, so each inner integral spans a short gap instead of the
+  whole segment.  Integration by parts ties that denominator to the drag
+  energy integral, which is evaluated separately as an internal consistency
+  check.
 
 * ``compressible_velocity`` solves the slightly-compressible radial balance
 
@@ -94,11 +95,11 @@ def pi_from_energy(scn: Scenario) -> float:
 def pi_from_profile(scn: Scenario) -> float:
     """Raw PI recomputed from the pressure profile by nested quadrature.
 
-    The drawdown denominator int_U W dx is evaluated as
-    2 * 2 pi h * int r W(r) dr (the factor matching the |U| convention used
-    throughout).  W at every outer node comes from its own inner quadrature
-    of g(v) v, taken from the nearest radius below the node where W is
-    already known (the segment start, an earlier node or the previous node
+    J = Q / (p_mean - p_w), with the mean drawdown over the reservoir U
+    p_mean - p_w = 2 int r W(r) dr / (r_e^2 - r_w^2), since |U| = pi h
+    (r_e^2 - r_w^2).  W at every outer node comes from its own inner
+    quadrature of g(v) v, taken from the nearest radius below the node where
+    W is already known (the segment start, an earlier node or the previous node
     of the same batch) and accumulated onto the W found there; W at each
     segment start is ``pressure_profile``.  The first Gauss-Kronrod panel of
     every gap in a batch of outer nodes is evaluated in one integrand call;
@@ -150,9 +151,7 @@ def pi_from_profile(scn: Scenario) -> float:
 
         total_rw += integrate_adaptive(outer_integrand, a, b, rel_tol=_OUTER_REL_TOL).value
 
-    q = scn.q
-    u_measure = 2.0 * math.pi * geo.h * geo.radius_span_sq
-    j_raw = q * u_measure / (2.0 * 2.0 * math.pi * geo.h * total_rw)
+    j_raw = scn.q * geo.radius_span_sq / (2.0 * total_rw)
     finite_positive("profile-route PI", j_raw)
 
     j_energy = pi_from_energy(scn)

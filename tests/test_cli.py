@@ -2,6 +2,7 @@
 
 import codecs
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,7 +37,7 @@ from wellpi.reference import (
     BASE_V_F,
 )
 
-from test_fitting import fit_params
+from test_fitting import OUT_OF_RANGE, fit_params
 from test_imports import run_fresh
 
 
@@ -706,6 +707,31 @@ def test_fit_emit_model(capsys, tmp_path):
     assert len(lines) == 201
 
 
+@pytest.mark.parametrize("emit_model", [False, True], ids=["stdout", "emit-model"])
+@pytest.mark.parametrize("rows", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
+def test_fit_coefficient_out_of_float_range_is_numerical(capsys, tmp_path, rows, emit_model):
+    # no 0.0 or inf coefficient is printed, and none reaches the model's parameter checks
+    path, model_path = tmp_path / "meas.csv", tmp_path / "model.csv"
+    path.write_text("v_m_per_s,grad_p_pa_per_m\n" + "".join(f"{v!r},{g!r}\n" for v, g in rows))
+    argv = ["fit", str(path)] + (["--emit-model", str(model_path)] if emit_model else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"numerical failure: (lambda|alpha)_hat out of the floating-point "
+                        r"range: (0\.0|inf)\n", err)
+    assert not model_path.exists()
+
+
+def test_fit_darcy_segment_of_one_velocity_prints_no_nan(capsys, tmp_path):
+    path = tmp_path / "meas.csv"
+    v = list(np.geomspace(1e-10, 5e-8, 6)) + [1e-6] * 3
+    _write_measurements(path, base_scenario("FDpD").params, v)
+    code, out, _ = run_cli(capsys, "fit", str(path))
+    assert code == 0
+    assert "points_per_segment= 6,3" in out.splitlines()
+    assert "darcy_slope       = undefined  (the Darcy segment has one velocity)" in out.splitlines()
+    assert "nan" not in out
+
+
 def test_fit_too_few_points(capsys, tmp_path):
     path = tmp_path / "meas.csv"
     _write_measurements(path, fit_params(), np.geomspace(1e-9, 1e-6, 5))
@@ -946,7 +972,8 @@ def test_stdout_closed_early_exits_141_without_a_traceback(argv, read, unbuffere
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", [["pi"], ["table", "1"], ["validate"]], ids=" ".join)
+@pytest.mark.parametrize("argv", [["pi"], ["table", "1"], ["validate"],
+                                  ["sweep", "--axis", "s", "--values", "0.5"]], ids=" ".join)
 def test_stdout_closed_at_start_exits_141_without_a_traceback(argv, unbuffered):
     # the interpreter itself starts with fd 1 closed and sets sys.stdout to
     # None; the first write finds a closed pipe

@@ -182,6 +182,22 @@ def test_darcy_segment_of_one_velocity_has_no_slope():
     assert math.isnan(fit.darcy_slope)
 
 
+# v and grad_p of eight points on one Darcy line whose coefficient grad_p / v,
+# 1e-600 or 1e600, lies outside the float range
+OUT_OF_RANGE = {
+    "underflow": [(1e300 * (1 + i), 1e-300 * (1 + i)) for i in range(8)],
+    "overflow": [(1e-300 * (1 + i), 1e300 * (1 + i)) for i in range(8)],
+}
+
+
+@pytest.mark.parametrize("rows", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
+def test_coefficient_out_of_float_range_raises(rows):
+    # exp of the fitted intercept once gave 0.0 or raised a bare OverflowError
+    data = [FlowMeasurement(v=v, grad_p=grad_p) for v, grad_p in rows]
+    with pytest.raises(FloatingPointError, match="(lambda|alpha)_hat out of the floating-point"):
+        fit_segments(data)
+
+
 def test_measurement_invariants():
     with pytest.raises(ValueError):
         FlowMeasurement(v=0.0, grad_p=1.0)

@@ -1,6 +1,7 @@
 """Import contract: the PI commands start without numpy, and the names that
 need it load together on first use."""
 
+import codecs
 import json
 import subprocess
 import sys
@@ -27,19 +28,22 @@ def run_fresh(code: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_pi_commands_and_reference_load_import_no_numpy():
+def test_pi_commands_and_reference_load_import_no_numpy(tmp_path):
+    # a config file, here one with a UTF-8 byte-order mark, goes through base_scenario
+    config = tmp_path / "bom.cfg"
+    config.write_bytes(codecs.BOM_UTF8 + b"geometry.r_e = 500\nregime.preset = DDpD\n")
     got = run_fresh(
         "import contextlib, io\n"
         "from wellpi.cli import main\n"
         "from wellpi.reference import load_reference_entries\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        "    codes = [main(['pi']), main(['table', '1']),\n"
+        "    codes = [main(['pi']), main(['pi', '--config', %r]), main(['table', '1']),\n"
         "             main(['sweep', '--axis', 'q_over_h', '--values', '1e-4,1e-3'])]\n"
         "entries = len(load_reference_entries())\n"
         "print(json.dumps([codes, entries > 0, sorted(m for m in sys.modules\n"
-        "                  if m == 'numpy' or m in %r)]))\n" % (NUMPY_MODULES,)
+        "                  if m == 'numpy' or m in %r)]))\n" % (str(config), NUMPY_MODULES)
     )
-    assert got == [[0, 0, 0], True, []]
+    assert got == [[0, 0, 0, 0], True, []]
 
 
 def test_every_export_resolves_in_a_fresh_interpreter():

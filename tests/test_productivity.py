@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import wellpi.productivity
 import wellpi.quadrature
 from wellpi import (
     REGIME_PRESETS,
@@ -241,15 +240,20 @@ def test_flat_pass_equals_the_checked_route(regimes, s, v_D, log_q, r_e):
     (("D",), 1, 1),  # the merged [r_w, r_e] only
 ], ids=["pre-Darcy", "closed", "all-Darcy"])
 def test_regimes_at_one_scenario_share_zone_integrals(monkeypatch, presets, separate, shared):
-    # the kernel compute_pis calls: (law, params, a, r_e, lo, hi)
+    # each law's kernel at its module-level name, (params, a, r_e, lo, hi), which
+    # every PI reaches through quadrature._segment_integral
     calls = []
-    original = wellpi.productivity._segment_integral
 
-    def counting(law, params, a, r_e, lo, hi):
-        calls.append((lo, hi, law))
-        return original(law, params, a, r_e, lo, hi)
+    def counting(law, kernel):
+        def count(params, a, r_e, lo, hi):
+            calls.append((lo, hi, law))
+            return kernel(params, a, r_e, lo, hi)
+        return count
 
-    monkeypatch.setattr(wellpi.productivity, "_segment_integral", counting)
+    for law, name in ((ZoneLaw.DARCY, "darcy_zone_integral"),
+                      (ZoneLaw.FORCHHEIMER, "forchheimer_zone_integral"),
+                      (ZoneLaw.PRE_DARCY, "predarcy_zone_integral")):
+        monkeypatch.setattr(wellpi.quadrature, name, counting(law, getattr(wellpi.quadrature, name)))
     scn = base_scenario("D")
     regimes = [regime_preset(name) for name in presets]
     for regime in regimes:
