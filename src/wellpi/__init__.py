@@ -40,6 +40,7 @@ from .kinematics import (
 )
 from .productivity import (
     PiResult,
+    compute_curve,
     compute_pi,
     compute_pis,
     dimensionless_factor,

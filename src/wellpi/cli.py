@@ -30,14 +30,14 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from . import __version__
 from .constitutive import (
     LAW_LABELS, REGIME_PRESETS, RegimeAssignment, ZoneLaw, preset_name, regime_preset,
 )
-from .kinematics import Scenario
-from .productivity import PiResult, compute_pi, compute_pis, zone_contributions
+from .kinematics import Scenario, checked_flux
+from .productivity import PiResult, compute_curve, compute_pi, compute_pis, zone_contributions
 from .reference import REPRODUCTION_RTOL, base_scenario, compare_table
 
 EXIT_OK = 0
@@ -48,7 +48,14 @@ EXIT_BROKEN_PIPE = 141  # what a shell reports for a command ended by SIGPIPE
 
 _DEFAULT_REGIME = regime_preset("FDpD")
 
+_T = TypeVar("_T")
+
 SWEEP_AXES = ("q_over_h", "s", "v_D", "v_F")
+# Fluxes per compute_curve call of a q_over_h sweep.  A curve holds every
+# result it returns: a 100,000-point sweep of five regimes peaked at 319 MB
+# taken in one call, and at 180 MB, as with one compute_pis per point, in
+# parts of 100.  Each part takes the flux-independent brackets once more.
+_CURVE_POINTS = 100
 
 _SWEEP_COLUMNS = (
     "axis_name", "axis_value", "regime", "s", "v_D", "v_F",
@@ -236,18 +243,22 @@ def _write_text(text: str, out_path: str | None) -> None:
         raise ValueError(f"cannot write {out_path!r}: {exc}") from None
 
 
-def _sweep_rows(axis_name: str, axis_value: float, scn: Scenario,
-                pis: list[PiResult], names: list[str]) -> str:
-    """CSV rows of one sweep point, one per PI in ``pis`` with its regime name
-    from ``names``.  The PIs share the scenario's partition, so every cell
-    but the regime and the PI itself is formatted once."""
-    part = pis[0].zone_partition
+def _params_cells(scn: Scenario) -> str:
+    """The s, v_D and v_F cells of a sweep row."""
     p = scn.params
     # '%.8e' % x is the conversion of _fmt
-    head = "%s,%.8e," % (axis_name, axis_value)
-    shared = "%.8e,%.8e,%.8e,%.8e,%.8e,%.8e" % (
-        p.s, p.v_D, p.v_F, scn.q_over_h, part.r_F, part.r_D,
-    )
+    return "%.8e,%.8e,%.8e" % (p.s, p.v_D, p.v_F)
+
+
+def _sweep_rows(axis_name: str, axis_cell: str, params_cells: str, q_cell: str,
+                pis: list[PiResult], names: list[str]) -> str:
+    """CSV rows of one sweep point, one per PI in ``pis`` with its regime name
+    from ``names``, from the cells already formatted.  The PIs share the
+    point's partition, so every cell but the regime and the PI itself is
+    formatted once."""
+    part = pis[0].zone_partition
+    head = "%s,%s," % (axis_name, axis_cell)
+    shared = "%s,%s,%.8e,%.8e" % (params_cells, q_cell, part.r_F, part.r_D)
     return "".join(
         "%s%s,%s,%.8e,%.8e\n" % (head, name, shared, pi.j_raw, pi.j_dimensionless)
         for name, pi in zip(names, pis)
@@ -278,7 +289,9 @@ def cmd_pi(args: argparse.Namespace) -> int:
         lines.append(f"S_{label:<16}= {_fmt(value)}")
     _write_stdout("\n".join(lines) + "\n")
     if args.out:
-        rows = _sweep_rows("q_over_h", scn.q_over_h, scn, [pi], [preset_name(scn.regime)])
+        q_cell = _fmt(scn.q_over_h)
+        rows = _sweep_rows("q_over_h", q_cell, _params_cells(scn), q_cell, [pi],
+                           [preset_name(scn.regime)])
         csv_text = ",".join(_SWEEP_COLUMNS) + "\n" + rows
         _write_text(csv_text, args.out)
     return EXIT_OK
@@ -313,28 +326,49 @@ def _axis_values(args: argparse.Namespace) -> list[float]:
     return values
 
 
-def _scenario_with(scn: Scenario, axis: str, value: float, continuous_predarcy: bool) -> Scenario:
+def _on_axis(axis: str, value: float, make: Callable[[], _T]) -> _T:
+    # make(), with the message of a ValueError it raises led by the axis value
     try:
-        if axis == "q_over_h":
-            return Scenario(scn.geometry, scn.params, scn.regime, value)
-        params = replace(scn.params, **{axis: value})
-        if continuous_predarcy:  # at the row's own s and v_D, as `pi` rescales
-            params = params.with_continuous_predarcy()
-        return replace(scn, params=params)
+        return make()
     except ValueError as exc:
         raise ValueError(f"axis {axis}={value:g}: {exc}") from None
 
 
+def _scenario_with(scn: Scenario, axis: str, value: float, continuous_predarcy: bool) -> Scenario:
+    # a parameter axis: s, v_D or v_F
+    params = replace(scn.params, **{axis: value})
+    if continuous_predarcy:  # at the row's own s and v_D, as `pi` rescales
+        params = params.with_continuous_predarcy()
+    return replace(scn, params=params)
+
+
 def run_sweep(base: Scenario, axis: str, values: Sequence[float], regimes: Sequence[str],
               continuous_predarcy: bool) -> str:
-    """CSV text for the sweep, one row per (axis value, regime), axis-major."""
+    """CSV text for the sweep, one row per (axis value, regime), axis-major.
+
+    The q_over_h axis is one ``compute_curve`` at the base scenario per
+    _CURVE_POINTS fluxes, and every other axis one ``compute_pis`` per
+    value.  Each cell that does not change along the axis is formatted once.
+    """
     presets = [regime_preset(name) for name in regimes]
     names = [preset_name(preset) for preset in presets]
     buf = io.StringIO()
     buf.write(",".join(_SWEEP_COLUMNS) + "\n")
+    if axis == "q_over_h":
+        for value in values:
+            _on_axis(axis, value, lambda: checked_flux(value))
+        params_cells = _params_cells(base)
+        for k in range(0, len(values), _CURVE_POINTS):
+            fluxes = values[k:k + _CURVE_POINTS]
+            for value, pis in zip(fluxes, compute_curve(base, presets, fluxes)):
+                q_cell = _fmt(value)
+                buf.write(_sweep_rows(axis, q_cell, params_cells, q_cell, pis, names))
+        return buf.getvalue()
+    q_cell = _fmt(base.q_over_h)
     for value in values:
-        scn = _scenario_with(base, axis, value, continuous_predarcy)
-        buf.write(_sweep_rows(axis, value, scn, compute_pis(scn, presets), names))
+        scn = _on_axis(axis, value, lambda: _scenario_with(base, axis, value, continuous_predarcy))
+        buf.write(_sweep_rows(axis, _fmt(value), _params_cells(scn), q_cell,
+                              compute_pis(scn, presets), names))
     return buf.getvalue()
 
 

@@ -55,8 +55,7 @@ class Scenario:
     q_over_h: float
 
     def __post_init__(self):
-        if not 0 < self.q_over_h < math.inf:
-            raise ValueError(f"q_over_h must be positive and finite, got {self.q_over_h}")
+        checked_flux(self.q_over_h)
 
     @property
     def q(self) -> float:
@@ -78,6 +77,15 @@ class ZonePartition:
     clamped_slow: bool
 
 
+def checked_flux(q_over_h: float) -> float:
+    """q_over_h itself when 0 < q_over_h < inf; ValueError naming it otherwise.
+    The one check of a specific flux, for a ``Scenario`` and for each flux of a
+    ``compute_curve``."""
+    if not 0 < q_over_h < math.inf:
+        raise ValueError(f"q_over_h must be positive and finite, got {q_over_h}")
+    return q_over_h
+
+
 def finite_positive(what: str, x: float) -> float:
     """x itself when 0 < x < inf.
 
@@ -96,8 +104,12 @@ def flux_density(scn: Scenario) -> float:
     r_e^2 - r_w^2 can each leave the float range, and the zone radii divide
     by A.
     """
-    span = 2.0 * math.pi * scn.geometry.radius_span_sq
-    return finite_positive("flux density A", scn.q_over_h / span if span else math.inf)
+    return _flux_density(scn.geometry, scn.q_over_h)
+
+
+def _flux_density(geo: Geometry, q_over_h: float) -> float:
+    span = 2.0 * math.pi * geo.radius_span_sq
+    return finite_positive("flux density A", q_over_h / span if span else math.inf)
 
 
 def velocity_profile(scn: Scenario, r):
@@ -131,12 +143,12 @@ def radius_of_velocity(scn: Scenario, v: float) -> float:
     return _raw_radius(flux_density(scn), scn.geometry.r_e, v)
 
 
-def _flux_and_partition(scn: Scenario) -> tuple[float, ZonePartition]:
-    # A with the partition at it: compute_pis integrates at this A
-    geo = scn.geometry
-    a = flux_density(scn)
-    raw_f = _raw_radius(a, geo.r_e, scn.params.v_F)
-    raw_d = _raw_radius(a, geo.r_e, scn.params.v_D)
+def _flux_and_partition(geo: Geometry, params: FlowParameters,
+                        q_over_h: float) -> tuple[float, ZonePartition]:
+    # A at the flux q_over_h with the partition at it: compute_curve integrates at this A
+    a = _flux_density(geo, q_over_h)
+    raw_f = _raw_radius(a, geo.r_e, params.v_F)
+    raw_d = _raw_radius(a, geo.r_e, params.v_D)
     r_f = min(max(raw_f, geo.r_w), geo.r_e)
     r_d = min(max(raw_d, geo.r_w), geo.r_e)
     return a, ZonePartition(r_f, r_d, r_f != raw_f, r_d != raw_d)
@@ -148,7 +160,7 @@ def partition_zones(scn: Scenario) -> ZonePartition:
     Clamping makes out-of-range zones empty, so downstream zone integrals
     over them vanish; r_w <= r_F <= r_D <= r_e always holds.
     """
-    return _flux_and_partition(scn)[1]
+    return _flux_and_partition(scn.geometry, scn.params, scn.q_over_h)[1]
 
 
 #: One velocity zone: (inner radius, outer radius, governing law).

@@ -8,33 +8,43 @@ where empty zones contribute exactly zero.  One accumulator therefore covers
 every conventional regime (all-Darcy, all-Forchheimer, and the mixed ones)
 as well as arbitrary triples.  The dimensionless index is J * alpha / (2 pi h).
 
-``compute_pis`` makes one pass per scenario: A and the partition (from the
-helper behind ``kinematics.partition_zones``) and L once, then each regime's
-zones, same-law neighbours merged on the way, with each new (lo, hi, law)
-segment integrated once, so regimes share their common segments, by its
-law's unchecked kernel, ``darcy_zone_integral``, ``forchheimer_zone_integral``
-or ``predarcy_zone_integral``, through ``quadrature._segment_integral``.
-``compute_pi`` is its one-regime call.  ``zone_contributions`` gives the
-unmerged per-zone S values on demand; the PI itself never needs them.
+Summed by term instead of by zone, the denominator of every regime is
+
+    alpha I0 + beta A I1 + lambda A^(-s) P,
+
+with the bracket I0 over each run of its Darcy and Forchheimer zones, I1
+over each run of its Forchheimer zones and P over each run of its pre-Darcy
+zones (``quadrature._term_bracket``).  The flux enters only through A and the
+two critical radii, so ``compute_curve`` makes one pass over a list of
+fluxes at the geometry, laws and s of a scenario: per flux, A and the
+partition from the helper behind ``kinematics.partition_zones``, then each
+regime's term runs from a table built once per law triple and set of empty
+zones, with each (term, lo, hi) bracket taken once per call.  An F zone next
+to a D zone thus shares one I0 with it, and across a flux sweep I0, I1 and P
+over [r_w, r_e] are taken once.  ``compute_pis`` is its one-flux case and
+``compute_pi`` its one-regime case.  ``zone_contributions`` gives the
+per-zone S values through the per-law kernels on demand; the PI itself never
+needs them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .constitutive import RegimeAssignment
+from .constitutive import RegimeAssignment, ZoneLaw
 from .kinematics import (
     Scenario,
-    Zone,
     ZonePartition,
     _flux_and_partition,
+    checked_flux,
     finite_positive,
     partition_zones,
     zone_bounds,
 )
-from .quadrature import _segment_integral, zone_integral
+from .quadrature import _I0, _I1, _LAW_TERMS, _P, _term_bracket, zone_integral
 
 
 @dataclass(frozen=True)
@@ -60,66 +70,105 @@ def zone_contributions(scn: Scenario) -> tuple[float, float, float]:
     """S values of the (near-well, middle, near-boundary) zones of the
     scenario's regime, unmerged; exactly 0.0 for an empty zone.
 
-    Their sum is the PI denominator up to rounding: ``compute_pi`` integrates
-    a run of same-law zones as one segment instead.
+    Their sum is the PI denominator up to rounding: ``compute_pi`` sums the
+    same integrals by term instead.
     """
     zones = zone_bounds(scn, partition_zones(scn), scn.regime)
     return tuple(zone_integral(scn, law, lo, hi) for lo, hi, law in zones)
 
 
-def compute_pis(scn: Scenario, regimes: Sequence[RegimeAssignment]) -> list[PiResult]:
-    """Pseudo-steady-state productivity index of each regime at the scenario.
+@functools.cache
+def _term_runs(near_well: ZoneLaw, middle: ZoneLaw, near_boundary: ZoneLaw,
+               empty: tuple[bool, bool, bool]) -> tuple[tuple[int, int, int], ...]:
+    """The term runs of a regime with these laws whose k-th zone is empty when
+    ``empty[k]`` holds: (term, i, j) for each maximal run of nonempty zones
+    whose laws carry the term, from the i-th to the j-th of the radii
+    (r_w, r_F, r_D, r_e)."""
+    zones = [(k, law) for k, law in enumerate((near_well, middle, near_boundary)) if not empty[k]]
+    runs = []
+    for term in (_I0, _I1, _P):
+        start = None
+        for zone, law in zones:
+            if term in _LAW_TERMS[law]:
+                start = zone if start is None else start
+                end = zone + 1
+            elif start is not None:
+                runs.append((term, start, end))
+                start = None
+        if start is not None:
+            runs.append((term, start, end))
+    return tuple(runs)
 
-    ``scn.regime`` is ignored; the results follow ``regimes`` in order.  A
-    zone integral needed by several regimes (the same law over the same
-    radii) is taken once, so each result equals what ``compute_pi`` gives
-    for that regime alone, bit for bit.
 
-    The denominator is accumulated over same-law merged segments, so an
-    all-Darcy regime is exactly independent of the flux.
+def compute_curve(scn: Scenario, regimes: Sequence[RegimeAssignment],
+                  q_values: Sequence[float]) -> list[list[PiResult]]:
+    """Pseudo-steady-state productivity index of each regime at each flux.
 
-    Raises FloatingPointError when an index or its dimensionless form
-    overflows, underflows to zero or is NaN, or when A, L or the zone
+    The geometry and parameters are those of ``scn``; ``scn.q_over_h`` and
+    ``scn.regime`` are ignored.  Entry k holds the results at ``q_values[k]``
+    in the order of ``regimes``.  A bracket needed twice (the same term over
+    the same radii, at one flux or at two) is taken once, so each result
+    equals what ``compute_pi`` gives for that regime at that flux, bit for bit.
+    An all-Darcy regime is the one bracket I0[r_w, r_e], exactly independent
+    of the flux.
+
+    Raises ValueError, as ``Scenario`` does, for a flux that is not positive
+    and finite, and FloatingPointError when an index or its dimensionless
+    form overflows, underflows to zero or is NaN, or when A, L or the zone
     integrals leave the float range on the way to it.
     """
     geo, params = scn.geometry, scn.params
-    a, part = _flux_and_partition(scn)
+    r_w, r_e, s = geo.r_w, geo.r_e, params.s
+    alpha, beta, lambda_ = params.alpha, params.beta, params.lambda_
     factor = dimensionless_factor(scn)
-    done: dict[Zone, float] = {}
-    out = []
+    bracket = _term_bracket
+    # nothing repeats within one regime at one flux
+    cache = {} if len(q_values) > 1 or len(regimes) > 1 else None
+    curve = []
     try:
         big_l = 2.0 * math.pi * geo.h * geo.radius_span_sq**2
-        r_f, r_d, r_e = part.r_F, part.r_D, geo.r_e
-        for regime in regimes:
-            # the run of same-law nonempty zones [start, end] is integrated, as one
-            # segment of merge_zones, when a zone of another law (or the closing
-            # pseudo-zone past r_e) starts; empty zones are skipped
-            values, start, end, run = [], geo.r_w, geo.r_w, None
-            for hi, law in ((r_f, regime.near_well), (r_d, regime.middle),
-                            (r_e, regime.near_boundary), (math.inf, None)):
-                if hi <= end:
-                    continue
-                if law is not run:
-                    if run is not None:
-                        segment = (start, end, run)
-                        value = done.get(segment)
+        for q in q_values:
+            a, part = _flux_and_partition(geo, params, checked_flux(q))
+            r_f, r_d = part.r_F, part.r_D
+            radii = (r_w, r_f, r_d, r_e)
+            empty = (r_f <= r_w, r_d <= r_f, r_e <= r_d)
+            # lambda A^(-s) only for a P run: A^(-s) can overflow where no pre-Darcy zone needs it
+            coefficients = [alpha, beta * a, None]
+            out = []
+            for r in regimes:
+                values = []
+                for term, i, j in _term_runs(r.near_well, r.middle, r.near_boundary, empty):
+                    lo, hi = radii[i], radii[j]
+                    if cache is None:
+                        value = bracket(term, r_e, s, lo, hi)
+                    else:
+                        key = (term, lo, hi)
+                        value = cache.get(key)
                         if value is None:
-                            value = _segment_integral(run, params, a, r_e, start, end)
-                            done[segment] = value
-                        values.append(value)
-                    start, run = end, law
-                end = hi
-            j_raw = finite_positive("PI j_raw", big_l / math.fsum(values))
-            out.append(PiResult(j_raw, finite_positive("PI j_dimensionless", j_raw * factor), part))
+                            value = cache[key] = bracket(term, r_e, s, lo, hi)
+                    c = coefficients[term]
+                    if c is None:
+                        c = coefficients[_P] = lambda_ * a ** (-s)
+                    values.append(c * value)
+                j_raw = finite_positive("PI j_raw", big_l / math.fsum(values))
+                out.append(PiResult(j_raw, finite_positive("PI j_dimensionless", j_raw * factor), part))
+            curve.append(out)
     except (OverflowError, ZeroDivisionError):
         # a float ** raises where * would give inf: at a huge r_e the powers in L
-        # and in the zone integrals overflow, and at a tiny one both underflow to 0,
+        # and in the brackets overflow, and at a tiny one both underflow to 0,
         # so J is a ratio the float range cannot hold
         raise FloatingPointError("PI j_raw out of the floating-point range: nan") from None
-    return out
+    return curve
+
+
+def compute_pis(scn: Scenario, regimes: Sequence[RegimeAssignment]) -> list[PiResult]:
+    """Pseudo-steady-state productivity index of each regime at the scenario:
+    ``compute_curve`` at its one flux.  ``scn.regime`` is ignored; the
+    results follow ``regimes`` in order."""
+    return compute_curve(scn, regimes, (scn.q_over_h,))[0]
 
 
 def compute_pi(scn: Scenario) -> PiResult:
     """Pseudo-steady-state productivity index for the scenario's regime:
-    ``compute_pis`` for that one regime."""
-    return compute_pis(scn, (scn.regime,))[0]
+    ``compute_curve`` for that one regime at the scenario's flux."""
+    return compute_curve(scn, (scn.regime,), (scn.q_over_h,))[0][0]

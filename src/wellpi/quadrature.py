@@ -24,9 +24,13 @@ The zone integrals entering the productivity index are
 
 The kernels ``darcy_zone_integral``, ``forchheimer_zone_integral`` and
 ``predarcy_zone_integral`` take (params, A, r_e, r1, r2), r_w <= r1 < r2 <= r_e,
-unchecked; ``_segment_integral`` picks one by law for ``compute_pis`` and for
-``zone_integral(scn, law, r1, r2)``, which checks the interval and gives exactly
-0.0 for an empty one.
+unchecked; ``zone_integral(scn, law, r1, r2)`` picks one by law, checks the
+interval and gives exactly 0.0 for an empty one.  They are the per-zone route
+of the oracles, the checks and ``pi``'s S lines.  The PI path sums by term
+instead, alpha I0 + beta A I1 + lambda A^(-s) P, and takes each bracket
+without its coefficient through one dispatch, ``_term_bracket(term, r_e, s,
+r1, r2)``: I0 and I1 are the integrals of S_D / alpha and of the inertial
+part of S_F / (beta A), and P that of S_pD / (lambda A^(-s)).
 
 Each integrand is A^a (r_e^2 - r^2)^(a+2) r^(-a-1), with the exponent a = 0
 for S_D, 1 for the inertial part of S_F and -s for S_pD.  In
@@ -42,7 +46,9 @@ where the antiderivative loses most of its digits to cancellation, the
 series in x sums them from a table of c_k / m per law.  A segment that
 starts at r1 <= r_e / 4 is the closed form over its whole length, across the
 cut: its terms sum to at most about three times the result, so no series
-runs on any segment from the well.  A segment that starts between r_e / 4
+runs on any segment from the well.  Summed by term, every I0 and I1 run of
+the seven presets starts at r_w, so for r_w <= r_e / 4 no S_D or S_F series
+runs on a preset PI at all.  A segment that starts between r_e / 4
 and the cut takes the closed form up to the cut and the series beyond it;
 on [0.75 r_e, r_e] the series depends on r_e only through r_e^degree, so a
 segment ending at r_e takes that part from the tail constant.
@@ -461,16 +467,6 @@ def predarcy_zone_integral(params: FlowParameters, a: float, r_e: float, r1: flo
     return params.lambda_ * a ** (-s) * _predarcy_bracket(r_e, s, r1, r2)
 
 
-def _segment_integral(law: ZoneLaw, params: FlowParameters, a: float, r_e: float,
-                      r1: float, r2: float) -> float:
-    # the law's kernel, by its module-level name so that a wrapper bound there sees every call
-    if law is ZoneLaw.DARCY:
-        return darcy_zone_integral(params, a, r_e, r1, r2)
-    if law is ZoneLaw.FORCHHEIMER:
-        return forchheimer_zone_integral(params, a, r_e, r1, r2)
-    return predarcy_zone_integral(params, a, r_e, r1, r2)
-
-
 def zone_integral(scn: Scenario, law: ZoneLaw, r1: float, r2: float) -> float:
     """S_law[r1, r2], exactly 0.0 if r1 == r2; ValueError unless r_w <= r1 <= r2 <= r_e."""
     geo = scn.geometry
@@ -480,4 +476,26 @@ def zone_integral(scn: Scenario, law: ZoneLaw, r1: float, r2: float) -> float:
         )
     if r1 == r2:
         return 0.0
-    return _segment_integral(law, scn.params, flux_density(scn), geo.r_e, r1, r2)
+    # the law's kernel, by its module-level name so that a wrapper bound there sees every call
+    params, a = scn.params, flux_density(scn)
+    if law is ZoneLaw.DARCY:
+        return darcy_zone_integral(params, a, geo.r_e, r1, r2)
+    if law is ZoneLaw.FORCHHEIMER:
+        return forchheimer_zone_integral(params, a, geo.r_e, r1, r2)
+    return predarcy_zone_integral(params, a, geo.r_e, r1, r2)
+
+
+# The terms of a PI denominator.  Summed by term, the S of any regime is
+# alpha I0 + beta A I1 + lambda A^(-s) P: I0 over its Darcy and Forchheimer
+# zones, I1 over its Forchheimer zones and P over its pre-Darcy zones.
+_I0, _I1, _P = range(3)
+#: The terms of each law's S.
+_LAW_TERMS = {ZoneLaw.DARCY: (_I0,), ZoneLaw.FORCHHEIMER: (_I0, _I1), ZoneLaw.PRE_DARCY: (_P,)}
+
+
+def _term_bracket(term: int, r_e: float, s: float, r1: float, r2: float) -> float:
+    """The bracket of ``term`` over [r1, r2], r_w <= r1 < r2 <= r_e, unchecked:
+    the integral of its monomial without the coefficient, as the kernels take it."""
+    if term == _P:
+        return _predarcy_bracket(r_e, s, r1, r2)
+    return _x_bracket(_DARCY if term == _I0 else _FORCH, r_e, r1, r2)

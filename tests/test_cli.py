@@ -417,6 +417,17 @@ def test_sweep_rejects_out_of_range_axis_value(capsys):
     assert "v_D" in err
 
 
+@pytest.mark.parametrize("values, bad, got", [
+    ("0", "0", "0.0"), ("-1", "-1", "-1.0"), ("nan", "nan", "nan"), ("inf", "inf", "inf"),
+    ("1e-3,0", "0", "0.0"),
+])
+def test_sweep_names_the_flux_it_rejects(capsys, values, bad, got):
+    code, out, err = run_cli(capsys, "sweep", "--axis", "q_over_h", "--values", values,
+                             "--regimes", "D,F,FDpD")
+    assert (code, out) == (2, "")
+    assert err == f"error: axis q_over_h={bad}: q_over_h must be positive and finite, got {got}\n"
+
+
 def test_sweep_rejects_malformed_log_range(capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--axis", "s", "--log-range", "nope", "--regimes", "D"
@@ -526,8 +537,10 @@ ALL_PRESETS = "D,F,FDD,DDpD,FDpD,FpDpD,pure-preDarcy"
     ("v_D", "--values", "0,5e-324,1e-7,1e-5", [0.0, 5e-324, 1e-7, 1e-5], ALL_PRESETS),
     # v_F = 1e300 clamps r_F to r_w and is a 1e300 cell
     ("v_F", "--values", "1e-7,1e-3,1e300", [1e-7, 1e-3, 1e300], ALL_PRESETS),
+    # more fluxes than one compute_curve call of the sweep takes
+    ("q_over_h", "--log-range", "1e-8,1e3,250", list(np.geomspace(1e-8, 1e3, 250)), "D,F,FDD,FDpD"),
 ], ids=["clamped-flux-range", "s-with-both-ends", "repeated-preset", "v_D-zero-and-subnormal",
-        "v_F-huge"])
+        "v_F-huge", "curve-in-parts"])
 def test_sweep_csv_equals_compute_pi_per_row(capsys, axis, flag, spec, values, regimes):
     code, out, _ = run_cli(capsys, "sweep", "--axis", axis, flag, spec, "--regimes", regimes)
     assert code == 0
