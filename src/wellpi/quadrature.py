@@ -384,13 +384,14 @@ def _beta_series(p0: float, m: float, hi: float, power: float, step: float, log_
     # 0 <= lo < hi <= _SERIES_CUT^2, from power = hi^p0, step = 1 - rho and log_rho =
     # log(rho), rho = lo/hi, which the callers take from the radii.  Each difference is
     # hi^p * D, D = 1 - rho^p, and D_(k+1) = D_k + rho^(p0+k) step sums positive terms,
-    # so only D_0 needs expm1.  At p0 = 0 the first term is its limit -log(rho).
+    # so only D_0 needs expm1.  The first term takes its p0 -> 0 limit -log(rho) wherever
+    # -p0 log(rho) is below the normal range, whose few bits would carry into D_0 / p0.
     if step <= 0.5:
         log_rho = math.log1p(-step)
     rho = 1.0 - step
     gap = -math.expm1(p0 * log_rho)
     rest = math.exp(p0 * log_rho)
-    total = power * gap / p0 if p0 > 0.0 else -log_rho
+    total = power * gap / p0 if -p0 * log_rho >= sys.float_info.min else -log_rho
     c = 1.0
     for k in range(1, _MAX_TERMS):
         c *= (k + m) / k

@@ -1,16 +1,11 @@
 """Command-line interface: exit codes, output contracts, determinism."""
 
 import codecs
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import wellpi
 from wellpi import (
     FlowParameters,
     Geometry,
@@ -22,7 +17,6 @@ from wellpi import (
     load_reference_entries,
     reference_scenario,
     regime_preset,
-    synthesize_measurements,
 )
 from wellpi.cli import build_parser, build_scenario, main
 from wellpi.reference import (
@@ -37,6 +31,7 @@ from wellpi.reference import (
     BASE_V_F,
 )
 
+from helpers import write_measurements
 from test_fitting import OUT_OF_RANGE, fit_params
 from test_imports import run_fresh
 
@@ -685,23 +680,15 @@ def test_validate_inject_fault_fails(capsys):
 # fit
 # ---------------------------------------------------------------------------
 
-def _write_measurements(path, params, grid):
-    data = synthesize_measurements(params, grid)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("v_m_per_s,grad_p_pa_per_m\n")
-        for m in data:
-            fh.write(f"{m.v:.16e},{m.grad_p:.16e}\n")
-
-
 def test_fit_recovers_power(capsys, tmp_path):
     path = tmp_path / "meas.csv"
-    _write_measurements(path, fit_params(s=0.5772), np.geomspace(1e-9, 1e-6, 20))
+    write_measurements(path, fit_params(s=0.5772), np.geomspace(1e-9, 1e-6, 20))
     code, out, _ = run_cli(capsys, "fit", str(path))
     assert code == 0
     assert "s_hat             = 0.5772" in out
     assert "note:" not in out
     # every velocity in the Darcy range: no breakpoint
-    _write_measurements(path, fit_params(v_D=1e-12), np.geomspace(1e-8, 5e-6, 12))
+    write_measurements(path, fit_params(v_D=1e-12), np.geomspace(1e-8, 5e-6, 12))
     code, out, _ = run_cli(capsys, "fit", str(path))
     assert code == 0
     assert out.splitlines()[-1] == (
@@ -712,7 +699,7 @@ def test_fit_recovers_power(capsys, tmp_path):
 def test_fit_emit_model(capsys, tmp_path):
     path = tmp_path / "meas.csv"
     model_path = tmp_path / "model.csv"
-    _write_measurements(path, fit_params(), np.geomspace(1e-9, 1e-6, 20))
+    write_measurements(path, fit_params(), np.geomspace(1e-9, 1e-6, 20))
     code, _, _ = run_cli(capsys, "fit", str(path), "--emit-model", str(model_path))
     assert code == 0
     lines = model_path.read_text().splitlines()
@@ -737,7 +724,7 @@ def test_fit_coefficient_out_of_float_range_is_numerical(capsys, tmp_path, rows,
 def test_fit_darcy_segment_of_one_velocity_prints_no_nan(capsys, tmp_path):
     path = tmp_path / "meas.csv"
     v = list(np.geomspace(1e-10, 5e-8, 6)) + [1e-6] * 3
-    _write_measurements(path, base_scenario("FDpD").params, v)
+    write_measurements(path, base_scenario("FDpD").params, v)
     code, out, _ = run_cli(capsys, "fit", str(path))
     assert code == 0
     assert "points_per_segment= 6,3" in out.splitlines()
@@ -747,7 +734,7 @@ def test_fit_darcy_segment_of_one_velocity_prints_no_nan(capsys, tmp_path):
 
 def test_fit_too_few_points(capsys, tmp_path):
     path = tmp_path / "meas.csv"
-    _write_measurements(path, fit_params(), np.geomspace(1e-9, 1e-6, 5))
+    write_measurements(path, fit_params(), np.geomspace(1e-9, 1e-6, 5))
     code, _, err = run_cli(capsys, "fit", str(path))
     assert code == 2
     assert "6" in err
@@ -795,7 +782,7 @@ def test_fit_invalid_utf8_names_row(capsys, tmp_path, row, newline):
 
 def test_fit_reads_a_file_with_a_byte_order_mark(capsys, tmp_path):
     plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
-    _write_measurements(plain, fit_params(), np.geomspace(1e-9, 1e-6, 20))
+    write_measurements(plain, fit_params(), np.geomspace(1e-9, 1e-6, 20))
     bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
     code, out, err = run_cli(capsys, "fit", str(bom))
     assert (code, out, err) == run_cli(capsys, "fit", str(plain))
@@ -826,7 +813,7 @@ def test_fit_empty_file_is_named(capsys, tmp_path, content):
     )
     # the same rows before a header are skipped
     plain = tmp_path / "plain.csv"
-    _write_measurements(plain, fit_params(), np.geomspace(1e-9, 1e-6, 20))
+    write_measurements(plain, fit_params(), np.geomspace(1e-9, 1e-6, 20))
     path.write_bytes(content + plain.read_bytes())
     assert run_cli(capsys, "fit", str(path)) == run_cli(capsys, "fit", str(plain))
 
@@ -884,113 +871,3 @@ def test_importing_the_cli_builds_no_parser():
         "import wellpi.cli\n"
         "print(json.dumps(wellpi.cli.build_parser.cache_info().misses))\n"
     ) == 0
-
-
-# ---------------------------------------------------------------------------
-# output paths
-# ---------------------------------------------------------------------------
-
-def _fresh_cli(argv, unbuffered=False):
-    """Arguments of subprocess.run or Popen that run ``wellpi.cli.main`` on
-    ``argv`` in a fresh interpreter, where a traceback would show on stderr;
-    its stdout is buffered unless ``unbuffered``."""
-    src = str(Path(wellpi.__file__).resolve().parent.parent)
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    code = f"import sys; sys.path.insert(0, {src!r}); from wellpi.cli import main; sys.exit(main())"
-    return {"args": [sys.executable, "-W", "error", "-c", code, *argv], "env": env}
-
-
-@pytest.mark.parametrize("command", [
-    "pi", "sweep", "table", "fit",
-    *(f"{name}-dev-full{mode}"
-      for name in ("pi", "sweep", "table", "fit", "validate", "help", "version")
-      for mode in ("", "-unbuffered")),
-])
-def test_unwritable_output_path_is_a_config_error(tmp_path, command):
-    # "NAME-dev-full" writes NAME's output to a stdout opened on /dev/full,
-    # where every write fails; argparse writes help and version itself
-    name, _, sink = command.partition("-")
-    measurements = tmp_path / "meas.csv"
-    _write_measurements(measurements, fit_params(), np.geomspace(1e-9, 1e-6, 20))
-    argv = {
-        "pi": ["pi"],
-        "sweep": ["sweep", "--axis", "s", "--values", "0.5"],
-        "table": ["table", "1"],
-        "fit": ["fit", str(measurements)],
-        "validate": ["validate"],
-        "help": ["--help"],
-        "version": ["--version"],
-    }[name]
-    if sink:
-        expected = "error: cannot write to stdout: "
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run(**_fresh_cli(argv, "unbuffered" in sink), stdout=full,
-                                  stderr=subprocess.PIPE, text=True, timeout=120)
-    else:
-        target = str(tmp_path / "missing" / "out.csv")
-        expected = f"error: cannot write '{target}'"
-        argv += ["--emit-model" if name == "fit" else "--out", target]
-        proc = subprocess.run(**_fresh_cli(argv), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
-    # that line alone: no traceback, and no exception ignored at interpreter exit
-    assert proc.stderr.startswith(expected) and proc.stderr.count("\n") == 1
-
-
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("sink", ["closed", "dev-full"])
-@pytest.mark.parametrize("argv, code", [
-    pytest.param(["table", "1"], 0, id="table"), pytest.param(["pi", "--s", "2"], 2, id="pi-bad-s"),
-])
-def test_unwritable_stderr_keeps_the_exit_code(argv, code, sink, unbuffered):
-    # a closed stderr is None in the interpreter, and /dev/full fails every
-    # write; either way the message is lost and the command's own code stands
-    run = _fresh_cli(argv, unbuffered)
-    expected = subprocess.run(**run, capture_output=True, text=True, timeout=120)
-    assert expected.returncode == code and expected.stderr.count("\n") == 1
-    if sink == "closed":
-        run["args"] = ["sh", "-c", 'exec "$@" 2>&-', "sh", *run["args"]]
-        proc = subprocess.run(**run, stdout=subprocess.PIPE, text=True, timeout=120)
-    else:
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run(**run, stdout=subprocess.PIPE, stderr=full, text=True,
-                                  timeout=120)
-    assert (proc.returncode, proc.stdout) == (code, expected.stdout)
-
-
-_LONG_SWEEP = ["sweep", "--axis", "q_over_h", "--log-range", "1e-6,1,2000"]
-
-
-@pytest.mark.parametrize("argv, read, unbuffered", [
-    pytest.param(["pi"], 0, False, id="pi"),
-    pytest.param(["sweep", "--axis", "q_over_h", "--log-range", "1e-6,1,200"], 0, False,
-                 id="sweep"),
-    pytest.param(_LONG_SWEEP, 100, False, id="sweep-read-100"),
-    pytest.param(_LONG_SWEEP, 100, True, id="sweep-read-100-unbuffered"),
-    pytest.param(["--help"], 0, False, id="help"),
-    pytest.param(["--version"], 0, True, id="version-unbuffered"),
-])
-def test_stdout_closed_early_exits_141_without_a_traceback(argv, read, unbuffered):
-    # the reader takes ``read`` bytes and closes its end of the pipe.  At 0 it
-    # closes before the command writes, so the first write fails.  After 100
-    # bytes of a 2000-point sweep the command is blocked in a write that the
-    # pipe takes only in part, which an unbuffered stdout must not count as done
-    proc = subprocess.Popen(**_fresh_cli(argv, unbuffered),
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert len(proc.stdout.read(read)) == read
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=120)
-    assert (proc.returncode, err) == (141, b"")
-
-
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", [["pi"], ["table", "1"], ["validate"],
-                                  ["sweep", "--axis", "s", "--values", "0.5"]], ids=" ".join)
-def test_stdout_closed_at_start_exits_141_without_a_traceback(argv, unbuffered):
-    # the interpreter itself starts with fd 1 closed and sets sys.stdout to
-    # None; the first write finds a closed pipe
-    run = _fresh_cli(argv, unbuffered)
-    run["args"] = ["sh", "-c", 'exec "$@" >&-', "sh", *run["args"]]
-    proc = subprocess.run(**run, stderr=subprocess.PIPE, text=True, timeout=120)
-    assert (proc.returncode, proc.stderr) == (141, "")

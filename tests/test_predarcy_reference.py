@@ -108,3 +108,12 @@ def test_predarcy_from_a_tiny_well_radius_matches_mpmath(r_w, r2, s):
     got = zone_integral(scn, ZoneLaw.PRE_DARCY, r_w, r2)
     want = _beta_reference(scn, r_w, r2)
     assert float(abs(got - want) / want) <= 1e-13
+
+
+# -s log(u1 / u2) / 2 below the normal range, where expm1 of it carries a few bits
+@pytest.mark.parametrize("s", [5e-324, 1e-320, 2.3e-308, 1e-307])
+def test_predarcy_narrow_bracket_at_a_subnormal_power_matches_mpmath(s):
+    scn = base_scenario("pure-preDarcy", s=s, r_e=10.0, r_w=1.0)
+    got = zone_integral(scn, ZoneLaw.PRE_DARCY, 1.0, 1.0001)
+    want = reference_zone_integral(scn, ZoneLaw.PRE_DARCY, 1.0, 1.0001)
+    assert float(abs(got - want) / want) <= 1e-13
