@@ -42,7 +42,6 @@ from .productivity import (
     PiResult,
     compute_curve,
     compute_pi,
-    compute_pis,
     dimensionless_factor,
     zone_contributions,
 )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .constitutive import REGIME_PRESETS, ZoneLaw, mobility, pressure_gradient, regime_preset
 from .kinematics import Scenario, flux_density, radius_of_velocity, velocity_profile
-from .productivity import compute_pi, compute_pis, zone_contributions
+from .productivity import compute_curve, compute_pi, zone_contributions
 from .quadrature import zone_integral
 from .reference import base_scenario
 from .validation import _zone_energy, compressible_velocity, pi_from_profile, pressure_profile
@@ -103,21 +103,21 @@ def check_oracle_equivalence(inject_fault: bool = False) -> CheckResult:
     injected fault multiplies the Forchheimer zones' S values by
     ``_FAULT_SCALE`` first."""
     regimes = tuple(REGIME_PRESETS.values())
+    cases = [base_scenario("D", q_over_h=q, s=s) for q in (1e-4, 1e-2) for s in (0.3, 0.7)]
+    curve = compute_curve(cases[0].geometry, regimes, [(scn.q_over_h, scn.params) for scn in cases])
     worst = 0.0
-    for q_over_h in (1e-4, 1e-2):
-        for s in (0.3, 0.7):
-            scn = base_scenario("D", q_over_h=q_over_h, s=s)  # compute_pis ignores its regime
-            for regime, pi in zip(regimes, compute_pis(scn, regimes)):
-                scn_regime = replace(scn, regime=regime)
-                j_closed = pi.j_raw
-                if inject_fault:
-                    contributions = zone_contributions(scn_regime)
-                    j_closed *= math.fsum(contributions) / math.fsum(
-                        c * _FAULT_SCALE if law is ZoneLaw.FORCHHEIMER else c
-                        for c, law in zip(contributions, regime.laws())
-                    )
-                j_profile = pi_from_profile(scn_regime)
-                worst = max(worst, abs(j_closed - j_profile) / abs(j_profile))
+    for scn, pis in zip(cases, curve):
+        for regime, pi in zip(regimes, pis):
+            scn_regime = replace(scn, regime=regime)
+            j_closed = pi.j_raw
+            if inject_fault:
+                contributions = zone_contributions(scn_regime)
+                j_closed *= math.fsum(contributions) / math.fsum(
+                    c * _FAULT_SCALE if law is ZoneLaw.FORCHHEIMER else c
+                    for c, law in zip(contributions, regime.laws())
+                )
+            j_profile = pi_from_profile(scn_regime)
+            worst = max(worst, abs(j_closed - j_profile) / abs(j_profile))
     return CheckResult("oracle-equivalence", worst <= 1e-6, worst, "1e-6")
 
 
@@ -142,22 +142,20 @@ def check_forchheimer_monotonicity() -> CheckResult:
 def check_predarcy_monotonicity() -> CheckResult:
     """DDpD and FDpD PIs are nonincreasing in s for lambda = alpha, v_D < 1."""
     regimes = (regime_preset("DDpD"), regime_preset("FDpD"))
-    js = [
-        [pi.j_dimensionless for pi in compute_pis(base_scenario("DDpD", s=s), regimes)]
-        for s in np.linspace(0.0, 1.0, 11)
-    ]
+    base = base_scenario("DDpD")
+    points = [(base.q_over_h, replace(base.params, s=float(s))) for s in np.linspace(0.0, 1.0, 11)]
+    curve = compute_curve(base.geometry, regimes, points)
+    js = [[pi.j_dimensionless for pi in pis] for pis in curve]
     worst = max(b - a for prev, cur in zip(js, js[1:]) for a, b in zip(prev, cur))
     return CheckResult("predarcy-s-monotonicity", worst <= 0.0, worst, "<= 0")
 
 
 def check_fdpd_limit() -> CheckResult:
     """FDpD collapses to FDD when the slow zone vanishes (v_D = 0)."""
-    j_fdpd, j_fdd = (
-        pi.j_raw for pi in compute_pis(
-            base_scenario("FDpD", v_D=0.0), (regime_preset("FDpD"), regime_preset("FDD"))
-        )
-    )
-    dev = abs(j_fdpd - j_fdd) / j_fdd
+    scn = base_scenario("FDpD", v_D=0.0)
+    (fdpd, fdd), = compute_curve(scn.geometry, (scn.regime, regime_preset("FDD")),
+                                 [(scn.q_over_h, scn.params)])
+    dev = abs(fdpd.j_raw - fdd.j_raw) / fdd.j_raw
     return CheckResult("fdpd-vanishing-slow-zone", dev <= 1e-10, dev, "1e-10")
 
 

@@ -14,6 +14,8 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error or a
 stdout that cannot be written, 3 numerical failure, 141 stdout closed before
 the output was written (as a shell reports a command ended by SIGPIPE).
 A stderr that cannot be written loses its messages and changes no exit code.
+``sweep`` checks every axis value before it computes any PI, so a rejected
+value exits 2 whatever a PI at another value would do.
 
 ``pi``, ``sweep`` with ``--values`` and ``table`` run without numpy; it is
 imported only by ``validate``, ``fit`` and ``sweep --log-range``.
@@ -30,14 +32,15 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 from . import __version__
 from .constitutive import (
-    LAW_LABELS, REGIME_PRESETS, RegimeAssignment, ZoneLaw, preset_name, regime_preset,
+    LAW_LABELS, REGIME_PRESETS, FlowParameters, RegimeAssignment, ZoneLaw, preset_name,
+    regime_preset,
 )
 from .kinematics import Scenario, checked_flux
-from .productivity import PiResult, compute_curve, compute_pi, compute_pis, zone_contributions
+from .productivity import PiResult, compute_curve, compute_pi, zone_contributions
 from .reference import REPRODUCTION_RTOL, base_scenario, compare_table
 
 EXIT_OK = 0
@@ -48,13 +51,11 @@ EXIT_BROKEN_PIPE = 141  # what a shell reports for a command ended by SIGPIPE
 
 _DEFAULT_REGIME = regime_preset("FDpD")
 
-_T = TypeVar("_T")
-
 SWEEP_AXES = ("q_over_h", "s", "v_D", "v_F")
-# Fluxes per compute_curve call of a q_over_h sweep.  A curve holds every
-# result it returns: a 100,000-point sweep of five regimes peaked at 319 MB
-# taken in one call, and at 180 MB, as with one compute_pis per point, in
-# parts of 100.  Each part takes the flux-independent brackets once more.
+# Points per compute_curve call of a sweep.  A curve holds every result it
+# returns: a 100,000-point q_over_h sweep of five regimes peaked at 319 MB
+# taken in one call, and at 187 MB in parts of 100 (257 MB when one part's
+# results outlive the next call).  Each part takes its shared brackets again.
 _CURVE_POINTS = 100
 
 _SWEEP_COLUMNS = (
@@ -243,9 +244,8 @@ def _write_text(text: str, out_path: str | None) -> None:
         raise ValueError(f"cannot write {out_path!r}: {exc}") from None
 
 
-def _params_cells(scn: Scenario) -> str:
+def _params_cells(p: FlowParameters) -> str:
     """The s, v_D and v_F cells of a sweep row."""
-    p = scn.params
     # '%.8e' % x is the conversion of _fmt
     return "%.8e,%.8e,%.8e" % (p.s, p.v_D, p.v_F)
 
@@ -290,7 +290,7 @@ def cmd_pi(args: argparse.Namespace) -> int:
     _write_stdout("\n".join(lines) + "\n")
     if args.out:
         q_cell = _fmt(scn.q_over_h)
-        rows = _sweep_rows("q_over_h", q_cell, _params_cells(scn), q_cell, [pi],
+        rows = _sweep_rows("q_over_h", q_cell, _params_cells(scn.params), q_cell, [pi],
                            [preset_name(scn.regime)])
         csv_text = ",".join(_SWEEP_COLUMNS) + "\n" + rows
         _write_text(csv_text, args.out)
@@ -326,49 +326,41 @@ def _axis_values(args: argparse.Namespace) -> list[float]:
     return values
 
 
-def _on_axis(axis: str, value: float, make: Callable[[], _T]) -> _T:
-    # make(), with the message of a ValueError it raises led by the axis value
-    try:
-        return make()
-    except ValueError as exc:
-        raise ValueError(f"axis {axis}={value:g}: {exc}") from None
-
-
-def _scenario_with(scn: Scenario, axis: str, value: float, continuous_predarcy: bool) -> Scenario:
-    # a parameter axis: s, v_D or v_F
-    params = replace(scn.params, **{axis: value})
-    if continuous_predarcy:  # at the row's own s and v_D, as `pi` rescales
-        params = params.with_continuous_predarcy()
-    return replace(scn, params=params)
-
-
 def run_sweep(base: Scenario, axis: str, values: Sequence[float], regimes: Sequence[str],
               continuous_predarcy: bool) -> str:
-    """CSV text for the sweep, one row per (axis value, regime), axis-major.
-
-    The q_over_h axis is one ``compute_curve`` at the base scenario per
-    _CURVE_POINTS fluxes, and every other axis one ``compute_pis`` per
-    value.  Each cell that does not change along the axis is formatted once.
+    """CSV text for the sweep, one row per (axis value, regime), axis-major:
+    one ``compute_curve`` point (q_over_h, params) per value, all checked
+    first, and one curve per _CURVE_POINTS points.  Each cell that does not
+    change from one point to the next is formatted once.
     """
     presets = [regime_preset(name) for name in regimes]
     names = [preset_name(preset) for preset in presets]
+    points = []
+    for value in values:
+        try:
+            if axis == "q_over_h":
+                points.append((checked_flux(value), base.params))
+            else:
+                params = replace(base.params, **{axis: value})
+                if continuous_predarcy:  # at the point's own s and v_D, as `pi` rescales
+                    params = params.with_continuous_predarcy()
+                points.append((base.q_over_h, params))
+        except ValueError as exc:
+            raise ValueError(f"axis {axis}={value:g}: {exc}") from None
     buf = io.StringIO()
     buf.write(",".join(_SWEEP_COLUMNS) + "\n")
-    if axis == "q_over_h":
-        for value in values:
-            _on_axis(axis, value, lambda: checked_flux(value))
-        params_cells = _params_cells(base)
-        for k in range(0, len(values), _CURVE_POINTS):
-            fluxes = values[k:k + _CURVE_POINTS]
-            for value, pis in zip(fluxes, compute_curve(base, presets, fluxes)):
-                q_cell = _fmt(value)
-                buf.write(_sweep_rows(axis, q_cell, params_cells, q_cell, pis, names))
-        return buf.getvalue()
     q_cell = _fmt(base.q_over_h)
-    for value in values:
-        scn = _on_axis(axis, value, lambda: _scenario_with(base, axis, value, continuous_predarcy))
-        buf.write(_sweep_rows(axis, _fmt(value), _params_cells(scn), q_cell,
-                              compute_pis(scn, presets), names))
+    last = None
+    for k in range(0, len(points), _CURVE_POINTS):
+        part = points[k:k + _CURVE_POINTS]
+        for value, (_, params), pis in zip(values[k:k + _CURVE_POINTS], part,
+                                           compute_curve(base.geometry, presets, part)):
+            axis_cell = _fmt(value)
+            if axis == "q_over_h":
+                q_cell = axis_cell
+            if params is not last:
+                last, params_cells = params, _params_cells(params)
+            buf.write(_sweep_rows(axis, axis_cell, params_cells, q_cell, pis, names))
     return buf.getvalue()
 
 

@@ -80,7 +80,7 @@ class ZonePartition:
 def checked_flux(q_over_h: float) -> float:
     """q_over_h itself when 0 < q_over_h < inf; ValueError naming it otherwise.
     The one check of a specific flux, for a ``Scenario`` and for each flux of a
-    ``compute_curve``."""
+    ``compute_curve`` point."""
     if not 0 < q_over_h < math.inf:
         raise ValueError(f"q_over_h must be positive and finite, got {q_over_h}")
     return q_over_h
@@ -167,12 +167,11 @@ def partition_zones(scn: Scenario) -> ZonePartition:
 Zone = tuple[float, float, ZoneLaw]
 
 
-def zone_bounds(
-    scn: Scenario, part: ZonePartition, regime: RegimeAssignment
-) -> tuple[Zone, Zone, Zone]:
+def zone_bounds(scn: Scenario) -> tuple[Zone, Zone, Zone]:
     """The fast, moderate and slow zones [r_w, r_F], [r_F, r_D], [r_D, r_e]
-    with their laws under ``regime``, empty ones included."""
-    geo = scn.geometry
+    of the scenario's partition with their laws under its regime, empty ones
+    included."""
+    geo, part, regime = scn.geometry, partition_zones(scn), scn.regime
     return (
         (geo.r_w, part.r_F, regime.near_well),
         (part.r_F, part.r_D, regime.middle),
@@ -180,15 +179,16 @@ def zone_bounds(
     )
 
 
-def merge_zones(zones: tuple[Zone, ...]) -> list[Zone]:
-    """Nonempty zones, in order, with same-law neighbors merged.
+def zone_segments(scn: Scenario) -> list[Zone]:
+    """Nonempty radial segments of the scenario's regime with their governing
+    law, in order, with same-law neighbors merged.
 
     Merging means e.g. an all-Darcy regime always yields the single segment
     [r_w, r_e] regardless of where the critical radii fall, so its integrals
     do not depend on the flux at all.
     """
     merged: list[Zone] = []
-    for a0, b0, law in zones:
+    for a0, b0, law in zone_bounds(scn):
         if b0 <= a0:
             continue
         if merged and merged[-1][2] is law:
@@ -196,9 +196,3 @@ def merge_zones(zones: tuple[Zone, ...]) -> list[Zone]:
         else:
             merged.append((a0, b0, law))
     return merged
-
-
-def zone_segments(scn: Scenario) -> list[Zone]:
-    """Nonempty radial segments of the scenario's regime with their governing
-    law, same-law neighbors merged (see ``merge_zones``)."""
-    return merge_zones(zone_bounds(scn, partition_zones(scn), scn.regime))

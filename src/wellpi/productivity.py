@@ -14,17 +14,17 @@ Summed by term instead of by zone, the denominator of every regime is
 
 with the bracket I0 over each run of its Darcy and Forchheimer zones, I1
 over each run of its Forchheimer zones and P over each run of its pre-Darcy
-zones (``quadrature._term_bracket``).  The flux enters only through A and the
-two critical radii, so ``compute_curve`` makes one pass over a list of
-fluxes at the geometry, laws and s of a scenario: per flux, A and the
-partition from the helper behind ``kinematics.partition_zones``, then each
-regime's term runs from a table built once per law triple and set of empty
-zones, with each (term, lo, hi) bracket taken once per call.  An F zone next
-to a D zone thus shares one I0 with it, and across a flux sweep I0, I1 and P
-over [r_w, r_e] are taken once.  ``compute_pis`` is its one-flux case and
-``compute_pi`` its one-regime case.  ``zone_contributions`` gives the
-per-zone S values through the per-law kernels on demand; the PI itself never
-needs them.
+zones (``quadrature._term_bracket``).  A point (q_over_h, params) enters a
+bracket only through the critical radii and, for P, the power s, so
+``compute_curve`` makes one pass over a list of points in one reservoir:
+per point A, the partition (from the helper behind
+``kinematics.partition_zones``), the coefficients and the dimensionless
+factor, then each regime's term runs from a table built once per law triple
+and set of empty zones, with each bracket taken once per call.  An F zone
+next to a D zone thus shares one I0 with it, and a curve takes I0 and I1
+over [r_w, r_e] once, and P over it once per s.  ``compute_pi`` is its
+one-point, one-regime case.  ``zone_contributions`` gives the per-zone S
+values through the per-law kernels on demand; the PI never needs them.
 """
 
 from __future__ import annotations
@@ -34,14 +34,14 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .constitutive import RegimeAssignment, ZoneLaw
+from .constitutive import FlowParameters, RegimeAssignment, ZoneLaw
 from .kinematics import (
+    Geometry,
     Scenario,
     ZonePartition,
     _flux_and_partition,
     checked_flux,
     finite_positive,
-    partition_zones,
     zone_bounds,
 )
 from .quadrature import _I0, _I1, _LAW_TERMS, _P, _term_bracket, zone_integral
@@ -63,7 +63,11 @@ class PiResult:
 
 def dimensionless_factor(scn: Scenario) -> float:
     """alpha / (2 pi h), the scaling that makes the PI dimensionless."""
-    return scn.params.alpha / (2.0 * math.pi * scn.geometry.h)
+    return _factor(scn.params, scn.geometry)
+
+
+def _factor(params: FlowParameters, geo: Geometry) -> float:
+    return params.alpha / (2.0 * math.pi * geo.h)
 
 
 def zone_contributions(scn: Scenario) -> tuple[float, float, float]:
@@ -73,8 +77,7 @@ def zone_contributions(scn: Scenario) -> tuple[float, float, float]:
     Their sum is the PI denominator up to rounding: ``compute_pi`` sums the
     same integrals by term instead.
     """
-    zones = zone_bounds(scn, partition_zones(scn), scn.regime)
-    return tuple(zone_integral(scn, law, lo, hi) for lo, hi, law in zones)
+    return tuple(zone_integral(scn, law, lo, hi) for lo, hi, law in zone_bounds(scn))
 
 
 @functools.cache
@@ -100,15 +103,15 @@ def _term_runs(near_well: ZoneLaw, middle: ZoneLaw, near_boundary: ZoneLaw,
     return tuple(runs)
 
 
-def compute_curve(scn: Scenario, regimes: Sequence[RegimeAssignment],
-                  q_values: Sequence[float]) -> list[list[PiResult]]:
-    """Pseudo-steady-state productivity index of each regime at each flux.
+def compute_curve(geo: Geometry, regimes: Sequence[RegimeAssignment],
+                  points: Sequence[tuple[float, FlowParameters]]) -> list[list[PiResult]]:
+    """Pseudo-steady-state productivity index of each regime at each point
+    (q_over_h, params) in the reservoir ``geo``.
 
-    The geometry and parameters are those of ``scn``; ``scn.q_over_h`` and
-    ``scn.regime`` are ignored.  Entry k holds the results at ``q_values[k]``
-    in the order of ``regimes``.  A bracket needed twice (the same term over
-    the same radii, at one flux or at two) is taken once, so each result
-    equals what ``compute_pi`` gives for that regime at that flux, bit for bit.
+    Entry k holds the results at ``points[k]`` in the order of ``regimes``.
+    A bracket needed twice (the same term over the same radii, and for P at
+    the same s, at one point or at two) is taken once, so each result equals
+    what ``compute_pi`` gives for that regime at that point, bit for bit.
     An all-Darcy regime is the one bracket I0[r_w, r_e], exactly independent
     of the flux.
 
@@ -117,23 +120,21 @@ def compute_curve(scn: Scenario, regimes: Sequence[RegimeAssignment],
     form overflows, underflows to zero or is NaN, or when A, L or the zone
     integrals leave the float range on the way to it.
     """
-    geo, params = scn.geometry, scn.params
-    r_w, r_e, s = geo.r_w, geo.r_e, params.s
-    alpha, beta, lambda_ = params.alpha, params.beta, params.lambda_
-    factor = dimensionless_factor(scn)
+    r_w, r_e = geo.r_w, geo.r_e
     bracket = _term_bracket
-    # nothing repeats within one regime at one flux
-    cache = {} if len(q_values) > 1 or len(regimes) > 1 else None
+    # nothing repeats within one regime at one point
+    cache = {} if len(points) > 1 or len(regimes) > 1 else None
     curve = []
     try:
         big_l = 2.0 * math.pi * geo.h * geo.radius_span_sq**2
-        for q in q_values:
+        for q, params in points:
             a, part = _flux_and_partition(geo, params, checked_flux(q))
+            s, factor = params.s, _factor(params, geo)
             r_f, r_d = part.r_F, part.r_D
             radii = (r_w, r_f, r_d, r_e)
             empty = (r_f <= r_w, r_d <= r_f, r_e <= r_d)
             # lambda A^(-s) only for a P run: A^(-s) can overflow where no pre-Darcy zone needs it
-            coefficients = [alpha, beta * a, None]
+            coefficients = [params.alpha, params.beta * a, None]
             out = []
             for r in regimes:
                 values = []
@@ -142,13 +143,14 @@ def compute_curve(scn: Scenario, regimes: Sequence[RegimeAssignment],
                     if cache is None:
                         value = bracket(term, r_e, s, lo, hi)
                     else:
-                        key = (term, lo, hi)
+                        # only P depends on s
+                        key = (term, s, lo, hi) if term == _P else (term, lo, hi)
                         value = cache.get(key)
                         if value is None:
                             value = cache[key] = bracket(term, r_e, s, lo, hi)
                     c = coefficients[term]
                     if c is None:
-                        c = coefficients[_P] = lambda_ * a ** (-s)
+                        c = coefficients[_P] = params.lambda_ * a ** (-s)
                     values.append(c * value)
                 j_raw = finite_positive("PI j_raw", big_l / math.fsum(values))
                 out.append(PiResult(j_raw, finite_positive("PI j_dimensionless", j_raw * factor), part))
@@ -161,14 +163,7 @@ def compute_curve(scn: Scenario, regimes: Sequence[RegimeAssignment],
     return curve
 
 
-def compute_pis(scn: Scenario, regimes: Sequence[RegimeAssignment]) -> list[PiResult]:
-    """Pseudo-steady-state productivity index of each regime at the scenario:
-    ``compute_curve`` at its one flux.  ``scn.regime`` is ignored; the
-    results follow ``regimes`` in order."""
-    return compute_curve(scn, regimes, (scn.q_over_h,))[0]
-
-
 def compute_pi(scn: Scenario) -> PiResult:
     """Pseudo-steady-state productivity index for the scenario's regime:
-    ``compute_curve`` for that one regime at the scenario's flux."""
-    return compute_curve(scn, (scn.regime,), (scn.q_over_h,))[0][0]
+    ``compute_curve`` for that one regime at the scenario's one point."""
+    return compute_curve(scn.geometry, (scn.regime,), ((scn.q_over_h, scn.params),))[0][0]

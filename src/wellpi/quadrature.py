@@ -25,10 +25,11 @@ The zone integrals entering the productivity index are
 The kernels ``darcy_zone_integral``, ``forchheimer_zone_integral`` and
 ``predarcy_zone_integral`` take (params, A, r_e, r1, r2), r_w <= r1 < r2 <= r_e,
 unchecked; ``zone_integral(scn, law, r1, r2)`` picks one by law, checks the
-interval and gives exactly 0.0 for an empty one.  They are the per-zone route
-of the oracles, the checks and ``pi``'s S lines.  The PI path sums by term
-instead, alpha I0 + beta A I1 + lambda A^(-s) P, and takes each bracket
-without its coefficient through one dispatch, ``_term_bracket(term, r_e, s,
+interval and gives exactly 0.0 for an empty one.  They serve ``pi``'s S lines
+and the injected fault of ``check_oracle_equivalence``, both through
+``zone_contributions``, then ``check_closed_vs_quadrature`` and the tests.
+The PI path sums by term, alpha I0 + beta A I1 + lambda A^(-s) P, with each
+bracket taken without its coefficient through ``_term_bracket(term, r_e, s,
 r1, r2)``: I0 and I1 are the integrals of S_D / alpha and of the inertial
 part of S_F / (beta A), and P that of S_pD / (lambda A^(-s)).
 

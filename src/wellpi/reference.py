@@ -20,7 +20,7 @@ from importlib import resources
 
 from .constitutive import FlowParameters, RegimeAssignment, regime_preset
 from .kinematics import Geometry, Scenario
-from .productivity import compute_pis
+from .productivity import compute_curve
 
 # Shared parameter set of the reference studies (strict SI).
 BASE_R_E = 1000.0
@@ -132,8 +132,8 @@ def compare_table(table: int, continuous_predarcy: bool = False) -> list[TableCo
     """Recompute one table and compare against its published values.
 
     Entries that differ only in regime share one scenario, and each such
-    group is computed with one ``compute_pis`` call; the comparisons keep
-    the order of the entries.
+    group is computed with one ``compute_curve`` call at its one point; the
+    comparisons keep the order of the entries.
     """
     entries = load_reference_entries(table)
     groups: dict[tuple[float, float, float, float], list[int]] = {}
@@ -142,7 +142,8 @@ def compare_table(table: int, continuous_predarcy: bool = False) -> list[TableCo
     computed = [0.0] * len(entries)
     for members in groups.values():
         scn = reference_scenario(entries[members[0]], continuous_predarcy=continuous_predarcy)
-        pis = compute_pis(scn, [regime_preset(entries[k].regime) for k in members])
+        pis, = compute_curve(scn.geometry, [regime_preset(entries[k].regime) for k in members],
+                             [(scn.q_over_h, scn.params)])
         for k, pi in zip(members, pis):
             computed[k] = pi.j_dimensionless
     return [

@@ -2,7 +2,7 @@
 
 import math
 
-from wellpi import ZoneLaw, flux_density, partition_zones, synthesize_measurements
+from wellpi import ZoneLaw, flux_density, synthesize_measurements
 from wellpi.kinematics import zone_bounds
 
 
@@ -57,10 +57,6 @@ def write_measurements(path, params, grid):
             fh.write(f"{m.v:.16e},{m.grad_p:.16e}\n")
 
 
-def _zones(scn):
-    return zone_bounds(scn, partition_zones(scn), scn.regime)
-
-
 def _working_precision(scn):
     """An mpmath context that leaves 40 significant digits in the
     antiderivatives below.
@@ -73,7 +69,7 @@ def _working_precision(scn):
     import mpmath as mp
 
     r_e = scn.geometry.r_e
-    near = max(r for lo, hi, _ in _zones(scn) for r in (lo, hi) if r < r_e)
+    near = max(r for lo, hi, _ in zone_bounds(scn) for r in (lo, hi) if r < r_e)
     return mp.workdps(50 + 4 * max(0, math.ceil(math.log10(r_e / (r_e - near)))))
 
 
@@ -104,7 +100,7 @@ def reference_zone_contributions(scn):
             return -r_e**6 / r - 3 * r_e**4 * r + r_e**2 * r**3 - r**5 / 5
 
         values = []
-        for lo, hi, law in _zones(scn):
+        for lo, hi, law in zone_bounds(scn):
             r1, r2 = mp.mpf(lo), mp.mpf(hi)
             if lo == hi:
                 value = mp.mpf(0)

@@ -423,6 +423,15 @@ def test_sweep_names_the_flux_it_rejects(capsys, values, bad, got):
     assert err == f"error: axis q_over_h={bad}: q_over_h must be positive and finite, got {got}\n"
 
 
+def test_sweep_checks_every_parameter_value_before_any_pi(capsys):
+    # at r_e = 1e200 the PI at s = 0.5 leaves the float range (exit 3), but
+    # the rejected s = 2 is reported first, as a rejected flux is
+    code, out, err = run_cli(capsys, "sweep", "--axis", "s", "--values", "0.5,2",
+                             "--r-e", "1e200", "--regimes", "D")
+    assert (code, out) == (2, "")
+    assert err == "error: axis s=2: s must lie in [0, 1], got 2.0\n"
+
+
 def test_sweep_rejects_malformed_log_range(capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--axis", "s", "--log-range", "nope", "--regimes", "D"
@@ -532,10 +541,11 @@ ALL_PRESETS = "D,F,FDD,DDpD,FDpD,FpDpD,pure-preDarcy"
     ("v_D", "--values", "0,5e-324,1e-7,1e-5", [0.0, 5e-324, 1e-7, 1e-5], ALL_PRESETS),
     # v_F = 1e300 clamps r_F to r_w and is a 1e300 cell
     ("v_F", "--values", "1e-7,1e-3,1e300", [1e-7, 1e-3, 1e300], ALL_PRESETS),
-    # more fluxes than one compute_curve call of the sweep takes
+    # more points than one compute_curve call of the sweep takes
     ("q_over_h", "--log-range", "1e-8,1e3,250", list(np.geomspace(1e-8, 1e3, 250)), "D,F,FDD,FDpD"),
+    ("s", "--log-range", "1e-6,1,230", list(np.geomspace(1e-6, 1, 230)), "D,F,DDpD,FpDpD"),
 ], ids=["clamped-flux-range", "s-with-both-ends", "repeated-preset", "v_D-zero-and-subnormal",
-        "v_F-huge", "curve-in-parts"])
+        "v_F-huge", "curve-in-parts", "s-curve-in-parts"])
 def test_sweep_csv_equals_compute_pi_per_row(capsys, axis, flag, spec, values, regimes):
     code, out, _ = run_cli(capsys, "sweep", "--axis", axis, flag, spec, "--regimes", regimes)
     assert code == 0

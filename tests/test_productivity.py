@@ -14,12 +14,14 @@ import wellpi.productivity
 import wellpi.quadrature
 from wellpi import (
     REGIME_PRESETS,
+    FlowParameters,
+    Geometry,
     RegimeAssignment,
+    Scenario,
     ZoneLaw,
     base_scenario,
     compute_curve,
     compute_pi,
-    compute_pis,
     partition_zones,
     regime_preset,
     velocity_profile,
@@ -27,7 +29,14 @@ from wellpi import (
     zone_integral,
     zone_segments,
 )
+from wellpi.cli import run_sweep
 from wellpi.quadrature import _I0, _I1, _P
+from wellpi.reference import BASE_ALPHA, BASE_BETA
+
+
+def _pis(scn, regimes):
+    """Each regime's PI at the scenario: a curve of its one point."""
+    return compute_curve(scn.geometry, regimes, [(scn.q_over_h, scn.params)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +194,7 @@ def test_fdpd_with_no_fast_and_no_slow_zone_equals_darcy():
 def test_collapsed_laws_give_the_darcy_pi():
     # beta = 0 and s = 0 with lambda = alpha: every law is Darcy in disguise
     scn = base_scenario("FDpD", beta=0.0, s=0.0)
-    fdpd, darcy = compute_pis(scn, (scn.regime, regime_preset("D")))
+    fdpd, darcy = _pis(scn, (scn.regime, regime_preset("D")))
     assert fdpd.j_raw == pytest.approx(darcy.j_raw, rel=1e-12)
 
 
@@ -196,24 +205,6 @@ def test_collapsed_laws_give_the_darcy_pi():
 ALL_TRIPLES = tuple(RegimeAssignment(*laws) for laws in itertools.product(ZoneLaw, repeat=3))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    s=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-    v_D=st.one_of(st.just(0.0), st.floats(-9.0, -5.0).map(lambda e: 10.0**e)),
-    v_F_over_v_D=st.floats(1.0, 1e3),
-    log_q=st.floats(-8.0, 3.0),
-    r_e=st.floats(10.0, 3000.0),
-    order=st.permutations(ALL_TRIPLES),
-)
-def test_compute_pis_equals_compute_pi_per_regime(s, v_D, v_F_over_v_D, log_q, r_e, order):
-    # the edges of s, v_D = 0 and the flux range give clamped and empty zones
-    v_F = v_D * v_F_over_v_D if v_D > 0 else 1e-5
-    scn = base_scenario("D", s=s, v_D=v_D, v_F=v_F, q_over_h=10.0**log_q, r_e=r_e)
-    regimes = order[:10] + order[:3]  # a repeated regime is computed again
-    expected = [compute_pi(replace(scn, regime=r)) for r in regimes]
-    assert compute_pis(scn, regimes) == expected
-
-
 # The term sum against the per-zone route, in units of eps: the worst of
 # 216,000 PIs over 64,000 draws of this test's strategy was 2.54 eps, where an
 # F zone next to a D zone takes I0 over both zones at once instead of S_F plus
@@ -221,13 +212,16 @@ def test_compute_pis_equals_compute_pi_per_regime(s, v_D, v_F_over_v_D, log_q, r
 FLAT_PASS_EPS = 5.1
 
 
+REGIME_LISTS = st.lists(
+    st.one_of(st.sampled_from(sorted(REGIME_PRESETS)).map(regime_preset),
+              st.sampled_from(ALL_TRIPLES)),
+    min_size=1, max_size=5,
+)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
-    regimes=st.lists(
-        st.one_of(st.sampled_from(sorted(REGIME_PRESETS)).map(regime_preset),
-                  st.sampled_from(ALL_TRIPLES)),
-        min_size=1, max_size=5,
-    ),
+    regimes=REGIME_LISTS,
     s=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
     v_D=st.one_of(st.just(0.0), st.floats(-9.0, -5.0).map(lambda e: 10.0**e)),
     log_q=st.floats(-10.0, 4.0),
@@ -240,7 +234,7 @@ def test_flat_pass_equals_the_checked_route(regimes, s, v_D, log_q, r_e):
     scn = base_scenario("D", s=s, v_D=v_D, q_over_h=10.0**log_q, r_e=r_e)
     geo = scn.geometry
     big_l = 2.0 * math.pi * geo.h * geo.radius_span_sq**2
-    for regime, pi in zip(regimes, compute_pis(scn, regimes)):
+    for regime, pi in zip(regimes, _pis(scn, regimes)):
         one = replace(scn, regime=regime)
         denominator = math.fsum(zone_integral(one, law, lo, hi) for lo, hi, law in zone_segments(one))
         checked = big_l / denominator
@@ -276,30 +270,39 @@ def test_regimes_at_one_scenario_share_zone_integrals(monkeypatch, presets, sepa
         compute_pi(replace(scn, regime=regime))
     assert len(calls) == separate
     calls.clear()
-    compute_pis(scn, regimes)
+    _pis(scn, regimes)
     assert Counter(term for term, _, _ in calls) == shared
     assert len(set(calls)) == len(calls)  # no bracket taken twice
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    regimes=st.lists(
-        st.one_of(st.sampled_from(sorted(REGIME_PRESETS)).map(regime_preset),
-                  st.sampled_from(ALL_TRIPLES)),
-        min_size=1, max_size=5,
-    ),
-    s=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-    v_D=st.one_of(st.just(0.0), st.floats(-9.0, -5.0).map(lambda e: 10.0**e)),
-    fluxes=st.lists(st.floats(-10.0, 4.0).map(lambda e: 10.0**e), min_size=1, max_size=12),
-    r_e=st.floats(10.0, 3000.0),
-)
-def test_each_point_of_a_curve_is_compute_pi_at_its_flux(regimes, s, v_D, fluxes, r_e):
-    # a repeated flux or regime is computed again; the shared brackets change no bit
-    scn = base_scenario("D", s=s, v_D=v_D, r_e=r_e)
-    curve = compute_curve(scn, regimes, fluxes + fluxes[:1])
-    expected = [[compute_pi(replace(scn, regime=regime, q_over_h=q)) for regime in regimes]
-                for q in fluxes + fluxes[:1]]
-    assert curve == expected
+def _point(q, s, v_D, v_F_over_v_D, lambda_, continuous):
+    # v_D = 0 empties the slow zone and leaves no lambda to rescale
+    params = FlowParameters(BASE_ALPHA, BASE_BETA, lambda_, s, v_D, (v_D or 1e-7) * v_F_over_v_D)
+    return q, params.with_continuous_predarcy() if continuous and v_D else params
+
+
+POINTS = st.lists(st.builds(
+    _point,
+    st.floats(-10.0, 4.0).map(lambda e: 10.0**e),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.one_of(st.just(0.0), st.floats(-9.0, -5.0).map(lambda e: 10.0**e)),
+    st.floats(1.0, 1e3),
+    st.floats(-3.0, 3.0).map(lambda e: BASE_ALPHA * 10.0**e),
+    st.booleans(),
+), min_size=1, max_size=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(regimes=REGIME_LISTS, points=POINTS, r_e=st.floats(10.0, 3000.0))
+def test_each_point_of_a_curve_is_compute_pi_at_its_scenario(regimes, points, r_e):
+    # the points vary the flux and every parameter, so two of them can share
+    # radii at two values of s or share a P bracket at two values of lambda; a
+    # repeated point or regime is computed again, and no shared bracket changes a bit
+    geo = base_scenario("D", r_e=r_e).geometry
+    regimes, points = regimes + regimes[:1], points + points[:1]
+    expected = [[compute_pi(Scenario(geo, params, regime, q)) for regime in regimes]
+                for q, params in points]
+    assert compute_curve(geo, regimes, points) == expected
 
 
 def test_a_closed_curve_takes_each_whole_annulus_bracket_once(monkeypatch):
@@ -308,14 +311,25 @@ def test_a_closed_curve_takes_each_whole_annulus_bracket_once(monkeypatch):
     # where r_F is not clamped to r_w
     calls = _count_brackets(monkeypatch)
     scn = base_scenario("D")
-    fluxes = [float(q) for q in np.geomspace(1e-7, 1e3, 100)]
-    compute_curve(scn, [regime_preset(name) for name in ("D", "F", "FDD")], fluxes)
+    points = [(float(q), scn.params) for q in np.geomspace(1e-7, 1e3, 100)]
+    compute_curve(scn.geometry, [regime_preset(name) for name in ("D", "F", "FDD")], points)
     r_w, r_e = scn.geometry.r_w, scn.geometry.r_e
     assert {(term, lo) for term, lo, _ in calls[2:]} == {(_I1, r_w)}
     assert calls.count((_I0, r_w, r_e)) == 1
     assert calls.count((_I1, r_w, r_e)) == 1
     assert len(set(calls)) == len(calls)
     assert all(lo < hi for _, lo, hi in calls)  # an empty zone takes no bracket
+
+
+def test_a_parameter_sweep_takes_each_whole_annulus_bracket_once(monkeypatch):
+    # I0 and I1 do not depend on s, so the 8 points of an s sweep share D's
+    # and F's brackets over [r_w, r_e]
+    calls = _count_brackets(monkeypatch)
+    scn = base_scenario("D")
+    csv = run_sweep(scn, "s", [i / 7 for i in range(8)], ["D", "F"], False)
+    assert len(csv.splitlines()) == 1 + 8 * 2
+    r_w, r_e = scn.geometry.r_w, scn.geometry.r_e
+    assert calls == [(_I0, r_w, r_e), (_I1, r_w, r_e)]
 
 
 @pytest.mark.parametrize("laws, terms", [
@@ -335,7 +349,45 @@ def test_a_term_run_spans_an_empty_zone(monkeypatch, laws, terms):
 def test_a_curve_rejects_a_flux_as_a_scenario_does(q):
     scn = base_scenario("D")
     with pytest.raises(ValueError) as from_curve:
-        compute_curve(scn, [scn.regime], [1e-3, q])
+        compute_curve(scn.geometry, [scn.regime], [(1e-3, scn.params), (q, scn.params)])
     with pytest.raises(ValueError) as from_scenario:
         replace(scn, q_over_h=q)
     assert str(from_curve.value) == str(from_scenario.value)
+
+
+# ---------------------------------------------------------------------------
+# scale invariance
+# ---------------------------------------------------------------------------
+
+# r_e, r_w -> c r_e, c r_w with Q/h -> c Q/h leaves every speed, and so the
+# zone split, unchanged; L and each S scale as c^4, so J does not change.
+# c = 2^k scales every input exactly.  Over 96,000 random draws of this
+# test's ranges the worst deviation was 5.7 eps for D, F and FDD and 5.3e-15
+# for the presets with a pre-Darcy zone, whose brackets take r_e^(4-s).
+SCALE_POWERS = (-20, -3, 1, 5, 30)
+CLOSED_SCALE_EPS = 8
+PREDARCY_SCALE_RTOL = 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r_e=st.floats(10.0, 3000.0),
+    ratio=st.one_of(st.just(1.0 - 1e-12), st.floats(-8.0, -1e-12).map(lambda e: 10.0**e)),
+    s=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    v_D=st.one_of(st.just(0.0), st.floats(-9.0, -5.0).map(lambda e: 10.0**e)),
+    fluxes=st.lists(st.floats(-10.0, 4.0).map(lambda e: 10.0**e), min_size=1, max_size=4),
+)
+def test_pi_is_invariant_under_scaling_the_reservoir_with_the_flux(r_e, ratio, s, v_D, fluxes):
+    scn = base_scenario("D", r_e=r_e, r_w=r_e * ratio, s=s, v_D=v_D)
+    geo, params = scn.geometry, scn.params
+    regimes = list(REGIME_PRESETS.values())
+    curve = compute_curve(geo, regimes, [(q, params) for q in fluxes])
+    for k in SCALE_POWERS:
+        c = 2.0**k
+        scaled = compute_curve(Geometry(c * geo.r_e, c * geo.r_w, geo.h), regimes,
+                               [(c * q, params) for q in fluxes])
+        for pis, pis_scaled in zip(curve, scaled):
+            for regime, pi, pi_scaled in zip(regimes, pis, pis_scaled):
+                rtol = (PREDARCY_SCALE_RTOL if ZoneLaw.PRE_DARCY in regime.laws()
+                        else CLOSED_SCALE_EPS * sys.float_info.epsilon)
+                assert abs(pi_scaled.j_raw - pi.j_raw) <= rtol * pi.j_raw, (k, regime)

@@ -16,7 +16,6 @@ from wellpi import (
     dimensionless_factor,
     flux_density,
     integrate_adaptive,
-    partition_zones,
     pi_from_energy,
     pi_from_profile,
     pressure_profile,
@@ -201,8 +200,7 @@ def test_zone_energies_match_zone_contributions():
     # of each zone cross-checks its closed-form contribution
     scn = base_scenario("FDpD")
     a_flux = flux_density(scn)
-    zones = zone_bounds(scn, partition_zones(scn), scn.regime)
-    for (lo, hi, law), contribution in zip(zones, zone_contributions(scn)):
+    for (lo, hi, law), contribution in zip(zone_bounds(scn), zone_contributions(scn)):
         energy = wellpi.validation._zone_energy(scn, law, lo, hi)
         assert energy / (a_flux * a_flux) == pytest.approx(contribution, rel=1e-8)
 
