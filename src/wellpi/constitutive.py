@@ -134,10 +134,18 @@ def pressure_gradient(params: FlowParameters, law: ZoneLaw, speed):
     flux-independent lambda at s = 1.  ``speed`` is a float or a numpy array
     of speeds; only plain operators touch it.  A float speed that is negative,
     NaN or inf raises ValueError; arrays are not checked, since a per-call
-    reduction would cost more than the law.
+    reduction would cost more than the law.  With an array of speeds,
+    ``params`` may be any object with the coefficients alpha, beta, lambda_
+    and s, each a float or an array of one coefficient per speed: the
+    batched quadrature oracle passes one s per node that way.
     """
     if isinstance(speed, (int, float)) and not 0 <= speed < math.inf:
         raise ValueError(f"speed must be nonnegative and finite, got {speed}")
+    return _gradient(params, law, speed)
+
+
+def _gradient(params: FlowParameters, law: ZoneLaw, speed):
+    # pressure_gradient without the check of the speed
     if law is ZoneLaw.DARCY:
         return params.alpha * speed
     if law is ZoneLaw.FORCHHEIMER:
@@ -170,6 +178,11 @@ def law_for_speed(params: FlowParameters, regime: RegimeAssignment, speed: float
     """Pick the zone law that governs a given flow speed."""
     if not 0 <= speed < math.inf:
         raise ValueError(f"speed must be nonnegative and finite, got {speed}")
+    return _law_for_speed(params, regime, speed)
+
+
+def _law_for_speed(params: FlowParameters, regime: RegimeAssignment, speed: float) -> ZoneLaw:
+    # law_for_speed without the check of the speed
     if speed >= params.v_F:
         return regime.near_well
     if speed >= params.v_D:
@@ -181,9 +194,10 @@ def drag_power(params: FlowParameters, regime: RegimeAssignment, speed: float) -
     """g(|v|) * v^2, the drag power density; continuous with value 0 at v = 0.
 
     NaN, not an error, for a NaN or inf speed: the RK controller of
-    ``validation.compressible_velocity`` then rejects the trial step.
+    ``validation.compressible_velocity`` then rejects the trial step.  The
+    speed is checked once, here, and the law picked and evaluated unchecked.
     """
     speed = abs(speed)
     if not speed < math.inf:
         return math.nan
-    return pressure_gradient(params, law_for_speed(params, regime, speed), speed) * speed
+    return _gradient(params, _law_for_speed(params, regime, speed), speed) * speed

@@ -9,12 +9,22 @@ which equal panels resolve only by one serial bisection per halving of the
 distance to it.  The panel with the largest error is then bisected, both
 halves in one call of 30 nodes, until the summed error meets the tolerance
 or the panel cap is hit.  Panels are kept in left-to-right order and summed
-with compensated addition, so results are deterministic regardless of how
-the work is scheduled.  Nothing on the PI path uses it: it is the
+with compensated addition.  Nothing on the PI path uses it: it is the
 independent oracle that the closed forms below are checked against.  numpy
 is imported, and the rule's node and weight arrays built, only when the
 oracle integrator first runs; the closed forms are plain ``math``, so the
 PI commands start without numpy.
+
+``_integrate_batch`` takes many independent integrals at once: each round
+evaluates the pending panels of all unfinished ones in one integrand call
+f(x, k), where k is the index of each node's integral, and every integral
+keeps its own mesh, acceptance test, bisection and panel cap.  Each panel
+is reduced on its own (``np.vecdot``), so its numbers do not depend on the
+panels evaluated with it, and every integral of a batch equals, bit for
+bit, what ``integrate_adaptive`` gives it alone, which is the batch of
+one.  The ``validate`` checks take their independent integrals as batches,
+so that they pay numpy's per-call overhead once per round instead of once
+per integral and round.
 
 The zone integrals entering the productivity index are
 
@@ -140,6 +150,7 @@ _MAX_PANELS = 2000
 # Cap on the geometric first mesh of integrate_adaptive: 24 panels span
 # eight decades at three per decade.
 _FIRST_PANELS = 24
+_LN10 = math.log(10.0)
 # Absolute tolerance: in effect, the relative tolerance alone decides.
 _ABS_TOL = 1e-300
 
@@ -162,29 +173,25 @@ class QuadratureError(RuntimeError):
         self.best = best
 
 
-def _panels(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray):
+def _panels(f: Callable[..., np.ndarray], a: np.ndarray, b: np.ndarray, *args):
     """Kronrod value, error estimate and resabs of the 15-node panel on each
-    interval [a[i], b[i]], as three arrays.
+    interval [a[i], b[i]], a[i] <= b[i], as three arrays.
 
     ``f`` is called once, on the 15 * n nodes of all n panels flattened in
-    interval order.
+    interval order, followed by ``args``.  Each row is reduced on its own by
+    ``np.vecdot``, so a panel's numbers do not depend on the others in the
+    call; a matrix-vector product's blocking makes them depend on the row
+    count and position.
     """
     np, rule_nodes, w_kronrod, w_gauss = _rule()
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = center[:, None] + half[:, None] * rule_nodes
-    fx = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    kronrod = half * (fx @ w_kronrod)
-    gauss = half * (fx @ w_gauss)
-    resabs = np.abs(half) * (np.abs(fx) @ w_kronrod)
+    fx = np.asarray(f(nodes.ravel(), *args), dtype=float).reshape(nodes.shape)
+    kronrod = half * np.vecdot(fx, w_kronrod)
+    gauss = half * np.vecdot(fx, w_gauss)
+    resabs = half * np.vecdot(np.abs(fx), w_kronrod)
     return kronrod, np.abs(kronrod - gauss), resabs
-
-
-def _panel_list(f: Callable[[np.ndarray], np.ndarray], a: list, b: list) -> list:
-    """(a, b, value, error, resabs) of the panel on each [a[i], b[i]]."""
-    np = _rule()[0]
-    values, errs, resabs = _panels(f, np.array(a, dtype=float), np.array(b, dtype=float))
-    return list(zip(a, b, values.tolist(), errs.tolist(), resabs.tolist()))
 
 
 def _first_mesh(a: float, b: float) -> list[float]:
@@ -196,7 +203,9 @@ def _first_mesh(a: float, b: float) -> list[float]:
         return [a, b]
     log_a = math.log(a)
     span = math.log(b) - log_a
-    n = min(_FIRST_PANELS, _MAX_PANELS, math.ceil(3.0 * span / math.log(10.0)))
+    n = min(_FIRST_PANELS, _MAX_PANELS, math.ceil(3.0 * span / _LN10))
+    if n <= 1:
+        return [a, b]
     return [a] + [math.exp(log_a + i / n * span) for i in range(1, n)] + [b]
 
 
@@ -207,6 +216,94 @@ def _converged(value: float, err: float, resabs: float, rel_tol: float) -> bool:
     return math.isfinite(err) and (
         err <= max(_ABS_TOL, rel_tol * abs(value)) or err <= 100.0 * _EPS * resabs
     )
+
+
+def _integrate_batch(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: list[float],
+    b: list[float],
+    rel_tol: float = 1e-10,
+) -> list[IntegralResult]:
+    """The integrals of f over each [a[j], b[j]], each one as
+    ``integrate_adaptive`` takes it alone, bit for bit.
+
+    Each round evaluates the pending panels of every unfinished integral
+    together: f(x, k) receives their 15 * n nodes, grouped by integral in
+    ascending order, and k, the index j of each node's integral, and returns
+    the integrand at the nodes.  Every integral keeps its own first mesh,
+    acceptance test, worst-panel bisection and panel cap, and no panel's
+    numbers depend on the others evaluated with it.
+
+    Raises ValueError for a bad bound or tolerance before f is called, and
+    otherwise the QuadratureError that a loop of ``integrate_adaptive`` calls
+    over the intervals in order would raise first: that of the first
+    integral that fails.
+    """
+    np = _rule()[0]
+    results: list = [None] * len(a)
+    # the panels of the next round with the integral of each, and for each
+    # integral with some: its index, its panels so far, left to right, as
+    # (a, b, value, error, resabs), the position of the panel the new ones
+    # replace and their count
+    lefts: list[float] = []
+    rights: list[float] = []
+    owner: list[int] = []
+    pending: list[tuple[int, list, int, int]] = []
+    for j, (lo, hi) in enumerate(zip(a, b)):
+        if not -math.inf < lo <= hi < math.inf:
+            raise ValueError(f"need finite a <= b, got a={lo}, b={hi}")
+        if lo == hi:
+            results[j] = IntegralResult(0.0, 0.0, 0)
+            continue
+        edges = _first_mesh(lo, hi)
+        n = len(edges) - 1
+        lefts += edges[:-1]
+        rights += edges[1:]
+        owner += [j] * n
+        pending.append((j, [], 0, n))
+    if not 0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
+    failed = None
+    while pending:
+        k = np.array(owner).repeat(15)
+        values, errs, resabs = _panels(f, np.array(lefts), np.array(rights), k)
+        new = list(zip(lefts, rights, values.tolist(), errs.tolist(), resabs.tolist()))
+        lefts, rights, owner, bisected = [], [], [], []
+        start = 0
+        for j, ps, at, n in pending:
+            ps[at:at + 1] = new[start:start + n]
+            start += n
+            _, _, ps_values, ps_errs, ps_resabs = zip(*ps)
+            err = math.fsum(ps_errs)
+            if not math.isfinite(err):
+                value = sum(ps_values)  # fsum raises on inf - inf
+                failed = QuadratureError(
+                    f"non-finite panel on [{a[j]}, {b[j]}] (value={value:.6e}, err={err:.2e})",
+                    IntegralResult(value, err, len(ps)),
+                )
+                break  # a loop of single integrals reaches none after j
+            value = math.fsum(ps_values)
+            if _converged(value, err, math.fsum(ps_resabs), rel_tol):
+                results[j] = IntegralResult(value, err, len(ps))
+                continue
+            if len(ps) >= _MAX_PANELS:
+                failed = QuadratureError(
+                    f"no convergence within {_MAX_PANELS} panels "
+                    f"(value={value:.6e}, err={err:.2e})",
+                    IntegralResult(value, err, len(ps)),
+                )
+                break
+            worst = ps_errs.index(max(ps_errs))
+            a0, b0 = ps[worst][:2]
+            mid = 0.5 * (a0 + b0)
+            lefts += (a0, mid)
+            rights += (mid, b0)
+            owner += (j, j)
+            bisected.append((j, ps, worst, 2))
+        pending = bisected
+    if failed is not None:
+        raise failed
+    return results
 
 
 def integrate_adaptive(
@@ -231,40 +328,10 @@ def integrate_adaptive(
     Raises QuadratureError (carrying the best estimate) if the panel cap is
     reached first, and at once when a panel's estimate or error is not
     finite (f returned NaN or inf, or overflowed in the sum), instead of
-    bisecting towards the cap.
+    bisecting towards the cap.  It is the one-interval case of the batch
+    integrator ``_integrate_batch``.
     """
-    if not -math.inf < a <= b < math.inf:
-        raise ValueError(f"need finite a <= b, got a={a}, b={b}")
-    if not 0 < rel_tol < math.inf:
-        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
-    if a == b:
-        return IntegralResult(0.0, 0.0, 0)
-
-    edges = _first_mesh(a, b)
-    panels = _panel_list(f, edges[:-1], edges[1:])
-    while True:
-        err = math.fsum(p[3] for p in panels)
-        if not math.isfinite(err):
-            value = sum(p[2] for p in panels)  # fsum raises on inf - inf
-            raise QuadratureError(
-                f"non-finite panel on [{a}, {b}] (value={value:.6e}, err={err:.2e})",
-                IntegralResult(value, err, len(panels)),
-            )
-        value = math.fsum(p[2] for p in panels)
-        resabs = math.fsum(p[4] for p in panels)
-        if _converged(value, err, resabs, rel_tol):
-            return IntegralResult(value, err, len(panels))
-        if len(panels) >= _MAX_PANELS:
-            best = IntegralResult(value, err, len(panels))
-            raise QuadratureError(
-                f"no convergence within {_MAX_PANELS} panels "
-                f"(value={value:.6e}, err={err:.2e})",
-                best,
-            )
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        a0, b0 = panels[worst][:2]
-        mid = 0.5 * (a0 + b0)
-        panels[worst:worst + 1] = _panel_list(f, [a0, mid], [mid, b0])
+    return _integrate_batch(lambda x, k: f(x), [a], [b], rel_tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ import numpy as np
 
 from .constitutive import ZoneLaw, drag_power, pressure_gradient
 from .kinematics import Scenario, finite_positive, flux_density, velocity_profile, zone_segments
-from .quadrature import _converged, _panels, integrate_adaptive
+from .quadrature import _converged, _integrate_batch, _panels, integrate_adaptive
 
 # relative tolerances: W(r), zone energies and the inner integrals of
 # pi_from_profile; its outer integral of r W(r); the agreement of its two
@@ -55,18 +55,50 @@ def _grad_fun(scn: Scenario, law: ZoneLaw) -> Callable[[np.ndarray], np.ndarray]
     return lambda r: pressure_gradient(p, law, velocity_profile(scn, r))
 
 
-def pressure_profile(scn: Scenario, r: float) -> float:
-    """W(r) = int_{r_w}^{r} g(v) v drho, zero at the well, nondecreasing."""
+def pressure_profile(scn: Scenario, r):
+    """W(r) = int_{r_w}^{r} g(v) v drho, zero at the well, nondecreasing.
+
+    ``r`` is a float, which gives a float, or a numpy array of radii, which
+    gives W at each in an array of its shape.  The integrals over the zone
+    segments below every radius are one batch of ``_integrate_batch``, and W
+    sums each radius's segments left to right, so W at a radius is, bit for
+    bit, what that radius alone gives.  Raises ValueError for a radius
+    outside [r_w, r_e] or NaN.
+    """
     geo = scn.geometry
-    if not geo.r_w <= r <= geo.r_e:
-        raise ValueError(f"r={r} outside [{geo.r_w}, {geo.r_e}]")
-    total = 0.0
+    radii = np.asarray(r, dtype=float)
+    points = radii.ravel().tolist()
+    for x in points:
+        if not geo.r_w <= x <= geo.r_e:
+            raise ValueError(f"r={x} outside [{geo.r_w}, {geo.r_e}]")
+    # the integrals, segment by segment: [a, min(r, b)] for each radius r above a
+    lo: list[float] = []
+    hi: list[float] = []
+    owner: list[int] = []
+    starts: list[int] = []
+    grads = []
     for a, b, law in zone_segments(scn):
-        if r <= a:
-            break
-        hi = min(r, b)
-        total += integrate_adaptive(_grad_fun(scn, law), a, hi, rel_tol=_INNER_REL_TOL).value
-    return total
+        starts.append(len(lo))
+        grads.append(_grad_fun(scn, law))
+        for i, x in enumerate(points):
+            if x > a:
+                lo.append(a)
+                hi.append(min(x, b))
+                owner.append(i)
+
+    def integrand(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+        # the nodes come grouped by integral, so each segment's are one slice
+        if len(grads) == 1:
+            return grads[0](x)
+        cuts = [0, *np.searchsorted(k, starts[1:]).tolist(), len(x)]
+        return np.concatenate([grad(x[i:j]) for grad, i, j in zip(grads, cuts, cuts[1:])])
+
+    total = [0.0] * len(points)
+    for i, res in zip(owner, _integrate_batch(integrand, lo, hi, rel_tol=_INNER_REL_TOL)):
+        total[i] += res.value
+    if radii.ndim == 0:
+        return total[0]
+    return np.array(total).reshape(radii.shape)
 
 
 def _zone_energy(scn: Scenario, law: ZoneLaw, lo: float, hi: float) -> float:
@@ -100,8 +132,8 @@ def pi_from_profile(scn: Scenario) -> float:
     (r_e^2 - r_w^2).  W at every outer node comes from its own inner
     quadrature of g(v) v, taken from the nearest radius below the node where
     W is already known (the segment start, an earlier node or the previous node
-    of the same batch) and accumulated onto the W found there; W at each
-    segment start is ``pressure_profile``.  The first Gauss-Kronrod panel of
+    of the same batch) and accumulated onto the W found there; W at the
+    segment starts is one ``pressure_profile`` call.  The first Gauss-Kronrod panel of
     every gap in a batch of outer nodes is evaluated in one integrand call;
     a gap whose panel fails the acceptance test of ``integrate_adaptive`` is
     integrated adaptively instead.  The result is cross-checked against the
@@ -111,8 +143,9 @@ def pi_from_profile(scn: Scenario) -> float:
     """
     geo = scn.geometry
     total_rw = 0.0
-    for a, b, law in zone_segments(scn):
-        w0 = pressure_profile(scn, a)
+    segments = zone_segments(scn)
+    w_starts = pressure_profile(scn, np.array([a for a, _, _ in segments])).tolist()
+    for (a, b, law), w0 in zip(segments, w_starts):
         grad = _grad_fun(scn, law)
         # radii in [a, b] where W - w0 is known, ascending, with those values
         known_r = [a]

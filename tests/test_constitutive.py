@@ -1,7 +1,9 @@
 """Constitutive law branches, their inverses and the regime presets."""
 
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from wellpi import (
@@ -225,3 +227,29 @@ def test_drag_power_vanishes_at_zero_speed():
     assert drag_power(p, fdpd, v) == pytest.approx(p.lambda_ * v ** (2 - p.s), rel=1e-15)
     # every law vanishes at zero speed, the flux-independent s = 1 one too
     assert drag_power(params(s=1.0), regime_preset("pure-preDarcy"), 0.0) == 0.0
+
+
+@pytest.mark.parametrize("regime", ["FDpD", "FpDpD", "pure-preDarcy"])
+def test_drag_power_is_the_checked_law_times_the_speed(regime):
+    # drag_power checks its speed once and runs the law unchecked; the value
+    # is that of the checked route, on both sides of both critical speeds
+    p, assignment = params(s=0.7), regime_preset(regime)
+    for v in (0.0, 1e-9, p.v_D, 3e-7, p.v_F, 1e-3, 1e3):
+        law = law_for_speed(p, assignment, v)
+        expected = pressure_gradient(p, law, v) * v
+        assert drag_power(p, assignment, v) == expected
+        assert drag_power(p, assignment, -v) == expected
+
+
+def test_pressure_gradient_takes_one_coefficient_per_speed():
+    # arrays of coefficients, as the batched oracle passes them: each speed
+    # gets what its own coefficients give it as floats
+    speeds = np.array([1e-9, 1e-7, 1e-5, 1e-3])
+    powers = np.array([0.0, 0.3, 1.0, 5e-324])
+    base = params()
+    coefficients = SimpleNamespace(alpha=base.alpha, beta=base.beta, lambda_=base.lambda_, s=powers)
+    for law in ZoneLaw:
+        got = pressure_gradient(coefficients, law, speeds)
+        for v, s, g in zip(speeds.tolist(), powers.tolist(), got.tolist()):
+            assert g == pytest.approx(pressure_gradient(params(s=s), law, v), rel=1e-15)
+

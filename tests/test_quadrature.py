@@ -1,9 +1,11 @@
 """Adaptive integrator and the three zone integrals."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wellpi import (
     QuadratureError,
@@ -16,8 +18,10 @@ from wellpi import (
     zone_integral,
 )
 
-from wellpi import quadrature
-from wellpi.quadrature import _WG_HALF, _WGK_HALF, _XGK_HALF, _panels, _rule
+from wellpi import checks, quadrature
+from wellpi.constitutive import pressure_gradient
+from wellpi.kinematics import velocity_profile
+from wellpi.quadrature import _WG_HALF, _WGK_HALF, _XGK_HALF, _integrate_batch, _panels, _rule
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +105,11 @@ def test_nonfinite_integrand_raises_at_the_first_panel(bad):
     assert not math.isfinite(info.value.best.value)
 
 
-def test_batched_panels_match_single_panels_in_one_call():
+@pytest.mark.parametrize("n", [1, 2, 7, 30, 300, 3000])
+def test_batched_panels_match_single_panels_in_one_call(n):
+    # each row is reduced on its own, so a panel's numbers do not depend on
+    # the batch; a matrix-vector product's blocking makes the last bit of a
+    # row depend on the row count and position
     calls = []
 
     def f(x):
@@ -109,17 +117,14 @@ def test_batched_panels_match_single_panels_in_one_call():
         return np.exp(-x) / (1.0 + x * x)
 
     rng = np.random.default_rng(3)
-    a = rng.uniform(0.0, 5.0, size=9)
-    b = a + rng.uniform(1e-6, 3.0, size=9)
+    a = rng.uniform(0.0, 5.0, size=n)
+    b = a + rng.uniform(1e-6, 3.0, size=n)
     batched = _panels(f, a, b)
-    assert calls == [(15 * 9,)]  # one call on all the nodes, flattened
-    for i in range(9):
-        value, err, resabs = (x[0] for x in _panels(f, a[i:i + 1], b[i:i + 1]))
-        ulp = np.spacing(resabs)
-        assert abs(batched[0][i] - value) <= 4 * np.spacing(abs(value))
-        assert abs(batched[2][i] - resabs) <= 4 * ulp
-        # the error is a difference of two estimates of size resabs
-        assert abs(batched[1][i] - err) <= 4 * ulp
+    assert calls == [(15 * n,)]  # one call on all the nodes, flattened
+    for i in range(n):
+        single = _panels(f, a[i:i + 1], b[i:i + 1])
+        for got, want in zip(batched, single):
+            assert got[i].hex() == want[0].hex()
 
 
 def test_gauss_kronrod_weights_sum_to_two():
@@ -148,9 +153,9 @@ def _reference_panels(f, a, b):
     center, half = 0.5 * (a + b), 0.5 * (b - a)
     x = center[:, None] + half[:, None] * nodes
     fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    kronrod = half * (fx @ w_kronrod)
-    gauss = half * (fx @ w_gauss)
-    return kronrod, np.abs(kronrod - gauss), np.abs(half) * (np.abs(fx) @ w_kronrod)
+    kronrod = half * np.vecdot(fx, w_kronrod)
+    gauss = half * np.vecdot(fx, w_gauss)
+    return kronrod, np.abs(kronrod - gauss), np.abs(half) * np.vecdot(np.abs(fx), w_kronrod)
 
 
 @pytest.mark.parametrize("f", [np.exp, np.sqrt, lambda x: x**7 - 3.0 * x, lambda x: 1.0 / x])
@@ -177,6 +182,147 @@ def test_each_bisection_is_one_integrand_call():
     # the first mesh, then both halves of each bisected panel together
     assert res.subdivisions == n0 + bisections
     assert calls == [15 * n0] + [30] * bisections
+
+
+# ---------------------------------------------------------------------------
+# batch engine: independent integrals in one pass
+# ---------------------------------------------------------------------------
+
+def _alone(f, j):
+    # the batch integrand of integral j, as integrate_adaptive takes it
+    return lambda x: f(x, np.full(x.shape, j))
+
+
+def _assert_each_as_alone(f, a, b, rel_tol=1e-10):
+    batched = _integrate_batch(f, a, b, rel_tol)
+    for j, res in enumerate(batched):
+        alone = integrate_adaptive(_alone(f, j), a[j], b[j], rel_tol)
+        assert res.value.hex() == alone.value.hex()
+        assert res.abs_error_estimate.hex() == alone.abs_error_estimate.hex()
+        assert res.subdivisions == alone.subdivisions
+    return batched
+
+
+def test_batch_of_closed_vs_quadrature_equals_each_integral_alone(monkeypatch):
+    # the 3 x 100 drag-energy integrals of validate, laws and per-node s included
+    jobs = []
+
+    def spy(f, a, b, rel_tol):
+        jobs.append((f, a, b, rel_tol))
+        return _integrate_batch(f, a, b, rel_tol)
+
+    monkeypatch.setattr(checks, "_integrate_batch", spy)
+    assert checks.check_closed_vs_quadrature().passed
+    (f, a, b, rel_tol), = jobs
+    assert len(a) == 300
+    _assert_each_as_alone(f, a, b, rel_tol)
+
+
+_LAWS = tuple(ZoneLaw)
+
+
+def _energy_batch(laws, powers):
+    # drag energy of integral j along laws[j] with s = powers[j], each law once
+    # per call on the coefficients of its nodes, in the base reservoir
+    scn = base_scenario("D")
+    laws, powers = np.array(laws), np.array(powers)
+
+    def f(r, k):
+        v = velocity_profile(scn, r)
+        out = np.empty_like(r)
+        for i, law in enumerate(_LAWS):
+            m = laws[k] == i
+            coefficients = SimpleNamespace(
+                alpha=scn.params.alpha, beta=scn.params.beta, lambda_=scn.params.lambda_,
+                s=powers[k[m]],
+            )
+            out[m] = r[m] * pressure_gradient(coefficients, law, v[m]) * v[m]
+        return out
+
+    return f
+
+
+_EDGE_POWERS = [0.0, 1.0, 5e-324, 1e-300, 1e-12, 1.0 - 2.0**-53]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.floats(0.1, 1000.0), st.floats(0.1, 1000.0), st.integers(0, 2),
+        st.one_of(st.sampled_from(_EDGE_POWERS), st.floats(0.0, 1.0)),
+    ),
+    min_size=1, max_size=12,
+))
+def test_batch_equals_each_integral_alone(jobs):
+    a = [min(r1, r2) for r1, r2, _, _ in jobs]
+    b = [max(r1, r2) for r1, r2, _, _ in jobs]
+    f = _energy_batch([law for *_, law, _ in jobs], [s for *_, s in jobs])
+    _assert_each_as_alone(f, a, b)
+
+
+def test_empty_interval_in_a_batch_is_exactly_zero():
+    f = _energy_batch([0, 1, 2], [0.3, 0.3, 0.3])
+    empty, full, other = _integrate_batch(f, [5.0, 1.0, 7.5], [5.0, 2.0, 7.5])
+    for res in (empty, other):
+        assert res.value == 0.0 and res.abs_error_estimate == 0.0 and res.subdivisions == 0
+    assert full.value > 0.0
+
+
+def test_batch_calls_its_integrand_once_per_round():
+    calls = []
+    inner = _energy_batch([0, 1, 2, 2], [0.0, 0.5, 0.2, 1.0])
+
+    def f(r, k):
+        calls.append(k.copy())
+        return inner(r, k)
+
+    a, b = [0.1, 0.3, 2.0, 999.0], [1000.0, 40.0, 3.0, 1000.0]
+    results = _integrate_batch(f, a, b)
+    # integral j takes one round for its first mesh and one per bisection
+    rounds = [res.subdivisions - (len(quadrature._first_mesh(lo, hi)) - 1) + 1
+              for res, lo, hi in zip(results, a, b)]
+    assert len(calls) == max(rounds)
+    for i, k in enumerate(calls):
+        assert np.all(np.diff(k) >= 0)  # grouped by integral, ascending
+        assert set(k.tolist()) == {j for j, n in enumerate(rounds) if n > i}
+
+
+def _failing_batch(bad):
+    # `bad` maps each failing integral to "nan", a NaN integrand that fails
+    # in the first round, or "cap", 1/sqrt(x) on [0, 1], which bisects until
+    # it reaches the panel cap in the third; the others integrate 1 exactly
+    def f(x, k):
+        out = np.ones_like(x)
+        for j, kind in bad.items():
+            out[k == j] = np.nan if kind == "nan" else 1.0 / np.sqrt(x[k == j])
+        return out
+
+    return f
+
+
+def _quadrature_error(call):
+    with pytest.raises(QuadratureError) as info, np.errstate(invalid="ignore"):
+        call()
+    best = info.value.best
+    return str(info.value), best.value.hex(), best.abs_error_estimate.hex(), best.subdivisions
+
+
+@pytest.mark.parametrize("bad", [
+    {1: "nan"}, {1: "cap"}, {1: "nan", 2: "cap"}, {1: "cap", 2: "nan"}, {2: "nan", 3: "nan"},
+])
+def test_batch_raises_what_a_loop_of_single_integrals_raises_first(bad, monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 3)
+    f = _failing_batch(bad)
+    a, b = [0.0] * 4, [1.0] * 4
+    first = min(bad)
+    batched = _quadrature_error(lambda: _integrate_batch(f, a, b, 1e-14))
+    assert batched[0].startswith("no convergence" if bad[first] == "cap" else "non-finite")
+    assert batched == _quadrature_error(
+        lambda: integrate_adaptive(_alone(f, first), a[first], b[first], 1e-14)
+    )
+    # a loop of single integrals gets past the ones before the first failure
+    for j in range(first):
+        assert integrate_adaptive(_alone(f, j), a[j], b[j], 1e-14).value == 1.0
 
 
 @pytest.mark.parametrize("a,b", [
