@@ -129,15 +129,23 @@ _FAULT_SCALE = 1.0 + 1e-3
 
 
 def check_oracle_equivalence(inject_fault: bool = False) -> CheckResult:
-    """Zone-integral PI and nested pressure-profile PI agree to 1e-6; an
-    injected fault multiplies the Forchheimer zones' S values by
-    ``_FAULT_SCALE`` first."""
+    """Zone-integral PI and nested pressure-profile PI agree to 1e-6 for
+    every preset at two fluxes and two pre-Darcy powers s; an injected fault
+    multiplies the Forchheimer zones' S values by ``_FAULT_SCALE`` first.
+
+    s enters only the pre-Darcy law, so a preset without a pre-Darcy zone (D,
+    F, FDD) gives the same closed-form PI, fault and profile PI, bit for bit,
+    at both powers: it is checked at the first power only, which leaves the
+    measured deviation as the whole cross product's."""
     regimes = tuple(REGIME_PRESETS.values())
-    cases = [base_scenario("D", q_over_h=q, s=s) for q in (1e-4, 1e-2) for s in (0.3, 0.7)]
+    powers = (0.3, 0.7)
+    cases = [base_scenario("D", q_over_h=q, s=s) for q in (1e-4, 1e-2) for s in powers]
     curve = compute_curve(cases[0].geometry, regimes, [(scn.q_over_h, scn.params) for scn in cases])
     worst = 0.0
     for scn, pis in zip(cases, curve):
         for regime, pi in zip(regimes, pis):
+            if scn.params.s != powers[0] and ZoneLaw.PRE_DARCY not in regime.laws():
+                continue
             scn_regime = replace(scn, regime=regime)
             j_closed = pi.j_raw
             if inject_fault:

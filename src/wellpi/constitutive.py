@@ -145,10 +145,11 @@ def pressure_gradient(params: FlowParameters, law: ZoneLaw, speed):
 
 
 def _gradient(params: FlowParameters, law: ZoneLaw, speed):
-    # pressure_gradient without the check of the speed
-    if law is ZoneLaw.DARCY:
+    # pressure_gradient without the check of the speed; the module aliases,
+    # since an enum member lookup costs several times a global's
+    if law is _D:
         return params.alpha * speed
-    if law is ZoneLaw.FORCHHEIMER:
+    if law is _F:
         return (params.alpha + params.beta * speed) * speed
     return params.lambda_ * speed ** (1.0 - params.s)
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,7 +45,17 @@ from .kinematics import (
     finite_positive,
     zone_bounds,
 )
-from .quadrature import _I0, _I1, _LAW_TERMS, _P, _term_bracket, zone_integral
+from .quadrature import (
+    _I0,
+    _I1,
+    _LAW_TERMS,
+    _P,
+    _subnormal_flux,
+    _term_bracket,
+    zone_integral,
+)
+
+_FLOAT_MIN = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -117,8 +128,9 @@ def compute_curve(geo: Geometry, regimes: Sequence[RegimeAssignment],
 
     Raises ValueError, as ``Scenario`` does, for a flux that is not positive
     and finite, and FloatingPointError when an index or its dimensionless
-    form overflows, underflows to zero or is NaN, or when A, L or the zone
-    integrals leave the float range on the way to it.
+    form overflows, underflows to zero or is NaN, when A, L or the zone
+    integrals leave the float range on the way to it, or when a pre-Darcy
+    zone meets a subnormal A (``quadrature._subnormal_flux``).
     """
     r_w, r_e = geo.r_w, geo.r_e
     bracket = _term_bracket
@@ -150,6 +162,8 @@ def compute_curve(geo: Geometry, regimes: Sequence[RegimeAssignment],
                             value = cache[key] = bracket(term, r_e, s, lo, hi)
                     c = coefficients[term]
                     if c is None:
+                        if a < _FLOAT_MIN:
+                            raise _subnormal_flux(a)
                         c = coefficients[_P] = params.lambda_ * a ** (-s)
                     values.append(c * value)
                 j_raw = finite_positive("PI j_raw", big_l / math.fsum(values))

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -199,34 +198,6 @@ def pi_from_profile(scn: Scenario) -> float:
 # Slightly compressible velocity profile
 # ---------------------------------------------------------------------------
 
-# Dormand-Prince 5(4) tableau.  The last row of _DP_A is the fifth-order
-# weights, so the seventh stage is taken at the step's end (r + h, u5).
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-# Quartic continuous extension of the pair (Shampine 1986; Hairer, Norsett &
-# Wanner, Solving ODEs I, sec. II.6): within a step from (r, u),
-# u(r + theta h) = u + h theta (q0 + theta (q1 + theta (q2 + theta q3)))
-# with q_j = sum_i k_i _DP_P[i][j].
-_DP_P = (
-    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632),
-    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
-)
-
 
 class StepSizeUnderflow(RuntimeError):
     """The adaptive step fell below the resolvable radius scale."""
@@ -246,6 +217,19 @@ def compressible_velocity(
     from the step's quartic continuous extension, so the work does not grow
     with the number of radii.  ``gamma = 0`` returns the incompressible
     profile.
+
+    Each step's six new stages k1..k6, its fifth- and fourth-order weight
+    sums and the coefficients q0..q3 of the continuous extension (Hairer,
+    Norsett & Wanner, Solving ODEs I, sec. II.6), within a step from (r, u)
+
+        u(r + theta h) = u + h theta (q0 + theta (q1 + theta (q2 + theta q3))),
+
+    are written out over the locals k0..k6, one term per entry of the
+    Dormand-Prince tableau in its order, zero entries included.  Each sum is
+    therefore the tableau's sum added left to right, bit for bit, and a NaN
+    stage still reaches both weight sums, so that the controller rejects the
+    step; writing them out only spares the interpreter the loop over the
+    tableau.
 
     The controller bounds each step's local error only, so the outputs
     reproduce to about 1.4e-10 of max v, not to ``_RK_REL_TOL``: a change of a
@@ -285,21 +269,46 @@ def compressible_velocity(
     r, u = geo.r_e, 0.0
     h_prop = -(geo.r_e - geo.r_w) / 100.0  # proposed (negative) step
     abs_floor = _RK_REL_TOL * a_flux * geo.r_e**2  # scale of max |r v|
-    k = [rhs(r, u)] + [0.0] * 6
+    k0 = rhs(r, u)
 
     while n >= 0:
         h = max(h_prop, r_end - r)  # never step past the smallest radius
-        for i in range(1, 7):
-            ui = u + h * sum(map(mul, _DP_A[i], k))
-            k[i] = rhs(r + _DP_C[i] * h, ui)
-        u5 = ui
-        u4 = u + h * sum(map(mul, _DP_B4, k))
+        k1 = rhs(r + 1 / 5 * h, u + h * (1 / 5 * k0))
+        k2 = rhs(r + 3 / 10 * h, u + h * (3 / 40 * k0 + 9 / 40 * k1))
+        k3 = rhs(r + 4 / 5 * h, u + h * (44 / 45 * k0 + -56 / 15 * k1 + 32 / 9 * k2))
+        k4 = rhs(r + 8 / 9 * h, u + h * (
+            19372 / 6561 * k0 + -25360 / 2187 * k1 + 64448 / 6561 * k2 + -212 / 729 * k3))
+        k5 = rhs(r + h, u + h * (
+            9017 / 3168 * k0 + -355 / 33 * k1 + 46732 / 5247 * k2 + 49 / 176 * k3
+            + -5103 / 18656 * k4))
+        # the fifth-order solution, whose weight sum is the last stage's;
+        # 0.0 * k1 keeps a NaN k1 in it, as in u4
+        u5 = u + h * (
+            35 / 384 * k0 + 0.0 * k1 + 500 / 1113 * k2 + 125 / 192 * k3
+            + -2187 / 6784 * k4 + 11 / 84 * k5)
+        k6 = rhs(r + h, u5)
+        u4 = u + h * (
+            5179 / 57600 * k0 + 0.0 * k1 + 7571 / 16695 * k2 + 393 / 640 * k3
+            + -92097 / 339200 * k4 + 187 / 2100 * k5 + 1 / 40 * k6)
         err = abs(u5 - u4)
         tol = abs_floor + _RK_REL_TOL * max(abs(u), abs(u5))
         if err <= tol:
             r_new = r_end if h == r_end - r else r + h
             if ts[n] > r_new:  # a radius inside the step
-                q0, q1, q2, q3 = (sum(map(mul, col, k)) for col in zip(*_DP_P))
+                q0 = (1.0 * k0 + 0.0 * k1 + 0.0 * k2 + 0.0 * k3 + 0.0 * k4 + 0.0 * k5
+                      + 0.0 * k6)
+                q1 = (-8048581381 / 2820520608 * k0 + 0.0 * k1
+                      + 131558114200 / 32700410799 * k2 + -1754552775 / 470086768 * k3
+                      + 127303824393 / 49829197408 * k4 + -282668133 / 205662961 * k5
+                      + 40617522 / 29380423 * k6)
+                q2 = (8663915743 / 2820520608 * k0 + 0.0 * k1
+                      + -68118460800 / 10900136933 * k2 + 14199869525 / 1410260304 * k3
+                      + -318862633887 / 49829197408 * k4 + 2019193451 / 616988883 * k5
+                      + -110615467 / 29380423 * k6)
+                q3 = (-12715105075 / 11282082432 * k0 + 0.0 * k1
+                      + 87487479700 / 32700410799 * k2 + -10690763975 / 1880347072 * k3
+                      + 701980252875 / 199316789632 * k4 + -1453857185 / 822651844 * k5
+                      + 69997945 / 29380423 * k6)
             while n >= 0 and ts[n] >= r_new:
                 t = ts[n]
                 if t == r_new:
@@ -312,7 +321,7 @@ def compressible_velocity(
             # first same as last: the seventh stage is rhs(r + h, u5), which
             # is the next step's first stage unless this was the clipped
             # last step, after which no step follows
-            k[0] = k[6]
+            k0 = k6
             r, u = r_new, u5
             grow = 5.0 if err == 0.0 else min(5.0, 0.9 * (tol / err) ** 0.2)
             h_prop = h * max(0.2, grow)

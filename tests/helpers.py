@@ -1,9 +1,14 @@
 """Shared helpers for the test suite."""
 
 import math
+from dataclasses import dataclass
+
+import numpy as np
 
 from wellpi import ZoneLaw, flux_density, synthesize_measurements
+from wellpi.constitutive import drag_power
 from wellpi.kinematics import zone_bounds
+from wellpi.validation import _RK_REL_TOL
 
 
 def bisect_inverse(fun, target, lo, hi, iterations=200):
@@ -125,3 +130,117 @@ def reference_pi(scn):
         r_e, r_w = mp.mpf(geo.r_e), mp.mpf(geo.r_w)
         total = mp.fsum(reference_zone_contributions(scn))
         return 2 * mp.pi * mp.mpf(geo.h) * (r_e**2 - r_w**2) ** 2 / total
+
+
+# Dormand-Prince 5(4) tableau.  The last row of _DP_A is the fifth-order
+# weights, so the seventh stage is taken at the step's end (r + h, u5).
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Quartic continuous extension (Shampine 1986): within a step from (r, u),
+# u(r + theta h) = u + h theta (q0 + theta (q1 + theta (q2 + theta q3)))
+# with q_j = sum_i k_i _DP_P[i][j].
+_DP_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
+
+
+def _tableau_sum(row, k):
+    """sum_i row[i] k[i], added left to right from 0 as Python 3.11's ``sum``
+    adds floats (3.12's ``sum`` compensates, so it is not used here)."""
+    total = 0
+    for a, ki in zip(row, k):
+        total = total + a * ki
+    return total
+
+
+@dataclass
+class ReferenceSweep:
+    """What ``reference_compressible_velocity`` found: the speeds at the
+    sorted unique radii, the right-hand-side evaluations, the radii where
+    accepted steps end and the number of rejected steps."""
+
+    radii: np.ndarray
+    speeds: np.ndarray
+    rhs_evals: int
+    step_ends: list
+    rejected: int
+
+
+def reference_compressible_velocity(scn, gamma, radii):
+    """``validation.compressible_velocity`` as a loop over the Dormand-Prince
+    tableau above, with the same step controller, clipping and dense output.
+
+    Every stage, weight and dense-output sum is the tableau's, so the sweep
+    that writes them out must give the same floats and make as many
+    right-hand-side evaluations.  Raises RuntimeError where the sweep raises
+    StepSizeUnderflow.
+    """
+    geo = scn.geometry
+    targets = np.unique(np.asarray(radii, dtype=float))
+    a_flux = flux_density(scn)
+    evals = 0
+
+    def rhs(r, u):
+        nonlocal evals
+        evals += 1
+        return -2.0 * a_flux * r - gamma * r * drag_power(scn.params, scn.regime, u / r)
+
+    ts = targets.tolist()
+    r_end = ts[0]
+    speeds = [0.0] * len(ts)
+    n = len(ts) - 1
+    if ts[n] == geo.r_e:
+        n -= 1
+    r, u = geo.r_e, 0.0
+    h_prop = -(geo.r_e - geo.r_w) / 100.0
+    abs_floor = _RK_REL_TOL * a_flux * geo.r_e**2
+    k = [rhs(r, u)] + [0.0] * 6
+    step_ends, rejected = [], 0
+    while n >= 0:
+        h = max(h_prop, r_end - r)
+        for i in range(1, 7):
+            ui = u + h * _tableau_sum(_DP_A[i], k)
+            k[i] = rhs(r + _DP_C[i] * h, ui)
+        u5 = ui
+        u4 = u + h * _tableau_sum(_DP_B4, k)
+        err = abs(u5 - u4)
+        tol = abs_floor + _RK_REL_TOL * max(abs(u), abs(u5))
+        if err <= tol:
+            r_new = r_end if h == r_end - r else r + h
+            q = [_tableau_sum(col, k) for col in zip(*_DP_P)]
+            while n >= 0 and ts[n] >= r_new:
+                t = ts[n]
+                if t == r_new:
+                    v = u5
+                else:
+                    theta = (t - r) / h
+                    v = u + h * theta * (q[0] + theta * (q[1] + theta * (q[2] + theta * q[3])))
+                speeds[n] = v / t
+                n -= 1
+            k[0] = k[6]
+            r, u = r_new, u5
+            step_ends.append(r)
+            grow = 5.0 if err == 0.0 else min(5.0, 0.9 * (tol / err) ** 0.2)
+            h_prop = h * max(0.2, grow)
+        else:
+            rejected += 1
+            h_prop = h * max(0.2, 0.9 * (tol / err) ** 0.2)
+            if abs(h_prop) < 1e-14 * geo.r_e:
+                raise RuntimeError(f"step underflow at r={r}")
+    return ReferenceSweep(targets, np.array(speeds), evals, step_ends, rejected)

@@ -153,6 +153,18 @@ def test_flux_density_out_of_float_range_is_named(capsys, argv):
     assert err.startswith("numerical failure: flux density A out of the floating-point range: ")
 
 
+def test_a_subnormal_flux_density_is_refused_where_a_predarcy_zone_needs_it(capsys):
+    # lambda A^(-s) would carry the bits a subnormal A lost: this PI once
+    # printed 6.93979355e-224, 4.6e-3 off the exact 6.972e-224
+    argv = ("--q-over-h", "1e-315", "--s", "0.7")
+    code, out, err = run_cli(capsys, "pi", "--regime", "pure-preDarcy", *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: flux density A=1.6e-322 is subnormal")
+    code, out, err = run_cli(capsys, "pi", "--regime", "F", *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0].endswith("(1.35837645e-01)")
+
+
 def test_invalid_regime(capsys, tmp_path):
     code, _, err = run_cli(capsys, "pi", "--regime", "bogus")
     assert code == 2

@@ -22,6 +22,7 @@ from wellpi import (
     base_scenario,
     compute_curve,
     compute_pi,
+    flux_density,
     partition_zones,
     regime_preset,
     velocity_profile,
@@ -140,6 +141,29 @@ def test_pure_predarcy_pi_scales_as_flux_to_the_s():
                 jc = compute_pi(base_scenario("pure-preDarcy", s=s, q_over_h=c * q)).j_raw
                 worst = max(worst, abs(jc - c**s * j) / jc)
     assert worst <= 1e-15
+
+
+def test_a_subnormal_flux_density_refuses_only_the_predarcy_law():
+    # A holds fewer than 53 bits once it is subnormal, and lambda A^(-s)
+    # carries the lost ones into the PI: at Q/h = 1e-315, s = 0.7 the pure
+    # pre-Darcy PI came out 4.6e-3 off the exact law J ~ (Q/h)^s
+    j_normal = compute_pi(base_scenario("pure-preDarcy", q_over_h=1e-300, s=0.7)).j_raw
+    j_base = compute_pi(base_scenario("pure-preDarcy", q_over_h=0.2, s=0.7)).j_raw
+    assert abs(j_normal - j_base * (1e-300 / 0.2) ** 0.7) <= 1e-15 * j_normal
+    j_darcy = compute_pi(base_scenario("D")).j_raw
+    for regime in REGIME_PRESETS.values():
+        scn = base_scenario(regime, q_over_h=1e-315, s=0.7)
+        assert 0 < flux_density(scn) < sys.float_info.min
+        if ZoneLaw.PRE_DARCY in regime.laws():
+            with pytest.raises(FloatingPointError, match=r"^flux density A=1\.6e-322 is subnormal"):
+                compute_pi(scn)
+        else:
+            # S_D and S_F keep their digits, and beta A I1 is below alpha I0's last bit
+            assert compute_pi(scn).j_raw == j_darcy
+    scn = base_scenario("D", q_over_h=1e-315, s=0.7)
+    with pytest.raises(FloatingPointError, match="flux density"):
+        zone_integral(scn, ZoneLaw.PRE_DARCY, scn.geometry.r_w, scn.geometry.r_e)
+    assert zone_integral(scn, ZoneLaw.FORCHHEIMER, scn.geometry.r_w, scn.geometry.r_e) > 0
 
 
 def test_dimensionless_pi_is_independent_of_thickness():

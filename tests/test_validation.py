@@ -23,9 +23,11 @@ from wellpi import (
     zone_contributions,
     zone_segments,
 )
-from wellpi.checks import gamma_scaled_scenario
-from wellpi.constitutive import drag_power, pressure_gradient
+from wellpi.checks import check_oracle_equivalence, gamma_scaled_scenario
+from wellpi.constitutive import REGIME_PRESETS, ZoneLaw, drag_power, pressure_gradient
 from wellpi.kinematics import zone_bounds
+
+from helpers import reference_compressible_velocity
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +175,8 @@ def test_validate_stays_within_its_panel_budget(monkeypatch):
     # log-spaced first mesh, and the independent integrals of
     # closed-form-vs-quadrature, of darcy-profile-closed-form and of each
     # pressure_profile call are one batch whose every round is one panel
-    # call, so `validate` makes 453 panel calls (830 with one call per
+    # call, so `validate` makes 427 panel calls (453 while oracle-equivalence
+    # also ran D, F and FDD at its second power; 830 with one call per
     # integral and round; 2,625 when each integral also started from one
     # panel and bisected its way to the well)
     calls = []
@@ -187,6 +190,37 @@ def test_validate_stays_within_its_panel_budget(monkeypatch):
     monkeypatch.setattr(wellpi.validation, "_panels", counted)
     assert all(result.passed for result in wellpi.checks.run_all())
     assert 0 < len(calls) <= 500
+
+
+@pytest.mark.parametrize("inject_fault", [False, True])
+def test_oracle_check_reads_as_the_whole_cross_product(monkeypatch, inject_fault):
+    # s enters only the pre-Darcy law, so the check runs D, F and FDD at one
+    # power only; its reading must stay that of every preset at every power
+    worst = 0.0
+    for q in (1e-4, 1e-2):
+        for s in (0.3, 0.7):
+            for regime in REGIME_PRESETS.values():
+                scn = base_scenario(regime, q_over_h=q, s=s)
+                j_closed = compute_pi(scn).j_raw
+                if inject_fault:
+                    contributions = zone_contributions(scn)
+                    j_closed *= math.fsum(contributions) / math.fsum(
+                        c * wellpi.checks._FAULT_SCALE if law is ZoneLaw.FORCHHEIMER else c
+                        for c, law in zip(contributions, regime.laws())
+                    )
+                j_profile = pi_from_profile(scn)
+                worst = max(worst, abs(j_closed - j_profile) / abs(j_profile))
+    runs = []
+
+    def counted(scn):
+        runs.append(scn)
+        return pi_from_profile(scn)
+
+    monkeypatch.setattr(wellpi.checks, "pi_from_profile", counted)
+    assert check_oracle_equivalence(inject_fault=inject_fault).measured == worst
+    # 2 fluxes x (4 pre-Darcy presets x 2 powers + 3 other presets)
+    assert len(runs) == 22
+    assert len(set(runs)) == 22
 
 
 def test_profile_pi_uses_no_closed_form(monkeypatch):
@@ -351,6 +385,42 @@ def test_compressible_work_does_not_grow_with_the_radii(monkeypatch):
         assert counts[0] % 6 == 1
         assert np.array_equal(speeds[1], speeds[2][::15])
         assert np.array_equal(speeds[0], speeds[2][[0, -1]])
+
+
+@pytest.mark.parametrize("scn, gamma", [
+    (gamma_scaled_scenario(), 0.0),
+    (gamma_scaled_scenario(), 1e-5),
+    (gamma_scaled_scenario(), 1e-4),
+    (gamma_scaled_scenario(), 1e-3),
+    (gamma_scaled_scenario(), 1.0),
+    (base_scenario("FDpD"), 1e-8),
+])
+def test_written_out_stages_equal_the_tableau_loop(monkeypatch, scn, gamma):
+    # the sweep writes each stage, weight and dense-output sum out; the
+    # reference sums the Dormand-Prince tableau in a loop, so every float and
+    # every right-hand-side evaluation (the tracer's rhs_evals) must agree.
+    # Below gamma = 1 the stages hardly depend on u: a reordered stage sum
+    # moved the samples' last bits at gamma = 1 only
+    geo = scn.geometry
+    ends = reference_compressible_velocity(scn, gamma, [geo.r_w, geo.r_e]).step_ends
+    inside = [(a + b) / 2.0 for a, b in zip(ends, ends[1:])]
+    # the steps depend on the smallest radius only, so ends[::2] fall on
+    # step ends here and inside[::3] inside steps
+    radii = [geo.r_w, geo.r_e, *ends[::2], *inside[::3], *np.linspace(geo.r_w, geo.r_e, 51)]
+    ref = reference_compressible_velocity(scn, gamma, radii)
+    assert ref.step_ends == ends
+    assert gamma == 0.0 or ref.rejected > 0
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return drag_power(*args)
+
+    monkeypatch.setattr(wellpi.validation, "drag_power", counting)
+    r, v = compressible_velocity(scn, gamma, radii)
+    assert r.tolist() == ref.radii.tolist()
+    assert [x.hex() for x in v.tolist()] == [x.hex() for x in ref.speeds.tolist()]
+    assert len(calls) == ref.rhs_evals
 
 
 @pytest.mark.parametrize("scn, gamma", [
