@@ -10,8 +10,10 @@ pressure-gradient data.
 The PI path (constitutive laws, zone partition, closed-form zone integrals,
 PI assembly, reference tables) imports no numpy.  The names from
 ``validation`` and ``fitting``, and the submodules ``validation``,
-``fitting`` and ``checks``, need numpy; they are imported together on first
-access, e.g. ``from wellpi import pi_from_profile`` or ``wellpi.checks``.
+``fitting`` and ``checks``, are imported together on first access, e.g.
+``from wellpi import pi_from_profile`` or ``wellpi.checks``.  ``validation``
+and ``checks`` need numpy; of ``fitting``'s names only
+``synthesize_measurements`` does, when it is called.
 """
 
 import importlib
@@ -60,7 +62,8 @@ from .reference import (
     reference_scenario,
 )
 
-#: The modules that import numpy, loaded together on first use.
+#: The modules loaded together on first use: the oracle's, which import
+#: numpy, and the fitter.
 _NUMPY_MODULES = ("validation", "fitting", "checks")
 #: Exported names of the numpy modules, with the module of each.
 _LAZY_EXPORTS = {

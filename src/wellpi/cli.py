@@ -17,8 +17,8 @@ A stderr that cannot be written loses its messages and changes no exit code.
 ``sweep`` checks every axis value before it computes any PI, so a rejected
 value exits 2 whatever a PI at another value would do.
 
-``pi``, ``sweep`` with ``--values`` and ``table`` run without numpy; it is
-imported only by ``validate``, ``fit`` and ``sweep --log-range``.
+Only ``validate`` imports numpy, for its independent oracle; ``pi``,
+``sweep``, ``table`` and ``fit`` run on the standard library.
 """
 
 from __future__ import annotations
@@ -297,6 +297,28 @@ def cmd_pi(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _geomspace(start: float, stop: float, count: int) -> list[float]:
+    """``count`` log-spaced values from ``start`` to ``stop``, both positive
+    and finite: the ends exactly, and between them numpy.geomspace's points,
+    ``10 ** (log10(start) + i * step)``, up to the last bit of ``pow``.
+
+    The list is made first, so a count that does not fit raises OverflowError
+    or MemoryError before any point is computed.  The ends are never raised
+    from their logarithms, which overflow at the float maximum.
+    """
+    values = [start] * count
+    if count > 1:
+        log_start = math.log10(start)
+        step = (math.log10(stop) - log_start) / (count - 1)
+        for i in range(1, count - 1):
+            try:
+                values[i] = 10.0 ** (i * step + log_start)
+            except OverflowError:  # a point between two ends at the float maximum
+                values[i] = max(start, stop)
+        values[-1] = stop
+    return values
+
+
 def _axis_values(args: argparse.Namespace) -> list[float]:
     if args.values is not None:
         try:
@@ -315,11 +337,9 @@ def _axis_values(args: argparse.Namespace) -> list[float]:
             raise ValueError(
                 "--log-range: start and stop must be positive and finite, points >= 1"
             )
-        import numpy as np
-
         try:
-            values = [float(v) for v in np.geomspace(start, stop, count)]
-        except MemoryError:
+            values = _geomspace(start, stop, count)
+        except (OverflowError, MemoryError):  # a count beyond the index range or memory
             raise ValueError(f"--log-range: {count} points do not fit in memory") from None
     if not values:
         raise ValueError("sweep needs at least one axis value")
@@ -412,8 +432,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from .fitting import CSV_COLUMNS, fit_segments, model_curve, read_measurements_csv
 
     try:
@@ -436,7 +454,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         lines.append("note: single Darcy segment explains the data; no breakpoint reported")
     _write_stdout("\n".join(lines) + "\n")
     if args.emit_model:
-        v_values = np.geomspace(min(m.v for m in data), max(m.v for m in data), 200)
+        v_values = _geomspace(min(m.v for m in data), max(m.v for m in data), 200)
         buf = io.StringIO()
         buf.write(",".join(CSV_COLUMNS) + "\n")
         for v, grad_p in model_curve(fit, v_values):

@@ -5,6 +5,9 @@ above it the linear Darcy relation |grad p| = alpha * v.  Both are straight
 lines in log-log coordinates (the Darcy one with slope exactly 1), so the
 fit is a two-segment least squares with an exhaustive search over the
 breakpoint; the data sets are small enough that nothing smarter is needed.
+The fit runs on the standard library, with correctly rounded sums
+(``math.fsum``); only ``synthesize_measurements`` imports numpy, for its
+seeded normal generator.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import io
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .constitutive import FlowParameters, law_for_speed, pressure_gradient, regime_preset
 from .kinematics import finite_positive
@@ -82,6 +83,8 @@ def synthesize_measurements(
     factor exp(noise_rel * N(0,1)) from a seeded generator, so output is
     bit-reproducible for a fixed seed.
     """
+    import numpy as np
+
     if not 0 <= noise_rel < math.inf:
         raise ValueError(f"noise_rel must be nonnegative and finite, got {noise_rel}")
     rng = np.random.default_rng(seed)
@@ -95,22 +98,24 @@ def synthesize_measurements(
     return out
 
 
-def _slope_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+def _slope_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, float]:
     """Least-squares line y = intercept + slope * x; returns (slope, intercept, sse)."""
-    xm, ym = x.mean(), y.mean()
-    sxx = float(((x - xm) ** 2).sum())
+    xm, ym = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [xi - xm for xi in x]
+    sxx = math.fsum(d * d for d in dx)
     if sxx == 0.0:
         raise ValueError("degenerate segment: all velocities equal")
-    slope = float(((x - xm) * (y - ym)).sum()) / sxx
+    slope = math.fsum(d * (yi - ym) for d, yi in zip(dx, y)) / sxx
     intercept = ym - slope * xm
-    sse = float(((y - (intercept + slope * x)) ** 2).sum())
+    sse = math.fsum((yi - (intercept + slope * xi)) ** 2 for xi, yi in zip(x, y))
     return slope, intercept, sse
 
 
-def _unit_slope_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+def _unit_slope_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     """Least-squares intercept of y = intercept + x; returns (intercept, sse)."""
-    intercept = float((y - x).mean())
-    sse = float(((y - x - intercept) ** 2).sum())
+    r = [yi - xi for xi, yi in zip(x, y)]
+    intercept = math.fsum(r) / len(r)
+    sse = math.fsum((ri - intercept) ** 2 for ri in r)
     return intercept, sse
 
 
@@ -144,8 +149,8 @@ def fit_segments(data: Iterable[FlowMeasurement]) -> FitResult:
     if len({m.v for m in points}) < 2:
         raise ValueError("degenerate data: all velocities equal")
 
-    x = np.log([m.v for m in points])
-    y = np.log([m.grad_p for m in points])
+    x = [math.log(m.v) for m in points]
+    y = [math.log(m.grad_p) for m in points]
 
     best = None  # (sse, points below the break, slope_low, icept_low, icept_up)
     for i in range(_MIN_SEGMENT - 1, n - _MIN_SEGMENT):
@@ -175,7 +180,7 @@ def fit_segments(data: Iterable[FlowMeasurement]) -> FitResult:
     else:
         darcy_slope, _, _ = _slope_fit(x[k:], y[k:])
     return FitResult(
-        s_hat=float(min(max(1.0 - slope_low, 0.0), 1.0)),
+        s_hat=min(max(1.0 - slope_low, 0.0), 1.0),
         lambda_hat=_coefficient("lambda_hat", icept_low),
         alpha_hat=_coefficient("alpha_hat", icept_up),
         # v * v can over/underflow

@@ -18,6 +18,7 @@ from wellpi import (
     reference_scenario,
     regime_preset,
 )
+from wellpi import cli
 from wellpi.cli import build_parser, build_scenario, main
 from wellpi.reference import (
     BASE_ALPHA,
@@ -467,11 +468,12 @@ def test_sweep_rejects_non_finite_log_range_end(capsys, log_range):
 
 
 def test_sweep_log_range_too_large_to_allocate_is_a_config_error(capsys, monkeypatch):
-    # numpy raises MemoryError (e.g. 7.28 TiB for 1e12 points); no test allocates it
+    # a list of 1e12 points (7.28 TiB) raises MemoryError where the machine
+    # refuses it, or is allocated where it does not; no test makes one
     def refuse(*args, **kwargs):
-        raise MemoryError("Unable to allocate 7.28 TiB")
+        raise MemoryError
 
-    monkeypatch.setattr(np, "geomspace", refuse)
+    monkeypatch.setattr(cli, "_geomspace", refuse)
     code, out, err = run_cli(
         capsys, "sweep", "--axis", "q_over_h", "--log-range", "1e-4,1e-2,1000000000000",
         "--regimes", "D",
@@ -479,6 +481,49 @@ def test_sweep_log_range_too_large_to_allocate_is_a_config_error(capsys, monkeyp
     assert code == 2
     assert err == "error: --log-range: 1000000000000 points do not fit in memory\n"
     assert out == ""
+
+
+def test_sweep_log_range_beyond_the_index_range_is_a_config_error(capsys):
+    # the list repetition raises OverflowError before it allocates anything
+    code, out, err = run_cli(
+        capsys, "sweep", "--axis", "q_over_h", "--log-range", "1,2,100000000000000000000",
+        "--regimes", "D",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --log-range: 100000000000000000000 points do not fit in memory\n"
+
+
+@pytest.mark.parametrize("start, stop, count", [
+    (1e-4, 1e-2, 1), (1e-4, 1e-2, 2), (1e-4, 1e-2, 3), (1e-8, 1e3, 250),
+    (1e3, 1e-8, 250), (7.5, 7.5, 3), (5e-324, 1.0, 250), (1.0, 1.7976931348623157e308, 250),
+    (1.7976931348623157e308, 1.0, 7),
+], ids=["one", "two", "three", "ascending", "descending", "equal-ends", "subnormal-start",
+        "float-max-stop", "float-max-start"])
+def test_geomspace_prints_as_numpy_geomspace(start, stop, count):
+    values = cli._geomspace(start, stop, count)
+    with np.errstate(over="ignore"):  # numpy raises the float-max end from its log, then pins it
+        reference = np.geomspace(start, stop, count)
+    assert [f"{v:.8e}" for v in values] == [f"{v:.8e}" for v in reference]
+    assert (values[0], values[-1]) == (start, stop if count > 1 else start)
+
+
+def test_geomspace_keeps_a_point_between_two_ends_at_the_float_maximum():
+    # both logarithms round to one whose power overflows; the point lies between the ends
+    top, below = 1.7976931348623157e308, 1.7976931348623155e308
+    assert cli._geomspace(below, top, 3) == [below, top, top]
+    assert cli._geomspace(top, below, 4) == [top, top, top, below]
+
+
+@pytest.mark.parametrize("log_range, count", [
+    ("1,1.7976931348623157e308,3", 3), ("1.7976931348623157e308,1,7", 7),
+])
+def test_sweep_log_range_to_the_float_maximum(capsys, log_range, count):
+    # the suite turns warnings into errors, as `python -W error` does: an
+    # overflow warning in the end's power would fail this test
+    code, out, err = run_cli(capsys, "sweep", "--axis", "q_over_h", "--log-range", log_range,
+                             "--regimes", "D")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + count
 
 
 def test_sweep_over_v_d_reproduces_small_reservoir_row(capsys):

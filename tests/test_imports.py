@@ -1,5 +1,5 @@
-"""Import contract: the PI commands start without numpy, and the names that
-need it load together on first use."""
+"""Import contract: every command but ``validate`` runs without numpy, and
+the names of the lazy group load together on first use."""
 
 import codecs
 import json
@@ -8,9 +8,13 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wellpi
+
+from helpers import write_measurements
+from test_fitting import fit_params
 
 SRC = str(Path(wellpi.__file__).resolve().parent.parent)
 NUMPY_MODULES = ("wellpi.validation", "wellpi.fitting", "wellpi.checks")
@@ -32,18 +36,49 @@ def test_pi_commands_and_reference_load_import_no_numpy(tmp_path):
     # a config file, here one with a UTF-8 byte-order mark, goes through base_scenario
     config = tmp_path / "bom.cfg"
     config.write_bytes(codecs.BOM_UTF8 + b"geometry.r_e = 500\nregime.preset = DDpD\n")
+    measured = tmp_path / "measured.csv"
+    write_measurements(measured, fit_params(), np.geomspace(1e-9, 1e-6, 20))
     got = run_fresh(
         "import contextlib, io\n"
         "from wellpi.cli import main\n"
         "from wellpi.reference import load_reference_entries\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m == 'numpy' or m in %r)\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "    codes = [main(['pi']), main(['pi', '--config', %r]), main(['table', '1']),\n"
         "             main(['sweep', '--axis', 'q_over_h', '--values', '1e-4,1e-3'])]\n"
-        "entries = len(load_reference_entries())\n"
-        "print(json.dumps([codes, entries > 0, sorted(m for m in sys.modules\n"
-        "                  if m == 'numpy' or m in %r)]))\n" % (str(config), NUMPY_MODULES)
+        "    entries = len(load_reference_entries())\n"
+        "    after_pi = loaded()\n"
+        "    codes.append(main(['sweep', '--axis', 'q_over_h', '--log-range', '1e-4,1e-2,3']))\n"
+        "    after_sweep = loaded()\n"
+        "    codes += [main(['fit', %r]), main(['fit', %r, '--emit-model', %r])]\n"
+        "print(json.dumps([codes, entries > 0, after_pi, after_sweep, loaded()]))\n"
+        % (NUMPY_MODULES, str(config), str(measured), str(measured), str(tmp_path / "model.csv"))
     )
-    assert got == [[0, 0, 0, 0], True, []]
+    # fit loads its own module, and nothing else of the lazy group
+    assert got == [[0] * 7, True, [], [], ["wellpi.fitting"]]
+
+
+def test_commands_but_validate_print_the_same_with_numpy_blocked(tmp_path):
+    measured = tmp_path / "measured.csv"
+    write_measurements(measured, fit_params(), np.geomspace(1e-9, 1e-6, 20))
+    argv = [["pi"], ["table", "1"], ["sweep", "--axis", "s", "--values", "0.3,0.7"],
+            ["sweep", "--axis", "q_over_h", "--log-range", "1e-6,1,40"],
+            ["fit", str(measured), "--emit-model", str(tmp_path / "model.csv")]]
+    code = (
+        "import contextlib, io, pathlib\n"
+        "from wellpi.cli import main\n"
+        "runs = []\n"
+        "for argv in %r:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        runs.append([main(argv), out.getvalue()])\n"
+        "runs.append(pathlib.Path(%r).read_text())\n"
+        "print(json.dumps(runs))\n" % (argv, str(tmp_path / "model.csv"))
+    )
+    blocked = run_fresh("sys.modules['numpy'] = None\n" + code)
+    assert [run[0] for run in blocked[:-1]] == [0] * len(argv)
+    assert blocked == run_fresh(code)
 
 
 def test_every_export_resolves_in_a_fresh_interpreter():
