@@ -5,8 +5,9 @@ The reference, ``helpers.reference_zone_integral``, integrates
 digits, so it shares none of the double-precision
 weaknesses of the series (cancellation near r_e, the log term at s = 0, the
 polynomial end at s = 1).  Segments that end at r_e are also drawn at random
-and checked against mpmath's incomplete beta function, on both sides of the
-guard that sends them to the complete beta function minus its head.
+and checked against mpmath's incomplete beta function: on both sides of the
+guard that sends them to the complete beta function minus its head, and from
+0.35 r_e on, where the continued fraction runs.
 
 Near r_e the adaptive Gauss-Kronrod integrator is not a usable reference:
 its nodes center + half * x round to a few ulp of r_e, where the integrand
@@ -36,13 +37,16 @@ INTERVALS = {
     "boundary-sliver": (R_E * (1.0 - 1e-6), R_E),
     "across-series-cut": (700.0, 800.0),
     "outer-part": (760.0, 999.0),
-    # r1 on the cut: the series at its largest x1 = 1 - 0.75^2, not the tail
+    # r1 on the cut: the continued fraction, not the outer series or its tail
     "from-series-cut": (0.75 * R_E, R_E),
     "cut-sliver": (750.0, 750.0 * (1.0 + 1e-9)),
     # the complete beta function minus its head for s >= 0.3; the split series below
     "from-tenth": (0.1 * R_E, R_E),
-    # below the cut, but 0.7499^s > 0.45 s B(s/2, 3-s) for every s: the split series
+    # beyond r_e / 2: the continued fraction at every s
     "from-below-cut": (0.7499 * R_E, R_E),
+    "from-half": (500.0, R_E),
+    # the continued fraction where the guard fails (s <= 0.3), the head route above
+    "from-0.4": (400.0, R_E),
 }
 
 
@@ -85,6 +89,20 @@ def test_predarcy_to_r_e_matches_the_incomplete_beta_function():
         s = 1.0 - rng.random()  # (0, 1]
         r_e = 10.0 ** rng.uniform(0.0, 5.0)
         r1 = r_e * 10.0 ** rng.uniform(-6.0, -0.125)  # r1 / r_e in 1e-6 .. 0.75
+        scn = base_scenario("pure-preDarcy", s=s, r_e=r_e, r_w=r1)
+        got = zone_integral(scn, ZoneLaw.PRE_DARCY, r1, r_e)
+        want = _beta_reference(scn, r1, r_e)
+        assert float(abs(got - want) / want) <= 1e-13, (s, r_e, r1)
+
+
+def test_predarcy_continued_fraction_matches_the_incomplete_beta_function():
+    # r1 / r_e from 0.35, where the continued fraction first runs, up to and past
+    # the series cut; s in [0, 1] with its ends and tiny values
+    rng = random.Random(33)
+    for i in range(200):
+        s = (0.0, 5e-324, 1e-9, 1.0)[i] if i < 4 else 1.0 - rng.random()
+        r_e = 10.0 ** rng.uniform(-3.0, 6.0)
+        r1 = r_e * rng.uniform(0.35, 1.0)
         scn = base_scenario("pure-preDarcy", s=s, r_e=r_e, r_w=r1)
         got = zone_integral(scn, ZoneLaw.PRE_DARCY, r1, r_e)
         want = _beta_reference(scn, r1, r_e)

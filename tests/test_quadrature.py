@@ -493,7 +493,8 @@ def test_predarcy_tail_equals_outer_series(s):
 
 
 def test_predarcy_tail_of_a_repeated_power_is_computed_once(monkeypatch):
-    # [700, 1000] falls back to the split series at s = 0.3 and 0.4 (0.7^s > 0.45 s B)
+    # [200, 1000] falls back to the split series at s = 0.01 and 0.02: 0.2^s = 0.984
+    # and 0.968 > 0.45 s B = 0.893 and 0.887, and 200 m lies below 0.35 r_e
     calls = []
     outer = quadrature._predarcy_outer
 
@@ -505,17 +506,17 @@ def test_predarcy_tail_of_a_repeated_power_is_computed_once(monkeypatch):
     quadrature._predarcy_tail.cache_clear()
     try:
         for q_over_h in (1e-6, 1e-4, 1e-2):
-            scn = base_scenario("D", s=0.3, q_over_h=q_over_h)
-            zone_integral(scn, ZoneLaw.PRE_DARCY, 700.0, 1000.0)
+            scn = base_scenario("D", s=0.01, q_over_h=q_over_h)
+            zone_integral(scn, ZoneLaw.PRE_DARCY, 200.0, 1000.0)
         assert len(calls) == 1
-        zone_integral(base_scenario("D", s=0.4), ZoneLaw.PRE_DARCY, 700.0, 1000.0)
+        zone_integral(base_scenario("D", s=0.02), ZoneLaw.PRE_DARCY, 200.0, 1000.0)
         assert len(calls) == 2
     finally:
         quadrature._predarcy_tail.cache_clear()
 
 
 # ---------------------------------------------------------------------------
-# S_pD to r_e as the complete beta function minus its head
+# S_pD to r_e: the continued fraction, or the complete beta function minus its head
 # ---------------------------------------------------------------------------
 
 def _split_bracket(r_e, s, r1):
@@ -559,8 +560,9 @@ def _beta_series_calls(monkeypatch, fn, *args):
 
 
 def test_guard_sums_no_head_for_a_fallback_segment(monkeypatch):
-    # s = 0.3 from 700 m: 0.7^0.3 = 0.899 > 0.45 s B = 0.741, so only the split series run
-    r_e, s, r1 = 1000.0, 0.3, 700.0
+    # s = 0.01 from 200 m: 0.2^0.01 = 0.984 > 0.45 s B = 0.893, and 200 m lies below
+    # 0.35 r_e, so only the split series run
+    r_e, s, r1 = 1000.0, 0.01, 200.0
     got = _beta_series_calls(monkeypatch, quadrature._predarcy_bracket, r_e, s, r1, r_e)
     assert got == _beta_series_calls(monkeypatch, _split_bracket, r_e, s, r1)
     assert len(got) == 2
@@ -595,8 +597,51 @@ def test_head_route_when_u1_underflows(s, r1, beta, monkeypatch):
     assert abs(got - beta) <= 1e-14 * beta
 
 
+def _cf_and_series_calls(monkeypatch, r_e, s, r1):
+    cf_calls = []
+    cf = quadrature._predarcy_cf
+
+    def spy(*args):
+        cf_calls.append(args)
+        return cf(*args)
+
+    monkeypatch.setattr(quadrature, "_predarcy_cf", spy)
+    try:
+        series_calls = _beta_series_calls(monkeypatch, quadrature._predarcy_bracket, r_e, s, r1, r_e)
+    finally:
+        monkeypatch.setattr(quadrature, "_predarcy_cf", cf)
+    return cf_calls, series_calls
+
+
+@pytest.mark.parametrize("s", [0.0, 1e-9, 0.3, 0.77, 1.0])
+@pytest.mark.parametrize("r1", [500.0, 620.0, 750.0, 900.0, 999.999])
+def test_segment_to_r_e_from_half_of_it_is_one_continued_fraction(r1, s, monkeypatch):
+    cf_calls, series_calls = _cf_and_series_calls(monkeypatch, 1000.0, s, r1)
+    assert cf_calls == [(1000.0, s, r1)]
+    assert series_calls == []
+
+
+@pytest.mark.parametrize("s, r1, route", [
+    # from 400 m: 0.4^0.1 = 0.912 > 0.45 s B = 0.838, so the guard fails and the
+    # continued fraction runs; 0.4^0.77 = 0.494 <= 0.619 passes it, and the head runs
+    (0.1, 400.0, "cf"),
+    (0.77, 400.0, "head"),
+    # from 340 m, below 0.35 r_e, the guard fails (0.34^0.1 = 0.898): the split series
+    (0.1, 340.0, "split"),
+])
+def test_segment_to_r_e_from_below_half_of_it_follows_the_guard(s, r1, route, monkeypatch):
+    cf_calls, series_calls = _cf_and_series_calls(monkeypatch, 1000.0, s, r1)
+    if route == "cf":
+        assert cf_calls == [(1000.0, s, r1)] and series_calls == []
+    elif route == "head":
+        assert cf_calls == [] and len(series_calls) == 1 and _is_head(series_calls[0])
+    else:
+        assert cf_calls == [] and len(series_calls) == 2
+
+
 # ---------------------------------------------------------------------------
-# the term bound: the stop rule ends every series before _MAX_TERMS
+# the term bound: the stop rule ends every series and the continued fraction
+# before _MAX_TERMS
 # ---------------------------------------------------------------------------
 
 BOUND_S = (0.0, 5e-324, 1e-300, 1e-9, 0.3, 0.7, 1.0 - 1e-9, 1.0)
@@ -649,6 +694,69 @@ def test_beta_series_stop_before_the_term_bound(s, monkeypatch):
         # the head from r = 0 diverges where s/2 is 0, and the guard keeps those s off it
         terms.append(_beta_terms(monkeypatch, quadrature._predarcy_inner, 1.0, s, 0.0, CUT))
     assert max(terms) < quadrature._MAX_TERMS
+
+
+@pytest.mark.parametrize("s", BOUND_S)
+def test_continued_fraction_stops_before_the_term_bound(s, monkeypatch):
+    # from _CF_FLOOR r_e, where x1 is largest and the fraction converges slowest
+    floor = quadrature._CF_FLOOR
+    steps = [_beta_terms(monkeypatch, quadrature._predarcy_cf, r_e, s, floor * r_e)
+             for r_e in (1.0, 1000.0)]
+    assert max(steps) < quadrature._MAX_TERMS
+
+
+# _beta_series at the parent of its float-counter loop, as float.hex: inner series
+# [0.3, 750], heads from r = 0 (and from a subnormal r1, where rho^p0 underflows)
+# and outer series [750, 999], [800, r_e] and [750, r_e], each on r_e = 1000; the
+# last sums the most terms, so it is the one that shows a changed rounding of a term
+BETA_SERIES_BITS = [
+    ("inner", 0.0, 0.3, 750.0, "0x1.d5cd2bdb64bddp+3"),
+    ("outer", 0.0, 750.0, 999.0, "0x1.59620fc65a90fp-5"),
+    ("outer", 0.0, 800.0, 1000.0, "0x1.600b70c4ca76fp-6"),
+    ("outer", 0.0, 750.0, 1000.0, "0x1.59621134db927p-5"),
+    ("inner", 5e-324, 0.3, 750.0, "0x1.d5cd2bdb64bddp+3"),
+    ("outer", 5e-324, 750.0, 999.0, "0x1.59620fc65a90fp-5"),
+    ("outer", 5e-324, 800.0, 1000.0, "0x1.600b70c4ca76fp-6"),
+    ("outer", 5e-324, 750.0, 1000.0, "0x1.59621134db927p-5"),
+    ("inner", 1e-300, 0.3, 750.0, "0x1.d5cd2bdb64bddp+3"),
+    ("inner", 1e-300, 0.0, 400.0, "0x1.7e43c8800759bp+997"),
+    ("outer", 1e-300, 750.0, 999.0, "0x1.59620fc65a90fp-5"),
+    ("outer", 1e-300, 800.0, 1000.0, "0x1.600b70c4ca76fp-6"),
+    ("outer", 1e-300, 750.0, 1000.0, "0x1.59621134db927p-5"),
+    ("inner", 1e-09, 0.3, 750.0, "0x1.d5cd2bb8ba7b4p+3"),
+    ("inner", 1e-09, 0.0, 400.0, "0x1.dcd64ff770dd2p+30"),
+    ("outer", 1e-09, 750.0, 999.0, "0x1.59620fcba6832p-5"),
+    ("outer", 1e-09, 800.0, 1000.0, "0x1.600b70cba93bbp-6"),
+    ("outer", 1e-09, 750.0, 1000.0, "0x1.5962113a2784fp-5"),
+    ("inner", 0.3, 0.3, 750.0, "0x1.36836ce75a665p+2"),
+    ("inner", 0.3, 0.0, 400.0, "0x1.38f843affdcb7p+2"),
+    ("outer", 0.3, 750.0, 999.0, "0x1.c940d58c6db76p-5"),
+    ("outer", 0.3, 800.0, 1000.0, "0x1.f61d71b57dcefp-6"),
+    ("outer", 0.3, 750.0, 1000.0, "0x1.c940dfcf8be50p-5"),
+    ("inner", 0.7, 0.3, 750.0, "0x1.e8454fe7d20acp+0"),
+    ("inner", 0.7, 0.0, 400.0, "0x1.6ca949d059e4fp+0"),
+    ("outer", 0.7, 750.0, 999.0, "0x1.544b2b96f6684p-4"),
+    ("outer", 0.7, 800.0, 1000.0, "0x1.9c51c56300290p-5"),
+    ("outer", 0.7, 750.0, 1000.0, "0x1.544b73eddb5e7p-4"),
+    ("inner", 0.999999999, 0.3, 750.0, "0x1.37d8adb240e6ap+0"),
+    ("inner", 0.999999999, 0.0, 400.0, "0x1.83c131e209813p-1"),
+    ("inner", 0.999999999, 5e-324, 400.0, "0x1.83c131e209813p-1"),
+    ("outer", 0.999999999, 750.0, 999.0, "0x1.d5533c9b6f894p-4"),
+    ("outer", 0.999999999, 800.0, 1000.0, "0x1.31d5acb002477p-4"),
+    ("outer", 0.999999999, 750.0, 1000.0, "0x1.d555554c9343dp-4"),
+    ("inner", 1.0, 0.3, 750.0, "0x1.37d8adabb3203p+0"),
+    ("inner", 1.0, 0.0, 400.0, "0x1.83c131d5acb70p-1"),
+    ("inner", 1.0, 5e-324, 400.0, "0x1.83c131d5acb70p-1"),
+    ("outer", 1.0, 750.0, 999.0, "0x1.d5533ca4315e6p-4"),
+    ("outer", 1.0, 800.0, 1000.0, "0x1.31d5acb6f4652p-4"),
+    ("outer", 1.0, 750.0, 1000.0, "0x1.d555555555556p-4"),
+]
+
+
+@pytest.mark.parametrize("kind, s, r1, r2, bits", BETA_SERIES_BITS)
+def test_beta_series_gives_its_pinned_bits(kind, s, r1, r2, bits):
+    series = quadrature._predarcy_inner if kind == "inner" else quadrature._predarcy_outer
+    assert series(1000.0, s, r1, r2).hex() == bits
 
 
 # ---------------------------------------------------------------------------
