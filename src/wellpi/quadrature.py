@@ -6,14 +6,17 @@ panel error.  It starts from a mesh of n0 panels that is geometric in r,
 three per decade of b/a and at most 24, evaluated in one call of 15 n0
 nodes: every oracle integrand behaves like a power of r near the well,
 which equal panels resolve only by one serial bisection per halving of the
-distance to it.  The panel with the largest error is then bisected, both
-halves in one call of 30 nodes, until the summed error meets the tolerance
-or the panel cap is hit.  Panels are kept in left-to-right order and summed
-with compensated addition.  Nothing on the PI path uses it: it is the
-independent oracle that the closed forms below are checked against.  numpy
-is imported, and the rule's node and weight arrays built, only when the
-oracle integrator first runs; the closed forms are plain ``math``, so the
-PI commands start without numpy.
+distance to it.  A caller whose integrand is not smooth at the upper
+bound b, like the pre-Darcy drag at r_e, asks for ``singular_b``: the
+first mesh then also takes the edges b - (b - a) 10^(-k), k = 1..4, that
+lie at least 1e-6 b below b.  The panel with the largest error is then
+bisected, both halves in one call of 30 nodes, until the summed error
+meets the tolerance or the panel cap is hit.  Panels are kept in
+left-to-right order and summed with compensated addition.  Nothing on the
+PI path uses it: it is the independent oracle that the closed forms below
+are checked against.  numpy is imported, and the rule's node and weight
+arrays built, only when the oracle integrator first runs; the closed forms
+are plain ``math``, so the PI commands start without numpy.
 
 ``_integrate_batch`` takes many independent integrals at once: each round
 evaluates the pending panels of all unfinished ones in one integrand call
@@ -202,19 +205,26 @@ def _panels(f: Callable[..., np.ndarray], a: np.ndarray, b: np.ndarray, *args):
     return kronrod, np.abs(kronrod - gauss), resabs
 
 
-def _first_mesh(a: float, b: float) -> list[float]:
+def _first_mesh(a: float, b: float, singular_b: bool = False) -> list[float]:
     """Edges of the first panels on [a, b], a < b: geometric in r, three per
     decade of b/a rounded up, at most _FIRST_PANELS and _MAX_PANELS; one panel
     when a <= 0 or b/a <= 10^(1/3).  The edges come from logarithms, since b/a
-    can overflow, and end exactly on a and b."""
-    if a <= 0.0:
-        return [a, b]
-    log_a = math.log(a)
-    span = math.log(b) - log_a
-    n = min(_FIRST_PANELS, _MAX_PANELS, math.ceil(3.0 * span / _LN10))
-    if n <= 1:
-        return [a, b]
-    return [a] + [math.exp(log_a + i / n * span) for i in range(1, n)] + [b]
+    can overflow, and end exactly on a and b.
+
+    ``singular_b`` also grades the mesh into b, for an integrand that is not
+    smooth there: the edges b - (b - a) 10^(-k), k = 1..4, that lie at least
+    1e-6 b below b, since nodes closer to b than that are so few ulps from
+    it that the integrand turns noisy.  They lie above 0.9 b and every
+    geometric edge below 0.7 b, and they count against _MAX_PANELS first."""
+    graded = [b - (b - a) * 10.0**-k for k in range(1, 5)] if singular_b else []
+    graded = [x for x in graded if b - x >= 1e-6 * abs(b)][:_MAX_PANELS - 1]
+    interior: list[float] = []
+    if a > 0.0:
+        log_a = math.log(a)
+        span = math.log(b) - log_a
+        n = min(_FIRST_PANELS, _MAX_PANELS - len(graded), math.ceil(3.0 * span / _LN10))
+        interior = [math.exp(log_a + i / n * span) for i in range(1, n)]
+    return [a, *interior, *graded, b]
 
 
 def _converged(value: float, err: float, resabs: float, rel_tol: float) -> bool:
@@ -231,9 +241,11 @@ def _integrate_batch(
     a: list[float],
     b: list[float],
     rel_tol: float = 1e-10,
+    singular_b: list[bool] | None = None,
 ) -> list[IntegralResult]:
     """The integrals of f over each [a[j], b[j]], each one as
-    ``integrate_adaptive`` takes it alone, bit for bit.
+    ``integrate_adaptive`` takes it alone, bit for bit, with the first mesh
+    of integral j graded into b[j] where ``singular_b[j]`` is true.
 
     Each round evaluates the pending panels of every unfinished integral
     together: f(x, k) receives their 15 * n nodes, grouped by integral in
@@ -257,13 +269,13 @@ def _integrate_batch(
     rights: list[float] = []
     owner: list[int] = []
     pending: list[tuple[int, list, int, int]] = []
-    for j, (lo, hi) in enumerate(zip(a, b)):
+    for j, (lo, hi, graded) in enumerate(zip(a, b, singular_b or [False] * len(a))):
         if not -math.inf < lo <= hi < math.inf:
             raise ValueError(f"need finite a <= b, got a={lo}, b={hi}")
         if lo == hi:
             results[j] = IntegralResult(0.0, 0.0, 0)
             continue
-        edges = _first_mesh(lo, hi)
+        edges = _first_mesh(lo, hi, graded)
         n = len(edges) - 1
         lefts += edges[:-1]
         rights += edges[1:]
@@ -319,6 +331,7 @@ def integrate_adaptive(
     a: float,
     b: float,
     rel_tol: float = 1e-10,
+    singular_b: bool = False,
 ) -> IntegralResult:
     """Integrate f over [a, b] to max(1e-300, rel_tol * |value|).
 
@@ -328,9 +341,14 @@ def integrate_adaptive(
     mesh of n0 panels, geometric in r with three per decade of b/a
     (``_first_mesh``), is one call of 15 n0 nodes, and each bisection
     evaluates both halves in one call of 30, so k bisections cost k + 1
-    calls.  An empty interval integrates to exactly zero.  Once the
-    accumulated panel error sits at the roundoff floor of the integrand no
-    further subdivision can help, and the current estimate is returned as
+    calls.  ``singular_b`` adds to the first mesh up to four edges graded
+    into b, at b - (b - a) 10^(-k) for k = 1..4 and at least 1e-6 b below b,
+    for an integrand that is not smooth at b: the pre-Darcy drag vanishes
+    like (r_e - r)^(1-s) at the outer boundary, which the geometric mesh
+    reaches only by one bisection per halving of the distance to b.  An
+    empty interval integrates to exactly zero.  Once the accumulated panel
+    error sits at the roundoff floor of the integrand no further
+    subdivision can help, and the current estimate is returned as
     converged.
 
     Raises QuadratureError (carrying the best estimate) if the panel cap is
@@ -339,7 +357,7 @@ def integrate_adaptive(
     bisecting towards the cap.  It is the one-interval case of the batch
     integrator ``_integrate_batch``.
     """
-    return _integrate_batch(lambda x, k: f(x), [a], [b], rel_tol)[0]
+    return _integrate_batch(lambda x, k: f(x), [a], [b], rel_tol, [singular_b])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,12 @@ zone integrals:
   energy integral, which is evaluated separately as an internal consistency
   check.
 
+  The pre-Darcy drag lambda v^(1-s) vanishes like (r_e - r)^(1-s) at the
+  outer boundary, so every pre-Darcy integral that ends at r_e (the outer
+  integral, the zone energies and the segment integrals of
+  ``pressure_profile``) starts from a first mesh graded into r_e
+  (``singular_b``) instead of bisecting its way there.
+
 * ``compressible_velocity`` solves the slightly-compressible radial balance
 
       d(r v)/dr = -2 A r - gamma * r * g(v) v^2,    v(r_e) = 0,
@@ -54,6 +60,13 @@ def _grad_fun(scn: Scenario, law: ZoneLaw) -> Callable[[np.ndarray], np.ndarray]
     return lambda r: pressure_gradient(p, law, velocity_profile(scn, r))
 
 
+def _singular_end(scn: Scenario, law: ZoneLaw, hi: float) -> bool:
+    """Whether an integral along ``law`` up to ``hi`` takes a first mesh
+    graded into hi: the pre-Darcy drag lambda v^(1-s) vanishes like
+    (r_e - r)^(1-s) at the outer boundary."""
+    return law is ZoneLaw.PRE_DARCY and hi == scn.geometry.r_e
+
+
 def pressure_profile(scn: Scenario, r):
     """W(r) = int_{r_w}^{r} g(v) v drho, zero at the well, nondecreasing.
 
@@ -73,6 +86,7 @@ def pressure_profile(scn: Scenario, r):
     # the integrals, segment by segment: [a, min(r, b)] for each radius r above a
     lo: list[float] = []
     hi: list[float] = []
+    graded: list[bool] = []
     owner: list[int] = []
     starts: list[int] = []
     grads = []
@@ -83,6 +97,7 @@ def pressure_profile(scn: Scenario, r):
             if x > a:
                 lo.append(a)
                 hi.append(min(x, b))
+                graded.append(_singular_end(scn, law, hi[-1]))
                 owner.append(i)
 
     def integrand(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -93,7 +108,7 @@ def pressure_profile(scn: Scenario, r):
         return np.concatenate([grad(x[i:j]) for grad, i, j in zip(grads, cuts, cuts[1:])])
 
     total = [0.0] * len(points)
-    for i, res in zip(owner, _integrate_batch(integrand, lo, hi, rel_tol=_INNER_REL_TOL)):
+    for i, res in zip(owner, _integrate_batch(integrand, lo, hi, _INNER_REL_TOL, graded)):
         total[i] += res.value
     if radii.ndim == 0:
         return total[0]
@@ -106,7 +121,9 @@ def _zone_energy(scn: Scenario, law: ZoneLaw, lo: float, hi: float) -> float:
         v = velocity_profile(scn, r)
         return r * pressure_gradient(scn.params, law, v) * v
 
-    return integrate_adaptive(integrand, lo, hi, rel_tol=_INNER_REL_TOL).value
+    return integrate_adaptive(
+        integrand, lo, hi, _INNER_REL_TOL, _singular_end(scn, law, hi)
+    ).value
 
 
 def pi_from_energy(scn: Scenario) -> float:
@@ -181,7 +198,9 @@ def pi_from_profile(scn: Scenario) -> float:
                 out[i] = r * (w0 + w)
             return out
 
-        total_rw += integrate_adaptive(outer_integrand, a, b, rel_tol=_OUTER_REL_TOL).value
+        total_rw += integrate_adaptive(
+            outer_integrand, a, b, _OUTER_REL_TOL, _singular_end(scn, law, b)
+        ).value
 
     j_raw = scn.q * geo.radius_span_sq / (2.0 * total_rw)
     finite_positive("profile-route PI", j_raw)

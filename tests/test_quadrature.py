@@ -193,10 +193,11 @@ def _alone(f, j):
     return lambda x: f(x, np.full(x.shape, j))
 
 
-def _assert_each_as_alone(f, a, b, rel_tol=1e-10):
-    batched = _integrate_batch(f, a, b, rel_tol)
+def _assert_each_as_alone(f, a, b, rel_tol=1e-10, singular_b=None):
+    batched = _integrate_batch(f, a, b, rel_tol, singular_b)
     for j, res in enumerate(batched):
-        alone = integrate_adaptive(_alone(f, j), a[j], b[j], rel_tol)
+        graded = bool(singular_b and singular_b[j])
+        alone = integrate_adaptive(_alone(f, j), a[j], b[j], rel_tol, graded)
         assert res.value.hex() == alone.value.hex()
         assert res.abs_error_estimate.hex() == alone.abs_error_estimate.hex()
         assert res.subdivisions == alone.subdivisions
@@ -249,15 +250,16 @@ _EDGE_POWERS = [0.0, 1.0, 5e-324, 1e-300, 1e-12, 1.0 - 2.0**-53]
 @given(st.lists(
     st.tuples(
         st.floats(0.1, 1000.0), st.floats(0.1, 1000.0), st.integers(0, 2),
-        st.one_of(st.sampled_from(_EDGE_POWERS), st.floats(0.0, 1.0)),
+        st.one_of(st.sampled_from(_EDGE_POWERS), st.floats(0.0, 1.0)), st.booleans(),
     ),
     min_size=1, max_size=12,
 ))
 def test_batch_equals_each_integral_alone(jobs):
-    a = [min(r1, r2) for r1, r2, _, _ in jobs]
-    b = [max(r1, r2) for r1, r2, _, _ in jobs]
-    f = _energy_batch([law for *_, law, _ in jobs], [s for *_, s in jobs])
-    _assert_each_as_alone(f, a, b)
+    # a mixed singular_b column: graded and plain first meshes in one batch
+    a = [min(r1, r2) for r1, r2, *_ in jobs]
+    b = [max(r1, r2) for r1, r2, *_ in jobs]
+    f = _energy_batch([law for _, _, law, _, _ in jobs], [s for *_, s, _ in jobs])
+    _assert_each_as_alone(f, a, b, singular_b=[graded for *_, graded in jobs])
 
 
 def test_empty_interval_in_a_batch_is_exactly_zero():
@@ -340,6 +342,54 @@ def test_first_mesh_edges_increase_from_a_to_b(a, b):
 def test_first_mesh_respects_the_panel_cap(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 5)
     assert len(quadrature._first_mesh(1e-6, 1.0)) - 1 == 5
+
+
+_GRADED_INTERVALS = [
+    (5e-324, 1.0), (1e-300, 1e300), (0.0, 1.0), (-1.0, 1.0), (0.3, 1000.0), (0.3, 137.0),
+    (999.0, 1000.0), (1.0, 1.0 + 1e-5), (136.99, 137.0), (1.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 5, 2000])
+@pytest.mark.parametrize("a,b", _GRADED_INTERVALS)
+def test_graded_first_mesh_keeps_its_ends_order_and_cap(a, b, cap, monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", cap)
+    plain = quadrature._first_mesh(a, b)
+    edges = quadrature._first_mesh(a, b, singular_b=True)
+    assert edges[0] == a and edges[-1] == b
+    assert all(lo < hi for lo, hi in zip(edges, edges[1:]))
+    assert len(edges) - 1 <= cap
+    # the graded edges are those b - (b - a) 10^(-k) at least 1e-6 b below b
+    graded = [b - (b - a) * 10.0**-k for k in range(1, 5)]
+    graded = [x for x in graded if b - x >= 1e-6 * abs(b)][:cap - 1]
+    assert edges[len(edges) - 1 - len(graded):-1] == graded
+    if cap == 2000:
+        assert edges == plain[:-1] + graded + [b]
+
+
+@pytest.mark.parametrize("a,b", [(136.99994103574292, 137.0), (1.0, 1.0 + 1e-9)])
+def test_graded_first_mesh_takes_no_edge_within_float_resolution_of_b(a, b):
+    # nodes within about 1e-10 of b are so few ulps from it that the integrand
+    # turns noisy: the pre-Darcy zone of DDpD at r_e = 137 and q/h = 100 is
+    # the first interval
+    assert quadrature._first_mesh(a, b, singular_b=True) == quadrature._first_mesh(a, b) == [a, b]
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7, 0.99])
+def test_graded_first_mesh_meets_a_power_singularity_at_b_in_fewer_rounds(s):
+    # the shape of the pre-Darcy drag at r_e, (b - r)^(1-s)
+    def rounds(singular_b):
+        calls = []
+
+        def f(r):
+            calls.append(None)
+            return (1.0 - r) ** (1.0 - s)
+
+        value = integrate_adaptive(f, 0.0, 1.0, 1e-12, singular_b).value
+        assert value == pytest.approx(1.0 / (2.0 - s), rel=1e-12)
+        return len(calls)
+
+    assert rounds(True) < rounds(False)
 
 
 @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 1.0), (1.0, 1.0 + 1e-9), (1.0, 2.0)])
