@@ -18,10 +18,11 @@ import numpy as np
 from .constitutive import REGIME_PRESETS, ZoneLaw, mobility, pressure_gradient, regime_preset
 from .kinematics import Scenario, flux_density, radius_of_velocity, velocity_profile
 from .productivity import compute_curve, compute_pi, zone_contributions
-from .quadrature import _integrate_batch, zone_integral
+from .quadrature import zone_integral
 from .reference import base_scenario
 from .validation import (
     _INNER_REL_TOL,
+    _integrate_batch,
     compressible_velocity,
     pi_from_profile,
     pressure_profile,
@@ -43,8 +44,8 @@ def check_constitutive_inverse() -> CheckResult:
     params = base_scenario("D", s=0.3).params
     worst = 0.0
     for law in (ZoneLaw.PRE_DARCY, ZoneLaw.DARCY, ZoneLaw.FORCHHEIMER):
-        for xi in np.geomspace(1e-12, 1e2, 60):
-            grad_p = pressure_gradient(params, law, float(xi))
+        for xi in np.geomspace(1e-12, 1e2, 60).tolist():
+            grad_p = pressure_gradient(params, law, xi)
             back = mobility(params, law, grad_p) * grad_p
             worst = max(worst, abs(back - xi) / xi)
     return CheckResult("constitutive-inverse-roundtrip", worst <= 1e-12, worst, "1e-12")
@@ -55,8 +56,8 @@ def check_radius_roundtrip() -> CheckResult:
     worst = 0.0
     for r_e in (1000.0, 100.0):
         scn = base_scenario("D", r_e=r_e)
-        for r in np.geomspace(scn.geometry.r_w, r_e, 100):
-            back = radius_of_velocity(scn, velocity_profile(scn, float(r)))
+        for r in np.geomspace(scn.geometry.r_w, r_e, 100).tolist():
+            back = radius_of_velocity(scn, velocity_profile(scn, r))
             worst = max(worst, abs(back - r) / r)
     return CheckResult("inverse-radius-roundtrip", worst <= 1e-10, worst, "1e-10")
 

@@ -366,7 +366,7 @@ def run_sweep(base: Scenario, axis: str, values: Sequence[float], regimes: Seque
                     params = params.with_continuous_predarcy()
                 points.append((base.q_over_h, params))
         except ValueError as exc:
-            raise ValueError(f"axis {axis}={value:g}: {exc}") from None
+            raise ValueError(f"axis {axis}={value!r}: {exc}") from None
     buf = io.StringIO()
     buf.write(",".join(_SWEEP_COLUMNS) + "\n")
     q_cell = _fmt(base.q_over_h)

@@ -1,4 +1,29 @@
-"""Independent cross-checks for the productivity index.
+"""Independent cross-checks for the productivity index, and the quadrature
+oracle they integrate with.
+
+The oracle integrator pairs a 7-point Gauss rule with its 15-point Kronrod
+extension on each panel; the difference of the two estimates serves as the
+panel error.  It starts from a mesh of n0 panels that is geometric in r,
+three per decade of b/a and at most 24, evaluated in one call of 15 n0
+nodes: every oracle integrand behaves like a power of r near the well,
+which equal panels resolve only by one serial bisection per halving of the
+distance to it.  The panel with the largest error is then bisected, both
+halves in one call of 30 nodes, until the summed error meets the tolerance
+or the panel cap is hit.  Panels are kept in left-to-right order and summed
+with compensated addition.  Nothing on the PI path uses it: it is the
+independent oracle that the closed forms of ``quadrature`` are checked
+against, which stay plain ``math``, so the PI commands start without numpy.
+
+``_integrate_batch`` takes many independent integrals at once: each round
+evaluates the pending panels of all unfinished ones in one integrand call
+f(x, k), where k is the index of each node's integral, and every integral
+keeps its own mesh, acceptance test, bisection and panel cap.  Each panel
+is reduced on its own (``np.vecdot``), so its numbers do not depend on the
+panels evaluated with it, and every integral of a batch equals, bit for
+bit, what ``quadrature.integrate_adaptive`` gives it alone, which is the
+batch of one.  The ``validate`` checks take their independent integrals as
+batches, so that they pay numpy's per-call overhead once per round instead
+of once per integral and round.
 
 Two alternative routes to the PI that share no code with the closed-form
 zone integrals:
@@ -17,7 +42,7 @@ zone integrals:
   outer boundary, so every pre-Darcy integral that ends at r_e (the outer
   integral, the zone energies and the segment integrals of
   ``pressure_profile``) starts from a first mesh graded into r_e
-  (``singular_b``) instead of bisecting its way there.
+  (``singular_b``, see ``_first_mesh``) instead of bisecting its way there.
 
 * ``compressible_velocity`` solves the slightly-compressible radial balance
 
@@ -37,13 +62,14 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .constitutive import ZoneLaw, drag_power, pressure_gradient
 from .kinematics import Scenario, finite_positive, flux_density, velocity_profile, zone_segments
-from .quadrature import _converged, _integrate_batch, _panels, integrate_adaptive
+from .quadrature import IntegralResult, QuadratureError, integrate_adaptive
 
 # relative tolerances: W(r), zone energies and the inner integrals of
 # pi_from_profile; its outer integral of r W(r); the agreement of its two
@@ -52,6 +78,199 @@ _INNER_REL_TOL = 1e-10
 _OUTER_REL_TOL = 1e-9
 _CONSISTENCY_TOL = 1e-7
 _RK_REL_TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Adaptive Gauss-Kronrod 7/15 quadrature
+# ---------------------------------------------------------------------------
+
+_XGK_HALF = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+)
+_WGK_HALF = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_WG_HALF = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+)
+
+# the 15 nodes on [-1, 1] and their Kronrod and Gauss weights
+_GK_NODES = np.concatenate([-np.array(_XGK_HALF[:7]), _XGK_HALF[::-1]])
+_GK_KRONROD = np.concatenate([_WGK_HALF[:7], _WGK_HALF[::-1]])
+_GK_GAUSS = np.zeros(15)
+_GK_GAUSS[1:14:2] = _WG_HALF[:3] + _WG_HALF[::-1]
+
+# Subdivision cap; plenty for smooth integrands on a bounded interval.
+_MAX_PANELS = 2000
+# Cap on the geometric first mesh: 24 panels span eight decades at three
+# per decade.
+_FIRST_PANELS = 24
+_LN10 = math.log(10.0)
+# Absolute tolerance: in effect, the relative tolerance alone decides.
+_ABS_TOL = 1e-300
+_EPS = sys.float_info.epsilon
+
+
+def _panels(f: Callable[..., np.ndarray], a: np.ndarray, b: np.ndarray, *args):
+    """Kronrod value, error estimate and resabs of the 15-node panel on each
+    interval [a[i], b[i]], a[i] <= b[i], as three arrays.
+
+    ``f`` is called once, on the 15 * n nodes of all n panels flattened in
+    interval order, followed by ``args``.  Each row is reduced on its own by
+    ``np.vecdot``, so a panel's numbers do not depend on the others in the
+    call; a matrix-vector product's blocking makes them depend on the row
+    count and position.
+    """
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    nodes = center[:, None] + half[:, None] * _GK_NODES
+    fx = np.asarray(f(nodes.ravel(), *args), dtype=float).reshape(nodes.shape)
+    kronrod = half * np.vecdot(fx, _GK_KRONROD)
+    gauss = half * np.vecdot(fx, _GK_GAUSS)
+    resabs = half * np.vecdot(np.abs(fx), _GK_KRONROD)
+    return kronrod, np.abs(kronrod - gauss), resabs
+
+
+def _first_mesh(a: float, b: float, singular_b: bool = False) -> list[float]:
+    """Edges of the first panels on [a, b], a < b: geometric in r, three per
+    decade of b/a rounded up, at most _FIRST_PANELS and _MAX_PANELS; one panel
+    when a <= 0 or b/a <= 10^(1/3).  The edges come from logarithms, since b/a
+    can overflow, and end exactly on a and b.
+
+    ``singular_b`` also grades the mesh into b, for an integrand that is not
+    smooth there: the edges b - (b - a) 10^(-k), k = 1..4, that lie at least
+    1e-6 b below b, since nodes closer to b than that are so few ulps from
+    it that the integrand turns noisy.  They lie above 0.9 b and every
+    geometric edge below 0.7 b, and they count against _MAX_PANELS first."""
+    graded = [b - (b - a) * 10.0**-k for k in range(1, 5)] if singular_b else []
+    graded = [x for x in graded if b - x >= 1e-6 * abs(b)][:_MAX_PANELS - 1]
+    interior: list[float] = []
+    if a > 0.0:
+        log_a = math.log(a)
+        span = math.log(b) - log_a
+        n = min(_FIRST_PANELS, _MAX_PANELS - len(graded), math.ceil(3.0 * span / _LN10))
+        interior = [math.exp(log_a + i / n * span) for i in range(1, n)]
+    return [a, *interior, *graded, b]
+
+
+def _converged(value: float, err: float, resabs: float, rel_tol: float) -> bool:
+    """The acceptance test of integrate_adaptive: the error is finite and
+    within max(1e-300, rel_tol * |value|), or at the roundoff floor of the
+    integrand, where no further subdivision can help."""
+    return math.isfinite(err) and (
+        err <= max(_ABS_TOL, rel_tol * abs(value)) or err <= 100.0 * _EPS * resabs
+    )
+
+
+def _integrate_batch(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: list[float],
+    b: list[float],
+    rel_tol: float = 1e-10,
+    singular_b: list[bool] | None = None,
+) -> list[IntegralResult]:
+    """The integrals of f over each [a[j], b[j]], each one as
+    ``integrate_adaptive`` takes it alone, bit for bit, with the first mesh
+    of integral j graded into b[j] where ``singular_b[j]`` is true.
+
+    Each round evaluates the pending panels of every unfinished integral
+    together: f(x, k) receives their 15 * n nodes, grouped by integral in
+    ascending order, and k, the index j of each node's integral, and returns
+    the integrand at the nodes.  Every integral keeps its own first mesh,
+    acceptance test, worst-panel bisection and panel cap, and no panel's
+    numbers depend on the others evaluated with it.
+
+    Raises ValueError for a bad bound or tolerance before f is called, and
+    otherwise the QuadratureError that a loop of ``integrate_adaptive`` calls
+    over the intervals in order would raise first: that of the first
+    integral that fails.
+    """
+    results: list = [None] * len(a)
+    # the panels of the next round with the integral of each, and for each
+    # integral with some: its index, its panels so far, left to right, as
+    # (a, b, value, error, resabs), the position of the panel the new ones
+    # replace and their count
+    lefts: list[float] = []
+    rights: list[float] = []
+    owner: list[int] = []
+    pending: list[tuple[int, list, int, int]] = []
+    for j, (lo, hi, graded) in enumerate(zip(a, b, singular_b or [False] * len(a))):
+        if not -math.inf < lo <= hi < math.inf:
+            raise ValueError(f"need finite a <= b, got a={lo}, b={hi}")
+        if lo == hi:
+            results[j] = IntegralResult(0.0, 0.0, 0)
+            continue
+        edges = _first_mesh(lo, hi, graded)
+        n = len(edges) - 1
+        lefts += edges[:-1]
+        rights += edges[1:]
+        owner += [j] * n
+        pending.append((j, [], 0, n))
+    if not 0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
+    failed = None
+    while pending:
+        k = np.array(owner).repeat(15)
+        values, errs, resabs = _panels(f, np.array(lefts), np.array(rights), k)
+        new = list(zip(lefts, rights, values.tolist(), errs.tolist(), resabs.tolist()))
+        lefts, rights, owner, bisected = [], [], [], []
+        start = 0
+        for j, ps, at, n in pending:
+            ps[at:at + 1] = new[start:start + n]
+            start += n
+            _, _, ps_values, ps_errs, ps_resabs = zip(*ps)
+            err = math.fsum(ps_errs)
+            if not math.isfinite(err):
+                value = sum(ps_values)  # fsum raises on inf - inf
+                failed = QuadratureError(
+                    f"non-finite panel on [{a[j]}, {b[j]}] (value={value:.6e}, err={err:.2e})",
+                    IntegralResult(value, err, len(ps)),
+                )
+                break  # a loop of single integrals reaches none after j
+            value = math.fsum(ps_values)
+            if _converged(value, err, math.fsum(ps_resabs), rel_tol):
+                results[j] = IntegralResult(value, err, len(ps))
+                continue
+            if len(ps) >= _MAX_PANELS:
+                failed = QuadratureError(
+                    f"no convergence within {_MAX_PANELS} panels on [{a[j]}, {b[j]}] "
+                    f"(value={value:.6e}, err={err:.2e})",
+                    IntegralResult(value, err, len(ps)),
+                )
+                break
+            worst = ps_errs.index(max(ps_errs))
+            a0, b0 = ps[worst][:2]
+            mid = 0.5 * (a0 + b0)
+            lefts += (a0, mid)
+            rights += (mid, b0)
+            owner += (j, j)
+            bisected.append((j, ps, worst, 2))
+        pending = bisected
+    if failed is not None:
+        raise failed
+    return results
+
+
+# ---------------------------------------------------------------------------
+# Pressure-profile and energy routes
+# ---------------------------------------------------------------------------
 
 
 def _grad_fun(scn: Scenario, law: ZoneLaw) -> Callable[[np.ndarray], np.ndarray]:

@@ -417,23 +417,27 @@ def test_sweep_log_range(capsys):
     assert values == pytest.approx([1e-4, 1e-3, 1e-2], rel=1e-12)
 
 
-def test_sweep_rejects_out_of_range_axis_value(capsys):
-    code, _, err = run_cli(
-        capsys, "sweep", "--axis", "v_D", "--values", "1e-3", "--regimes", "FDpD"
+@pytest.mark.parametrize("axis, value, message", [
+    ("v_D", "1e-3", "axis v_D=0.001: critical velocities must satisfy"
+                    " 0 <= v_D <= v_F < inf, got v_D=0.001, v_F=1e-05"),
+    # formatted with :g, 1.0000001 read as the in-range s = 1
+    ("s", "1.0000001", "axis s=1.0000001: s must lie in [0, 1], got 1.0000001"),
+], ids=["v_D", "s"])
+def test_sweep_rejects_out_of_range_axis_value(capsys, axis, value, message):
+    code, out, err = run_cli(
+        capsys, "sweep", "--axis", axis, "--values", value, "--regimes", "FDpD"
     )
-    assert code == 2
-    assert "v_D" in err
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("values, bad, got", [
-    ("0", "0", "0.0"), ("-1", "-1", "-1.0"), ("nan", "nan", "nan"), ("inf", "inf", "inf"),
-    ("1e-3,0", "0", "0.0"),
+@pytest.mark.parametrize("values, bad", [
+    ("0", "0.0"), ("-1", "-1.0"), ("nan", "nan"), ("inf", "inf"), ("1e-3,0", "0.0"),
 ])
-def test_sweep_names_the_flux_it_rejects(capsys, values, bad, got):
+def test_sweep_names_the_flux_it_rejects(capsys, values, bad):
     code, out, err = run_cli(capsys, "sweep", "--axis", "q_over_h", "--values", values,
                              "--regimes", "D,F,FDpD")
     assert (code, out) == (2, "")
-    assert err == f"error: axis q_over_h={bad}: q_over_h must be positive and finite, got {got}\n"
+    assert err == f"error: axis q_over_h={bad}: q_over_h must be positive and finite, got {bad}\n"
 
 
 def test_sweep_checks_every_parameter_value_before_any_pi(capsys):
@@ -442,8 +446,7 @@ def test_sweep_checks_every_parameter_value_before_any_pi(capsys):
     code, out, err = run_cli(capsys, "sweep", "--axis", "s", "--values", "0.5,2",
                              "--r-e", "1e200", "--regimes", "D")
     assert (code, out) == (2, "")
-    assert err == "error: axis s=2: s must lie in [0, 1], got 2.0\n"
-
+    assert err == "error: axis s=2.0: s must lie in [0, 1], got 2.0\n"
 
 def test_sweep_rejects_malformed_log_range(capsys):
     code, _, err = run_cli(

@@ -130,6 +130,21 @@ def test_one_lazy_name_loads_the_whole_numpy_group():
     assert got == [[False] * 3, [True] * 3, True, "wellpi.checks"]
 
 
+def test_quadrature_loads_its_engine_on_the_first_oracle_call():
+    # the closed forms carry none of the oracle's numpy engine, which lives
+    # in validation; integrate_adaptive imports it when it first runs
+    got = run_fresh(
+        "import wellpi.quadrature as q\n"
+        "loaded = lambda: [m in sys.modules for m in ('numpy', 'wellpi.validation')]\n"
+        "before = loaded()\n"
+        "engine = [hasattr(q, n) for n in ('_integrate_batch', '_panels', '_rule')]\n"
+        "import wellpi\n"
+        "value = wellpi.integrate_adaptive(lambda x: x, 0.0, 1.0).value\n"
+        "print(json.dumps([before, engine, value, loaded()]))\n"
+    )
+    assert got == [[False, False], [False] * 3, 0.5, [True, True]]
+
+
 def test_commands_run_without_the_test_extras(tmp_path):
     # mpmath and hypothesis are test extras only: an import of either from
     # wellpi fails here, while a CI job that installs `.[test]` would pass

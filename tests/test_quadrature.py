@@ -18,10 +18,19 @@ from wellpi import (
     zone_integral,
 )
 
-from wellpi import checks, quadrature
+from wellpi import checks, quadrature, validation
 from wellpi.constitutive import pressure_gradient
 from wellpi.kinematics import velocity_profile
-from wellpi.quadrature import _WG_HALF, _WGK_HALF, _XGK_HALF, _integrate_batch, _panels, _rule
+from wellpi.validation import (
+    _GK_GAUSS,
+    _GK_KRONROD,
+    _GK_NODES,
+    _WG_HALF,
+    _WGK_HALF,
+    _XGK_HALF,
+    _integrate_batch,
+    _panels,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +90,10 @@ def test_non_finite_bound_rejected(a, b):
 
 
 def test_panel_cap_raises_with_best_estimate(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_PANELS", 3)
-    with pytest.raises(QuadratureError) as info:
+    monkeypatch.setattr(validation, "_MAX_PANELS", 3)
+    # the message names the interval, as that of a non-finite panel does
+    message = r"no convergence within 3 panels on \[1e-09, 1\.0\]"
+    with pytest.raises(QuadratureError, match=message) as info:
         integrate_adaptive(lambda x: 1.0 / x, 1e-9, 1.0, rel_tol=1e-14)
     best = info.value.best
     assert math.isfinite(best.value)
@@ -128,23 +139,21 @@ def test_batched_panels_match_single_panels_in_one_call(n):
 
 
 def test_gauss_kronrod_weights_sum_to_two():
-    _, _, w_kronrod, w_gauss = _rule()
-    for weights in (w_kronrod, w_gauss):
+    for weights in (_GK_KRONROD, _GK_GAUSS):
         assert abs(math.fsum(weights) - 2.0) <= 4 * math.ulp(2.0)
 
 
 def test_gauss_kronrod_rules_are_exact_on_monomials():
     # 15-node Kronrod rule through degree 22, its 7-node Gauss rule through 13
-    _, nodes, w_kronrod, w_gauss = _rule()
-    for weights, degree in ((w_kronrod, 22), (w_gauss, 13)):
+    for weights, degree in ((_GK_KRONROD, 22), (_GK_GAUSS, 13)):
         for k in range(degree + 1):
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-            assert abs(math.fsum(weights * nodes**k) - exact) <= 1e-14
+            assert abs(math.fsum(weights * _GK_NODES**k) - exact) <= 1e-14
 
 
 def _reference_panels(f, a, b):
     # the panel kernel with its arrays built the way the module once built
-    # them at import time, with np.concatenate over the half tables
+    # them, with np.concatenate over the arrays of the half tables
     xgk, wgk, wg = np.array(_XGK_HALF), np.array(_WGK_HALF), np.array(_WG_HALF)
     nodes = np.concatenate([-xgk[:7], xgk[::-1]])
     w_kronrod = np.concatenate([wgk[:7], wgk[::-1]])
@@ -281,7 +290,7 @@ def test_batch_calls_its_integrand_once_per_round():
     a, b = [0.1, 0.3, 2.0, 999.0], [1000.0, 40.0, 3.0, 1000.0]
     results = _integrate_batch(f, a, b)
     # integral j takes one round for its first mesh and one per bisection
-    rounds = [res.subdivisions - (len(quadrature._first_mesh(lo, hi)) - 1) + 1
+    rounds = [res.subdivisions - (len(validation._first_mesh(lo, hi)) - 1) + 1
               for res, lo, hi in zip(results, a, b)]
     assert len(calls) == max(rounds)
     for i, k in enumerate(calls):
@@ -313,7 +322,7 @@ def _quadrature_error(call):
     {1: "nan"}, {1: "cap"}, {1: "nan", 2: "cap"}, {1: "cap", 2: "nan"}, {2: "nan", 3: "nan"},
 ])
 def test_batch_raises_what_a_loop_of_single_integrals_raises_first(bad, monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_PANELS", 3)
+    monkeypatch.setattr(validation, "_MAX_PANELS", 3)
     f = _failing_batch(bad)
     a, b = [0.0] * 4, [1.0] * 4
     first = min(bad)
@@ -332,7 +341,7 @@ def test_batch_raises_what_a_loop_of_single_integrals_raises_first(bad, monkeypa
     (1e-3, 1.0), (0.1, 1000.0), (1.0, 2.2), (3.0, 3e8),
 ])
 def test_first_mesh_edges_increase_from_a_to_b(a, b):
-    edges = quadrature._first_mesh(a, b)
+    edges = validation._first_mesh(a, b)
     assert edges[0] == a and edges[-1] == b  # exactly, not to roundoff
     assert all(lo < hi for lo, hi in zip(edges, edges[1:]))
     # three panels per decade, rounded up, and at most 24
@@ -340,8 +349,8 @@ def test_first_mesh_edges_increase_from_a_to_b(a, b):
 
 
 def test_first_mesh_respects_the_panel_cap(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_PANELS", 5)
-    assert len(quadrature._first_mesh(1e-6, 1.0)) - 1 == 5
+    monkeypatch.setattr(validation, "_MAX_PANELS", 5)
+    assert len(validation._first_mesh(1e-6, 1.0)) - 1 == 5
 
 
 _GRADED_INTERVALS = [
@@ -353,9 +362,9 @@ _GRADED_INTERVALS = [
 @pytest.mark.parametrize("cap", [1, 2, 3, 5, 2000])
 @pytest.mark.parametrize("a,b", _GRADED_INTERVALS)
 def test_graded_first_mesh_keeps_its_ends_order_and_cap(a, b, cap, monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_PANELS", cap)
-    plain = quadrature._first_mesh(a, b)
-    edges = quadrature._first_mesh(a, b, singular_b=True)
+    monkeypatch.setattr(validation, "_MAX_PANELS", cap)
+    plain = validation._first_mesh(a, b)
+    edges = validation._first_mesh(a, b, singular_b=True)
     assert edges[0] == a and edges[-1] == b
     assert all(lo < hi for lo, hi in zip(edges, edges[1:]))
     assert len(edges) - 1 <= cap
@@ -372,7 +381,7 @@ def test_graded_first_mesh_takes_no_edge_within_float_resolution_of_b(a, b):
     # nodes within about 1e-10 of b are so few ulps from it that the integrand
     # turns noisy: the pre-Darcy zone of DDpD at r_e = 137 and q/h = 100 is
     # the first interval
-    assert quadrature._first_mesh(a, b, singular_b=True) == quadrature._first_mesh(a, b) == [a, b]
+    assert validation._first_mesh(a, b, singular_b=True) == validation._first_mesh(a, b) == [a, b]
 
 
 @pytest.mark.parametrize("s", [0.3, 0.7, 0.99])
