@@ -24,14 +24,14 @@ and set of empty zones, with each bracket taken once per call.  An F zone
 next to a D zone thus shares one I0 with it, and a curve takes I0 and I1
 over [r_w, r_e] once, and P over it once per s.  ``compute_pi`` is its
 one-point, one-regime case.  ``zone_contributions`` gives the per-zone S
-values through the per-law kernels on demand; the PI never needs them.
+values on demand, each its law's terms through the same ``_term_bracket``
+and ``_p_coefficient``; the PI never needs them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,12 +50,10 @@ from .quadrature import (
     _I1,
     _LAW_TERMS,
     _P,
-    _subnormal_flux,
+    _p_coefficient,
     _term_bracket,
     zone_integral,
 )
-
-_FLOAT_MIN = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -130,7 +128,7 @@ def compute_curve(geo: Geometry, regimes: Sequence[RegimeAssignment],
     and finite, and FloatingPointError when an index or its dimensionless
     form overflows, underflows to zero or is NaN, when A, L or the zone
     integrals leave the float range on the way to it, or when a pre-Darcy
-    zone meets a subnormal A (``quadrature._subnormal_flux``).
+    zone meets a subnormal A (``quadrature._p_coefficient``).
     """
     r_w, r_e = geo.r_w, geo.r_e
     bracket = _term_bracket
@@ -162,9 +160,7 @@ def compute_curve(geo: Geometry, regimes: Sequence[RegimeAssignment],
                             value = cache[key] = bracket(term, r_e, s, lo, hi)
                     c = coefficients[term]
                     if c is None:
-                        if a < _FLOAT_MIN:
-                            raise _subnormal_flux(a)
-                        c = coefficients[_P] = params.lambda_ * a ** (-s)
+                        c = coefficients[_P] = _p_coefficient(params, a)
                     values.append(c * value)
                 j_raw = finite_positive("PI j_raw", big_l / math.fsum(values))
                 out.append(PiResult(j_raw, finite_positive("PI j_dimensionless", j_raw * factor), part))

@@ -13,16 +13,17 @@ The zone integrals entering the productivity index are
     S_F[r1, r2]  = S_D + beta * A * int (r_e^2 - r^2)^3 / r^2 dr
     S_pD[r1, r2] = lambda * A^(-s) * int (r_e^2 - r^2)^(2-s) * r^(s-1) dr
 
-The kernels ``darcy_zone_integral``, ``forchheimer_zone_integral`` and
-``predarcy_zone_integral`` take (params, A, r_e, r1, r2), r_w <= r1 < r2 <= r_e,
-unchecked; ``zone_integral(scn, law, r1, r2)`` picks one by law, checks the
-interval and gives exactly 0.0 for an empty one.  They serve ``pi``'s S lines
-and the injected fault of ``check_oracle_equivalence``, both through
-``zone_contributions``, then ``check_closed_vs_quadrature`` and the tests.
-The PI path sums by term, alpha I0 + beta A I1 + lambda A^(-s) P, with each
-bracket taken without its coefficient through ``_term_bracket(term, r_e, s,
-r1, r2)``: I0 and I1 are the integrals of S_D / alpha and of the inertial
-part of S_F / (beta A), and P that of S_pD / (lambda A^(-s)).
+Every S sums its law's terms, alpha I0 + beta A I1 + lambda A^(-s) P, each
+bracket taken without its coefficient by the one dispatch ``_term_bracket(term,
+r_e, s, r1, r2)``: I0 and I1 are the integrals of S_D / alpha and of the
+inertial part of S_F / (beta A), and P that of S_pD / (lambda A^(-s)), whose
+coefficient is ``_p_coefficient``.  The PI sums them by term over its zones, and
+the kernels ``darcy_zone_integral``, ``forchheimer_zone_integral`` and
+``predarcy_zone_integral`` by law over one zone, from (params, A, r_e, r1, r2),
+r_w <= r1 < r2 <= r_e, unchecked; ``zone_integral(scn, law, r1, r2)`` picks one
+by law, checks the interval and gives exactly 0.0 for an empty one.  They serve
+``pi``'s S lines and the injected fault of ``check_oracle_equivalence``, both
+through ``zone_contributions``, then ``check_closed_vs_quadrature`` and the tests.
 
 Each integrand is A^a (r_e^2 - r^2)^(a+2) r^(-a-1), with the exponent a = 0
 for S_D, 1 for the inertial part of S_F and -s for S_pD.  In
@@ -362,42 +363,56 @@ def _predarcy_bracket(r_e: float, s: float, r1: float, r2: float) -> float:
     return 0.5 * r_e ** (4.0 - s) * beta
 
 
+# The terms of a PI denominator.  Summed by term, the S of any regime is
+# alpha I0 + beta A I1 + lambda A^(-s) P: I0 over its Darcy and Forchheimer
+# zones, I1 over its Forchheimer zones and P over its pre-Darcy zones.
+_I0, _I1, _P = range(3)
+#: The terms of each law's S.
+_LAW_TERMS = {ZoneLaw.DARCY: (_I0,), ZoneLaw.FORCHHEIMER: (_I0, _I1), ZoneLaw.PRE_DARCY: (_P,)}
+
+
+def _term_bracket(term: int, r_e: float, s: float, r1: float, r2: float) -> float:
+    """The bracket of ``term`` over [r1, r2], r_w <= r1 < r2 <= r_e, unchecked:
+    the integral of its monomial without the coefficient, for the PI and the kernels."""
+    if term == _P:
+        return _predarcy_bracket(r_e, s, r1, r2)
+    return _x_bracket(_DARCY if term == _I0 else _FORCH, r_e, r1, r2)
+
+
 def darcy_zone_integral(params: FlowParameters, a: float, r_e: float, r1: float,
                         r2: float) -> float:
-    """S_D[r1, r2] in closed form, unchecked; it does not depend on the flux density a."""
-    return params.alpha * _x_bracket(_DARCY, r_e, r1, r2)
+    """S_D[r1, r2] = alpha I0, unchecked; it does not depend on the flux density a."""
+    return params.alpha * _term_bracket(_I0, r_e, params.s, r1, r2)
 
 
 def forchheimer_zone_integral(params: FlowParameters, a: float, r_e: float, r1: float,
                               r2: float) -> float:
-    """S_F[r1, r2] = S_D + inertial term in closed form, unchecked."""
-    darcy = params.alpha * _x_bracket(_DARCY, r_e, r1, r2)
-    return darcy + params.beta * a * _x_bracket(_FORCH, r_e, r1, r2)
+    """S_F[r1, r2] = alpha I0 + beta A I1, unchecked."""
+    darcy = params.alpha * _term_bracket(_I0, r_e, params.s, r1, r2)
+    return darcy + params.beta * a * _term_bracket(_I1, r_e, params.s, r1, r2)
 
 
 def predarcy_zone_integral(params: FlowParameters, a: float, r_e: float, r1: float,
                            r2: float) -> float:
-    """S_pD[r1, r2] as an incomplete beta series, unchecked; S_D at s = 0, lambda = alpha.
-    Raises ``_subnormal_flux(a)`` for a subnormal A."""
-    if a < sys.float_info.min:
-        raise _subnormal_flux(a)
-    s = params.s
-    return params.lambda_ * a ** (-s) * _predarcy_bracket(r_e, s, r1, r2)
+    """S_pD[r1, r2] = lambda A^(-s) P, unchecked; S_D at s = 0, lambda = alpha.
+    Raises FloatingPointError for a subnormal A (``_p_coefficient``)."""
+    return _p_coefficient(params, a) * _term_bracket(_P, r_e, params.s, r1, r2)
 
 
-def _subnormal_flux(a: float) -> FloatingPointError:
-    """The error for lambda A^(-s) formed from a subnormal flux density A.
+def _p_coefficient(params: FlowParameters, a: float) -> float:
+    """lambda A^(-s), the coefficient of P; FloatingPointError for a subnormal A.
 
     A subnormal A holds fewer than 53 significant bits, and A^(-s) carries
     the lost ones into the result: at Q/h = 1e-315, s = 0.7 the pure
     pre-Darcy PI came out 4.6e-3 off its exact law J ~ (Q/h)^s.  S_D and
     S_F stay exact there, so the test ``a < sys.float_info.min`` stands only
-    where lambda A^(-s) is formed: here and at the P coefficient of
-    ``productivity.compute_curve``.
+    here, where lambda A^(-s) is formed, for the kernels and the PI alike.
     """
-    return FloatingPointError(
-        f"flux density A={a!r} is subnormal: lambda A^(-s) would lose its digits"
-    )
+    if a < sys.float_info.min:
+        raise FloatingPointError(
+            f"flux density A={a!r} is subnormal: lambda A^(-s) would lose its digits"
+        )
+    return params.lambda_ * a ** (-params.s)
 
 
 def zone_integral(scn: Scenario, law: ZoneLaw, r1: float, r2: float) -> float:
@@ -416,19 +431,3 @@ def zone_integral(scn: Scenario, law: ZoneLaw, r1: float, r2: float) -> float:
     if law is ZoneLaw.FORCHHEIMER:
         return forchheimer_zone_integral(params, a, geo.r_e, r1, r2)
     return predarcy_zone_integral(params, a, geo.r_e, r1, r2)
-
-
-# The terms of a PI denominator.  Summed by term, the S of any regime is
-# alpha I0 + beta A I1 + lambda A^(-s) P: I0 over its Darcy and Forchheimer
-# zones, I1 over its Forchheimer zones and P over its pre-Darcy zones.
-_I0, _I1, _P = range(3)
-#: The terms of each law's S.
-_LAW_TERMS = {ZoneLaw.DARCY: (_I0,), ZoneLaw.FORCHHEIMER: (_I0, _I1), ZoneLaw.PRE_DARCY: (_P,)}
-
-
-def _term_bracket(term: int, r_e: float, s: float, r1: float, r2: float) -> float:
-    """The bracket of ``term`` over [r1, r2], r_w <= r1 < r2 <= r_e, unchecked:
-    the integral of its monomial without the coefficient, as the kernels take it."""
-    if term == _P:
-        return _predarcy_bracket(r_e, s, r1, r2)
-    return _x_bracket(_DARCY if term == _I0 else _FORCH, r_e, r1, r2)

@@ -321,8 +321,6 @@ def pressure_profile(scn: Scenario, r):
 
     def integrand(x: np.ndarray, k: np.ndarray) -> np.ndarray:
         # the nodes come grouped by integral, so each segment's are one slice
-        if len(grads) == 1:
-            return grads[0](x)
         cuts = [0, *np.searchsorted(k, starts[1:]).tolist(), len(x)]
         return np.concatenate([grad(x[i:j]) for grad, i, j in zip(grads, cuts, cuts[1:])])
 

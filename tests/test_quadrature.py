@@ -15,6 +15,7 @@ from wellpi import (
     flux_density,
     integrate_adaptive,
     partition_zones,
+    zone_contributions,
     zone_integral,
 )
 
@@ -827,6 +828,21 @@ def test_empty_zone_integrals_are_zero():
     assert zone_integral(scn, ZoneLaw.DARCY, 5.0, 5.0) == 0.0
     assert zone_integral(scn, ZoneLaw.FORCHHEIMER, 5.0, 5.0) == 0.0
     assert zone_integral(scn, ZoneLaw.PRE_DARCY, 5.0, 5.0) == 0.0
+
+
+def test_zone_integrals_take_their_brackets_through_the_pi_dispatch(monkeypatch):
+    # every per-law kernel sums its law's terms through _term_bracket, the one
+    # route the PI takes, in _LAW_TERMS order: F is I0 then I1, pD is P
+    terms = []
+    bracket = quadrature._term_bracket
+
+    def spy(term, r_e, s, r1, r2):
+        terms.append(term)
+        return bracket(term, r_e, s, r1, r2)
+
+    monkeypatch.setattr(quadrature, "_term_bracket", spy)
+    zone_contributions(base_scenario("FpDpD", q_over_h=1e-2))
+    assert terms == [quadrature._I0, quadrature._I1, quadrature._P, quadrature._P]
 
 
 def test_out_of_range_interval_rejected():

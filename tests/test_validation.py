@@ -261,7 +261,7 @@ def test_profile_pi_uses_no_closed_form(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("closed-form zone integral called by the oracle")
 
-    for name in ("_x_bracket", "_predarcy_bracket"):
+    for name in ("_x_bracket", "_predarcy_bracket", "_term_bracket"):
         monkeypatch.setattr(wellpi.quadrature, name, refuse)
     assert pi_from_profile(base_scenario("FDpD", q_over_h=1e-2)) > 0
 
