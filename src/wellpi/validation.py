@@ -34,9 +34,10 @@ zone integrals:
   p_mean - p_w = 2 int r W dr / (r_e^2 - r_w^2).  Every outer node gets its
   own inner quadrature, taken from the nearest node below it where W is
   already known, so each inner integral spans a short gap instead of the
-  whole segment.  Integration by parts ties that denominator to the drag
-  energy integral, which is evaluated separately as an internal consistency
-  check.
+  whole segment; the gaps whose first panel fails are one batch.
+  Integration by parts ties that denominator to the drag energy integral,
+  ``pi_from_energy``, one batch of zone energies, evaluated separately as
+  an internal consistency check.
 
   The pre-Darcy drag lambda v^(1-s) vanishes like (r_e - r)^(1-s) at the
   outer boundary, so every pre-Darcy integral that ends at r_e (the outer
@@ -60,7 +61,6 @@ zone integrals:
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 from typing import Callable, Sequence
@@ -170,19 +170,20 @@ def _first_mesh(a: float, b: float, singular_b: bool = False) -> list[float]:
     return [a, *interior, *graded, b]
 
 
-def _converged(value: float, err: float, resabs: float, rel_tol: float) -> bool:
+def _converged(value, err, resabs, rel_tol: float):
     """The acceptance test of integrate_adaptive: the error is finite and
     within max(1e-300, rel_tol * |value|), or at the roundoff floor of the
-    integrand, where no further subdivision can help."""
-    return math.isfinite(err) and (
-        err <= max(_ABS_TOL, rel_tol * abs(value)) or err <= 100.0 * _EPS * resabs
+    integrand, where no further subdivision can help.  Only plain operators
+    touch the floats, or the arrays, which it tests elementwise."""
+    return (err < math.inf) & (
+        (err <= _ABS_TOL) | (err <= rel_tol * abs(value)) | (err <= 100.0 * _EPS * resabs)
     )
 
 
 def _integrate_batch(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    a: list[float],
-    b: list[float],
+    a: Sequence[float],
+    b: Sequence[float],
     rel_tol: float = 1e-10,
     singular_b: list[bool] | None = None,
 ) -> list[IntegralResult]:
@@ -279,6 +280,17 @@ def _grad_fun(scn: Scenario, law: ZoneLaw) -> Callable[[np.ndarray], np.ndarray]
     return lambda r: pressure_gradient(p, law, velocity_profile(scn, r))
 
 
+def _split_integrand(funs: list[Callable[[np.ndarray], np.ndarray]], starts: Sequence[int]):
+    """The integrand f(x, k) of an ``_integrate_batch`` whose integrals
+    starts[i] <= k < starts[i + 1] follow funs[i]: one call of each on its
+    nodes, which come grouped by integral, so each one's are one slice."""
+    def integrand(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+        cuts = [0, *np.searchsorted(k, starts[1:]).tolist(), len(x)]
+        return np.concatenate([fun(x[i:j]) for fun, i, j in zip(funs, cuts, cuts[1:])])
+
+    return integrand
+
+
 def _singular_end(scn: Scenario, law: ZoneLaw, hi: float) -> bool:
     """Whether an integral along ``law`` up to ``hi`` takes a first mesh
     graded into hi: the pre-Darcy drag lambda v^(1-s) vanishes like
@@ -319,12 +331,8 @@ def pressure_profile(scn: Scenario, r):
                 graded.append(_singular_end(scn, law, hi[-1]))
                 owner.append(i)
 
-    def integrand(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-        # the nodes come grouped by integral, so each segment's are one slice
-        cuts = [0, *np.searchsorted(k, starts[1:]).tolist(), len(x)]
-        return np.concatenate([grad(x[i:j]) for grad, i, j in zip(grads, cuts, cuts[1:])])
-
     total = [0.0] * len(points)
+    integrand = _split_integrand(grads, starts)
     for i, res in zip(owner, _integrate_batch(integrand, lo, hi, _INNER_REL_TOL, graded)):
         total[i] += res.value
     if radii.ndim == 0:
@@ -332,27 +340,32 @@ def pressure_profile(scn: Scenario, r):
     return np.array(total).reshape(radii.shape)
 
 
-def _zone_energy(scn: Scenario, law: ZoneLaw, lo: float, hi: float) -> float:
-    """int_lo^hi r g(v) v^2 dr along one zone law."""
-    def integrand(r: np.ndarray) -> np.ndarray:
-        v = velocity_profile(scn, r)
-        return r * pressure_gradient(scn.params, law, v) * v
+def _zone_energies(scn: Scenario, bounds: Sequence[tuple[float, float, ZoneLaw]]) -> list[float]:
+    """int_lo^hi r g(v) v^2 dr along the law of each (lo, hi, law) of
+    ``bounds``, as one batch of ``_integrate_batch``."""
+    def energy(law: ZoneLaw) -> Callable[[np.ndarray], np.ndarray]:
+        def integrand(r: np.ndarray) -> np.ndarray:
+            v = velocity_profile(scn, r)
+            return r * pressure_gradient(scn.params, law, v) * v
 
-    return integrate_adaptive(
-        integrand, lo, hi, _INNER_REL_TOL, _singular_end(scn, law, hi)
-    ).value
+        return integrand
+
+    lo, hi, laws = zip(*bounds)
+    graded = [_singular_end(scn, law, b) for b, law in zip(hi, laws)]
+    integrand = _split_integrand([energy(law) for law in laws], range(len(laws)))
+    return [res.value for res in _integrate_batch(integrand, lo, hi, _INNER_REL_TOL, graded)]
 
 
 def pi_from_energy(scn: Scenario) -> float:
     """Raw PI from the energy identity J = Q^2 / (2 pi h int r g(v) v^2 dr).
 
-    The drag energy is summed left to right over the merged segments.
-    Raises FloatingPointError when the PI overflows, underflows to zero or
-    is NaN.
+    The drag energies of the merged segments are one batch, summed left to
+    right.  Raises FloatingPointError when the PI overflows, underflows to
+    zero or is NaN.
     """
     energy = 0.0
-    for lo, hi, law in zone_segments(scn):
-        energy += _zone_energy(scn, law, lo, hi)
+    for value in _zone_energies(scn, zone_segments(scn)):
+        energy += value
     q = scn.q
     return finite_positive("energy-route PI", q * q / (2.0 * math.pi * scn.geometry.h * energy))
 
@@ -366,13 +379,15 @@ def pi_from_profile(scn: Scenario) -> float:
     quadrature of g(v) v, taken from the nearest radius below the node where
     W is already known (the segment start, an earlier node or the previous node
     of the same batch) and accumulated onto the W found there; W at the
-    segment starts is one ``pressure_profile`` call.  The first Gauss-Kronrod panel of
-    every gap in a batch of outer nodes is evaluated in one integrand call;
-    a gap whose panel fails the acceptance test of ``integrate_adaptive`` is
-    integrated adaptively instead.  The result is cross-checked against the
-    energy-identity route; disagreement beyond ``_CONSISTENCY_TOL`` signals
-    a quadrature failure.  Raises FloatingPointError when the PI overflows,
-    underflows to zero or is NaN, where both routes could agree on 0.
+    segment starts is one ``pressure_profile`` call.  The first Gauss-Kronrod
+    panels of a batch of outer nodes' gaps are one integrand call and one
+    array acceptance test; the gaps that fail it are one adaptive batch, in
+    node order; W adds left to right along each run of nodes chained to the
+    previous one, as a loop over the nodes would.  The result is checked
+    against the energy-identity route; disagreement beyond
+    ``_CONSISTENCY_TOL`` signals a quadrature failure.  Raises
+    FloatingPointError when the PI overflows, underflows to zero or is NaN,
+    where both routes could agree on 0.
     """
     geo = scn.geometry
     total_rw = 0.0
@@ -381,39 +396,36 @@ def pi_from_profile(scn: Scenario) -> float:
     for (a, b, law), w0 in zip(segments, w_starts):
         grad = _grad_fun(scn, law)
         # radii in [a, b] where W - w0 is known, ascending, with those values
-        known_r = [a]
-        known_w = [0.0]
+        known_r = np.array([a])
+        known_w = np.array([0.0])
 
         def outer_integrand(radii: np.ndarray) -> np.ndarray:
+            nonlocal known_r, known_w
             # the nodes arrive ascending, so each one's nearest known radius
-            # below is the one found in known_r or the previous node
-            nodes = radii.tolist()
-            starts: list[float] = []
-            bases: list[float | None] = []  # None: W of the previous node
-            prev = -math.inf
-            for r in nodes:
-                j = bisect.bisect_right(known_r, r) - 1
-                if prev >= known_r[j]:
-                    starts.append(prev)
-                    bases.append(None)
-                else:
-                    starts.append(known_r[j])
-                    bases.append(known_w[j])
-                prev = r
-            values, errs, resabs = _panels(grad, np.array(starts), radii)
-            out = np.empty_like(radii)
-            w = 0.0
-            for i, (r, lo, base, value, err, res) in enumerate(zip(
-                nodes, starts, bases, values.tolist(), errs.tolist(), resabs.tolist()
-            )):
-                if not _converged(value, err, res, _INNER_REL_TOL):
-                    value = integrate_adaptive(grad, lo, r, rel_tol=_INNER_REL_TOL).value
-                w = (w if base is None else base) + value
-                k = bisect.bisect_right(known_r, r)
-                known_r.insert(k, r)
-                known_w.insert(k, w)
-                out[i] = r * (w0 + w)
-            return out
+            # below is the one found in known_r or the previous node; a node
+            # chained to the previous one starts from that node's W
+            j = np.searchsorted(known_r, radii, "right") - 1
+            near = known_r[j]
+            prev = np.concatenate(([-math.inf], radii[:-1]))
+            chained = prev >= near
+            starts = np.where(chained, prev, near)
+            values, errs, resabs = _panels(grad, starts, radii)
+            failed = np.flatnonzero(~_converged(values, errs, resabs, _INNER_REL_TOL))
+            if failed.size:
+                redo = _integrate_batch(lambda x, k: grad(x), starts[failed].tolist(),
+                                        radii[failed].tolist(), _INNER_REL_TOL)
+                values[failed] = [res.value for res in redo]
+            # W along each chain, left to right from the base at its head
+            steps = np.where(chained, values, known_w[j] + values)
+            heads = np.flatnonzero(~chained).tolist()
+            w = np.concatenate([np.add.accumulate(steps[i:k])
+                                for i, k in zip(heads, heads[1:] + [radii.size])])
+            # a stable sort puts each new radius after the known ones equal to it
+            merged = np.concatenate((known_r, radii))
+            order = np.argsort(merged, kind="stable")
+            known_r = merged[order]
+            known_w = np.concatenate((known_w, w))[order]
+            return radii * (w0 + w)
 
         total_rw += integrate_adaptive(
             outer_integrand, a, b, _OUTER_REL_TOL, _singular_end(scn, law, b)

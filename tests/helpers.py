@@ -1,14 +1,29 @@
 """Shared helpers for the test suite."""
 
+import bisect
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from wellpi import ZoneLaw, flux_density, synthesize_measurements
-from wellpi.constitutive import drag_power
-from wellpi.kinematics import zone_bounds
-from wellpi.validation import _RK_REL_TOL
+from wellpi import (
+    ZoneLaw,
+    flux_density,
+    integrate_adaptive,
+    pressure_profile,
+    synthesize_measurements,
+)
+from wellpi.constitutive import drag_power, pressure_gradient
+from wellpi.kinematics import velocity_profile, zone_bounds, zone_segments
+from wellpi.validation import (
+    _INNER_REL_TOL,
+    _OUTER_REL_TOL,
+    _RK_REL_TOL,
+    _grad_fun,
+    _panels,
+    _singular_end,
+)
 
 
 def bisect_inverse(fun, target, lo, hi, iterations=200):
@@ -244,3 +259,102 @@ def reference_compressible_velocity(scn, gamma, radii):
             if abs(h_prop) < 1e-14 * geo.r_e:
                 raise RuntimeError(f"step underflow at r={r}")
     return ReferenceSweep(targets, np.array(speeds), evals, step_ends, rejected)
+
+
+@dataclass
+class ReferenceRoutes:
+    """What ``reference_oracle_routes`` found: the raw PI of the profile
+    route and of the energy route, r W(r) at the nodes of every call of the
+    outer integrand in call order, and for each call with any, the number of
+    inner gaps whose first panel failed the acceptance test."""
+
+    j_profile: float
+    j_energy: float
+    outer_values: list
+    fallbacks: list
+
+
+def _first_panel_accepted(value, err, resabs):
+    """The acceptance test of ``integrate_adaptive`` on one panel, written
+    with ``math`` and short-circuit logic."""
+    return math.isfinite(err) and (
+        err <= max(1e-300, _INNER_REL_TOL * abs(value))
+        or err <= 100.0 * sys.float_info.epsilon * resabs
+    )
+
+
+def reference_oracle_routes(scn):
+    """``validation.pi_from_profile`` and ``validation.pi_from_energy`` as
+    loops, without the finiteness and consistency checks.
+
+    W at the segment starts is one ``pressure_profile`` call, as there.  The
+    profile route takes each outer node on its own: its nearest radius
+    below where W is known comes from ``bisect``, each gap whose first panel
+    fails is its own ``integrate_adaptive`` call, and W and the known radii
+    grow one node at a time.  The energy route is one ``integrate_adaptive``
+    call per merged segment, summed left to right.  The batched routes must
+    give the same floats.
+    """
+    geo, params = scn.geometry, scn.params
+    segments = zone_segments(scn)
+    outer_values, fallbacks = [], []
+    total_rw = 0.0
+    w_starts = pressure_profile(scn, np.array([a for a, _, _ in segments])).tolist()
+    for (a, b, law), w0 in zip(segments, w_starts):
+        grad = _grad_fun(scn, law)
+        known_r = [a]
+        known_w = [0.0]
+
+        def outer_integrand(radii):
+            nodes = radii.tolist()
+            starts, bases = [], []  # base None: W of the previous node
+            prev = -math.inf
+            for r in nodes:
+                j = bisect.bisect_right(known_r, r) - 1
+                if prev >= known_r[j]:
+                    starts.append(prev)
+                    bases.append(None)
+                else:
+                    starts.append(known_r[j])
+                    bases.append(known_w[j])
+                prev = r
+            values, errs, resabs = _panels(grad, np.array(starts), radii)
+            out = np.empty_like(radii)
+            w = 0.0
+            failed = 0
+            for i, (r, lo, base, value, err, res) in enumerate(zip(
+                nodes, starts, bases, values.tolist(), errs.tolist(), resabs.tolist()
+            )):
+                if not _first_panel_accepted(value, err, res):
+                    failed += 1
+                    value = integrate_adaptive(grad, lo, r, rel_tol=_INNER_REL_TOL).value
+                w = (w if base is None else base) + value
+                k = bisect.bisect_right(known_r, r)
+                known_r.insert(k, r)
+                known_w.insert(k, w)
+                out[i] = r * (w0 + w)
+            if failed:
+                fallbacks.append(failed)
+            outer_values.extend(out.tolist())
+            return out
+
+        total_rw += integrate_adaptive(
+            outer_integrand, a, b, _OUTER_REL_TOL, _singular_end(scn, law, b)
+        ).value
+
+    energy = 0.0
+    for lo, hi, law in segments:
+        def energy_integrand(r, law=law):
+            v = velocity_profile(scn, r)
+            return r * pressure_gradient(params, law, v) * v
+
+        energy += integrate_adaptive(
+            energy_integrand, lo, hi, _INNER_REL_TOL, _singular_end(scn, law, hi)
+        ).value
+    q = scn.q
+    return ReferenceRoutes(
+        q * geo.radius_span_sq / (2.0 * total_rw),
+        q * q / (2.0 * math.pi * geo.h * energy),
+        outer_values,
+        fallbacks,
+    )
