@@ -8,7 +8,11 @@ parameters, flux) come from one table, ``_SCENARIO_FIELDS``; their defaults
 are those of ``reference.base_scenario``.  All
 CSV output is UTF-8 with a header row, ``.`` decimal separator and
 scientific notation with nine significant digits; identical inputs
-produce byte-identical output.
+produce byte-identical output.  One writer, ``_write_csv``, serves
+``pi --out``, ``sweep``, ``table`` and ``fit --emit-model``: every row is
+computed before the first byte is written, and an output path that cannot
+be written, the empty path included, is a configuration error.  ``pi --out``
+writes the one-point sweep of its scenario, row for row.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error or a
 stdout that cannot be written, 3 numerical failure, 141 stdout closed before
@@ -27,7 +31,6 @@ import argparse
 import codecs
 import errno
 import functools
-import io
 import math
 import os
 import sys
@@ -36,11 +39,10 @@ from typing import Sequence
 
 from . import __version__
 from .constitutive import (
-    LAW_LABELS, REGIME_PRESETS, FlowParameters, RegimeAssignment, ZoneLaw, preset_name,
-    regime_preset,
+    LAW_LABELS, REGIME_PRESETS, RegimeAssignment, ZoneLaw, preset_name, regime_preset,
 )
 from .kinematics import Scenario, checked_flux
-from .productivity import PiResult, compute_curve, compute_pi, zone_contributions
+from .productivity import compute_curve, compute_pi, zone_contributions
 from .reference import REPRODUCTION_RTOL, base_scenario, compare_table
 
 EXIT_OK = 0
@@ -206,63 +208,53 @@ def _write_stderr(text: str) -> None:
         _to_null_device(err)
 
 
-def _write_stdout(text: str) -> None:
-    """Write ``text`` to stdout and flush it; a failed write raises
+def _write_stdout(*texts: str) -> None:
+    """Write ``texts`` to stdout in order and flush it; a failed write raises
     _StdoutError from its OSError.
 
-    The bytes go to the binary layer until it has taken them all: an
-    unbuffered stdout takes only part of a write to a pipe whose reader has
-    gone, and its text layer ignores the count.  A stdout without a binary
-    layer, such as a StringIO, gets ``text`` as it is.  A stdout that is None,
-    as the interpreter sets it when fd 1 is closed at start, is a closed pipe.
+    Each text is encoded on its own, so no copy of them all is made, and its
+    bytes go to the binary layer until it has taken them all: an unbuffered
+    stdout takes only part of a write to a pipe whose reader has gone, and its
+    text layer ignores the count.  A stdout without a binary layer, such as a
+    StringIO, gets the texts as they are.  A stdout that is None, as the
+    interpreter sets it when fd 1 is closed at start, is a closed pipe.
     """
     out = sys.stdout
     if out is None:
         raise _StdoutError from BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
     buffer = getattr(out, "buffer", None)
     if buffer is None:
-        out.write(text)
+        out.writelines(texts)
         return
     try:
         out.flush()
-        data = memoryview(text.encode(out.encoding, out.errors))
-        while data:
-            data = data[buffer.write(data):]
+        for text in texts:
+            data = memoryview(text.encode(out.encoding, out.errors))
+            while data:
+                data = data[buffer.write(data):]
         buffer.flush()
     except OSError as exc:
         raise _StdoutError from exc
 
 
-def _write_text(text: str, out_path: str | None) -> None:
+def _write_csv(columns: Sequence[str], rows: Sequence[str], out_path: str | None) -> None:
+    """Write the header of ``columns`` and then ``rows``, each whole lines of
+    text, to the file ``out_path``, or to stdout when it is None.
+
+    The rows are computed before the call, so a command that fails in them
+    writes nothing.  A path that cannot be written, the empty path included,
+    raises ValueError.
+    """
+    header = ",".join(columns) + "\n"
     if out_path is None:
-        _write_stdout(text)
+        _write_stdout(header, *rows)
         return
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.write(header)
+            fh.writelines(rows)
     except OSError as exc:
         raise ValueError(f"cannot write {out_path!r}: {exc}") from None
-
-
-def _params_cells(p: FlowParameters) -> str:
-    """The s, v_D and v_F cells of a sweep row."""
-    # '%.8e' % x is the conversion of _fmt
-    return "%.8e,%.8e,%.8e" % (p.s, p.v_D, p.v_F)
-
-
-def _sweep_rows(axis_name: str, axis_cell: str, params_cells: str, q_cell: str,
-                pis: list[PiResult], names: list[str]) -> str:
-    """CSV rows of one sweep point, one per PI in ``pis`` with its regime name
-    from ``names``, from the cells already formatted.  The PIs share the
-    point's partition, so every cell but the regime and the PI itself is
-    formatted once."""
-    part = pis[0].zone_partition
-    head = "%s,%s," % (axis_name, axis_cell)
-    shared = "%s,%s,%.8e,%.8e" % (params_cells, q_cell, part.r_F, part.r_D)
-    return "".join(
-        "%s%s,%s,%.8e,%.8e\n" % (head, name, shared, pi.j_raw, pi.j_dimensionless)
-        for name, pi in zip(names, pis)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +280,9 @@ def cmd_pi(args: argparse.Namespace) -> int:
     for label, value in zip(("near_well", "middle", "near_boundary"), zone_contributions(scn)):
         lines.append(f"S_{label:<16}= {_fmt(value)}")
     _write_stdout("\n".join(lines) + "\n")
-    if args.out:
-        q_cell = _fmt(scn.q_over_h)
-        rows = _sweep_rows("q_over_h", q_cell, _params_cells(scn.params), q_cell, [pi],
-                           [preset_name(scn.regime)])
-        csv_text = ",".join(_SWEEP_COLUMNS) + "\n" + rows
-        _write_text(csv_text, args.out)
+    if args.out is not None:
+        _write_csv(_SWEEP_COLUMNS, run_sweep(scn, "q_over_h", [scn.q_over_h], [scn.regime], False),
+                   args.out)
     return EXIT_OK
 
 
@@ -346,15 +335,16 @@ def _axis_values(args: argparse.Namespace) -> list[float]:
     return values
 
 
-def run_sweep(base: Scenario, axis: str, values: Sequence[float], regimes: Sequence[str],
-              continuous_predarcy: bool) -> str:
-    """CSV text for the sweep, one row per (axis value, regime), axis-major:
-    one ``compute_curve`` point (q_over_h, params) per value, all checked
-    first, and one curve per _CURVE_POINTS points.  Each cell that does not
-    change from one point to the next is formatted once.
+def run_sweep(base: Scenario, axis: str, values: Sequence[float],
+              regimes: Sequence[RegimeAssignment], continuous_predarcy: bool) -> list[str]:
+    """CSV rows of the sweep, one text per axis value with one row per regime
+    in it: one ``compute_curve`` point (q_over_h, params) per value, all
+    checked first, and one curve per _CURVE_POINTS points.  Each cell that
+    does not change from one point to the next is formatted once, and the
+    regimes of a point share its partition, so every cell but the regime and
+    the PI itself is formatted once per point.
     """
-    presets = [regime_preset(name) for name in regimes]
-    names = [preset_name(preset) for preset in presets]
+    names = [preset_name(regime) for regime in regimes]
     points = []
     for value in values:
         try:
@@ -367,48 +357,53 @@ def run_sweep(base: Scenario, axis: str, values: Sequence[float], regimes: Seque
                 points.append((base.q_over_h, params))
         except ValueError as exc:
             raise ValueError(f"axis {axis}={value!r}: {exc}") from None
-    buf = io.StringIO()
-    buf.write(",".join(_SWEEP_COLUMNS) + "\n")
+    rows = []
     q_cell = _fmt(base.q_over_h)
     last = None
     for k in range(0, len(points), _CURVE_POINTS):
-        part = points[k:k + _CURVE_POINTS]
-        for value, (_, params), pis in zip(values[k:k + _CURVE_POINTS], part,
-                                           compute_curve(base.geometry, presets, part)):
+        chunk = points[k:k + _CURVE_POINTS]
+        for value, (_, params), pis in zip(values[k:k + _CURVE_POINTS], chunk,
+                                           compute_curve(base.geometry, regimes, chunk)):
             axis_cell = _fmt(value)
             if axis == "q_over_h":
                 q_cell = axis_cell
-            if params is not last:
-                last, params_cells = params, _params_cells(params)
-            buf.write(_sweep_rows(axis, axis_cell, params_cells, q_cell, pis, names))
-    return buf.getvalue()
+            if params is not last:  # '%.8e' % x is the conversion of _fmt
+                last, params_cells = params, "%.8e,%.8e,%.8e" % (params.s, params.v_D, params.v_F)
+            part = pis[0].zone_partition
+            head = "%s,%s," % (axis, axis_cell)
+            shared = "%s,%s,%.8e,%.8e" % (params_cells, q_cell, part.r_F, part.r_D)
+            rows.append("".join(
+                "%s%s,%s,%.8e,%.8e\n" % (head, name, shared, pi.j_raw, pi.j_dimensionless)
+                for name, pi in zip(names, pis)
+            ))
+    return rows
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = build_scenario(args)
     values = _axis_values(args)
-    regimes = [tok.strip() for tok in args.regimes.split(",") if tok.strip()]
+    regimes = [regime_preset(tok.strip()) for tok in args.regimes.split(",") if tok.strip()]
     if not regimes:
         raise ValueError("sweep needs at least one regime preset")
-    _write_text(run_sweep(base, args.axis, values, regimes, args.continuous_predarcy), args.out)
+    rows = run_sweep(base, args.axis, values, regimes, args.continuous_predarcy)
+    _write_csv(_SWEEP_COLUMNS, rows, args.out)
     return EXIT_OK
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     comparisons = compare_table(args.table, continuous_predarcy=args.continuous_predarcy)
-    buf = io.StringIO()
-    buf.write(",".join(_TABLE_COLUMNS) + "\n")
+    rows = []
     flagged = 0
     for comp in comparisons:
         e = comp.entry
         ok = comp.within_tolerance
         flagged += 0 if ok else 1
-        buf.write(",".join((
+        rows.append(",".join((
             str(e.table), e.regime, _fmt(e.s), _fmt(e.v_d), _fmt(e.q_over_h),
             _fmt(e.r_e), _fmt(e.published), _fmt(comp.computed),
             _fmt(comp.rel_deviation), "yes" if ok else "NO",
         )) + "\n")
-    _write_text(buf.getvalue(), args.out)
+    _write_csv(_TABLE_COLUMNS, rows, args.out)
     _write_stderr(
         f"table {args.table}: {len(comparisons)} entries, {flagged} beyond "
         f"{REPRODUCTION_RTOL:.0%} relative deviation\n"
@@ -453,13 +448,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if fit.no_breakpoint:
         lines.append("note: single Darcy segment explains the data; no breakpoint reported")
     _write_stdout("\n".join(lines) + "\n")
-    if args.emit_model:
+    if args.emit_model is not None:
         v_values = _geomspace(min(m.v for m in data), max(m.v for m in data), 200)
-        buf = io.StringIO()
-        buf.write(",".join(CSV_COLUMNS) + "\n")
-        for v, grad_p in model_curve(fit, v_values):
-            buf.write(f"{_fmt(v)},{_fmt(grad_p)}\n")
-        _write_text(buf.getvalue(), args.emit_model)
+        rows = [f"{_fmt(v)},{_fmt(grad_p)}\n" for v, grad_p in model_curve(fit, v_values)]
+        _write_csv(CSV_COLUMNS, rows, args.emit_model)
     return EXIT_OK
 
 

@@ -473,11 +473,14 @@ def compressible_velocity(
         u(r + theta h) = u + h theta (q0 + theta (q1 + theta (q2 + theta q3))),
 
     are written out over the locals k0..k6, one term per entry of the
-    Dormand-Prince tableau in its order, zero entries included.  Each sum is
-    therefore the tableau's sum added left to right, bit for bit, and a NaN
-    stage still reaches both weight sums, so that the controller rejects the
-    step; writing them out only spares the interpreter the loop over the
-    tableau.
+    Dormand-Prince tableau in its order.  The weight sums u5 and u4 keep
+    their zero entries, so that a NaN stage still reaches both and the
+    controller rejects the step.  The coefficients q0..q3 are read only after
+    a step is accepted, when u5 and u4, and so every stage, are finite; they
+    skip their zero entries, since adding a zero changes no bit of a sum of
+    finite terms that is not itself zero.  Each sum is therefore the
+    tableau's sum added left to right, bit for bit; writing them out only
+    spares the interpreter the loop over the tableau.
 
     The controller bounds each step's local error only, so the outputs
     reproduce to about 1.4e-10 of max v, not to ``_RK_REL_TOL``: a change of a
@@ -543,17 +546,16 @@ def compressible_velocity(
         if err <= tol:
             r_new = r_end if h == r_end - r else r + h
             if ts[n] > r_new:  # a radius inside the step
-                q0 = (1.0 * k0 + 0.0 * k1 + 0.0 * k2 + 0.0 * k3 + 0.0 * k4 + 0.0 * k5
-                      + 0.0 * k6)
-                q1 = (-8048581381 / 2820520608 * k0 + 0.0 * k1
+                q0 = k0
+                q1 = (-8048581381 / 2820520608 * k0
                       + 131558114200 / 32700410799 * k2 + -1754552775 / 470086768 * k3
                       + 127303824393 / 49829197408 * k4 + -282668133 / 205662961 * k5
                       + 40617522 / 29380423 * k6)
-                q2 = (8663915743 / 2820520608 * k0 + 0.0 * k1
+                q2 = (8663915743 / 2820520608 * k0
                       + -68118460800 / 10900136933 * k2 + 14199869525 / 1410260304 * k3
                       + -318862633887 / 49829197408 * k4 + 2019193451 / 616988883 * k5
                       + -110615467 / 29380423 * k6)
-                q3 = (-12715105075 / 11282082432 * k0 + 0.0 * k1
+                q3 = (-12715105075 / 11282082432 * k0
                       + 87487479700 / 32700410799 * k2 + -10690763975 / 1880347072 * k3
                       + 701980252875 / 199316789632 * k4 + -1453857185 / 822651844 * k5
                       + 69997945 / 29380423 * k6)

@@ -662,6 +662,80 @@ def test_sweep_takes_the_rest_of_a_config_file(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# CSV outputs: one writer for every command
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("continuous", [False, True], ids=["as-given", "continuous-predarcy"])
+@pytest.mark.parametrize("preset", ALL_PRESETS.split(","))
+def test_pi_row_is_the_sweep_row(capsys, tmp_path, preset, continuous):
+    flags = ["--continuous-predarcy"] if continuous else []
+    pi_csv, sweep_csv = tmp_path / "pi.csv", tmp_path / "sweep.csv"
+    code, _, _ = run_cli(capsys, "pi", "--regime", preset, "--q-over-h", "3e-3", *flags,
+                         "--out", str(pi_csv))
+    assert code == 0
+    code, _, _ = run_cli(capsys, "sweep", "--axis", "q_over_h", "--values", "3e-3",
+                         "--regimes", preset, *flags, "--out", str(sweep_csv))
+    assert code == 0
+    assert pi_csv.read_bytes() == sweep_csv.read_bytes()
+
+
+def test_pi_row_of_a_config_regime_equals_compute_pi(capsys, tmp_path):
+    # a regime that is no preset takes the sweep's row route under its composed name
+    cfg, out_path = tmp_path / "fpdf.cfg", tmp_path / "pi.csv"
+    cfg.write_text("regime.near_well = F\nregime.middle = pre-darcy\nregime.near_boundary = F\n")
+    code, _, _ = run_cli(capsys, "pi", "--config", str(cfg), "--q-over-h", "3e-3",
+                         "--out", str(out_path))
+    assert code == 0
+    scn = base_scenario(RegimeAssignment(ZoneLaw.FORCHHEIMER, ZoneLaw.PRE_DARCY,
+                                         ZoneLaw.FORCHHEIMER), q_over_h=3e-3)
+    pi = compute_pi(scn)
+    p, part = scn.params, pi.zone_partition
+    row = ",".join(("q_over_h", _cell(3e-3), "FpDF", *map(_cell, (
+        p.s, p.v_D, p.v_F, scn.q_over_h, part.r_F, part.r_D, pi.j_raw, pi.j_dimensionless,
+    ))))
+    assert out_path.read_text().splitlines() == [",".join(cli._SWEEP_COLUMNS), row]
+    assert row == ("q_over_h,3.00000000e-03,FpDF,7.00000000e-01,1.00000000e-07,1.00000000e-05,"
+                   "3.00000000e-03,4.76381317e+01,9.00748416e+02,2.83353673e-13,4.55481091e-05")
+
+
+@pytest.mark.parametrize("argv, prints", [
+    (["pi", "--out"], True),
+    (["sweep", "--axis", "s", "--values", "0.5", "--out"], False),
+    (["table", "1", "--out"], False),
+    (["fit", "{meas}", "--emit-model"], True),
+], ids=["pi", "sweep", "table", "fit"])
+def test_empty_output_path_is_a_config_error(capsys, tmp_path, argv, prints):
+    # '' is a path that cannot be written, not "no output file"; pi and fit
+    # print their result lines before they write the CSV
+    meas = tmp_path / "meas.csv"
+    write_measurements(meas, fit_params(), np.geomspace(1e-9, 1e-6, 20))
+    code, out, err = run_cli(capsys, *(arg.format(meas=meas) for arg in argv), "")
+    assert code == 2
+    assert err.startswith("error: cannot write '': ") and err.count("\n") == 1
+    assert bool(out) == prints
+
+
+def test_a_sweep_holds_its_output_once(tmp_path):
+    # the rows are held once, as one list of texts, and each is written as it
+    # is.  A StringIO, its getvalue() and the encoded text held the CSV up to
+    # three times, a peak of 2.53 CSV sizes here; one list of rows peaks at
+    # 1.57, with and without -W error, which leaves the bound a margin of 0.43.
+    # tracemalloc counts every thread of a process, so the sweep runs alone in
+    # a fresh interpreter.
+    out_path = tmp_path / "sweep.csv"
+    peak = run_fresh(
+        "import tracemalloc\n"
+        "from wellpi.cli import main\n"
+        "argv = ['sweep', '--axis', 'q_over_h', '--regimes', 'D,FDpD', '--out', %r]\n"
+        "assert main([*argv, '--values', '1e-4']) == 0\n"  # the parser and lazy imports
+        "tracemalloc.start()\n"
+        "assert main([*argv, '--log-range', '1e-6,1e2,5000']) == 0\n"
+        "print(tracemalloc.get_traced_memory()[1])\n" % str(out_path)
+    )
+    assert peak <= 2.0 * out_path.stat().st_size
+
+
+# ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
 

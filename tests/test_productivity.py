@@ -350,8 +350,9 @@ def test_a_parameter_sweep_takes_each_whole_annulus_bracket_once(monkeypatch):
     # and F's brackets over [r_w, r_e]
     calls = _count_brackets(monkeypatch)
     scn = base_scenario("D")
-    csv = run_sweep(scn, "s", [i / 7 for i in range(8)], ["D", "F"], False)
-    assert len(csv.splitlines()) == 1 + 8 * 2
+    regimes = [regime_preset(name) for name in ("D", "F")]
+    rows = run_sweep(scn, "s", [i / 7 for i in range(8)], regimes, False)
+    assert [row.count("\n") for row in rows] == [2] * 8
     r_w, r_e = scn.geometry.r_w, scn.geometry.r_e
     assert calls == [(_I0, r_w, r_e), (_I1, r_w, r_e)]
 
